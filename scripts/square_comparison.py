@@ -10,24 +10,13 @@ the square's boundary (the corner overshoot).
 
 import argparse
 import sys
-
-import numpy as np
+import tempfile
+from pathlib import Path
 
 from marsquad.cli import run_scenario
 from marsquad.config import load_config
 from marsquad.scenarios import scenario_path
-from marsquad.simulator import run_closed_loop, compute_metrics
-from marsquad.linmodel import discretize, linearize_hover
-from marsquad.mpc import MpcController
-from marsquad.pid import PidController
-
-
-def corner_overshoot(log, side):
-    x, y = log.states[:, 0], log.states[:, 1]
-    excursion = np.maximum.reduce([
-        np.maximum(0.0, -x), np.maximum(0.0, x - side),
-        np.maximum(0.0, -y), np.maximum(0.0, y - side)])
-    return float(excursion.max())
+from marsquad.simulator import corner_overshoot
 
 
 def main() -> int:
@@ -38,18 +27,9 @@ def main() -> int:
     cfg = load_config(scenario_path("square_corners"))
     side = cfg.traj_params["side"]
 
-    results = {}
-    for kind in ("mpc", "pid"):
-        if kind == "mpc":
-            model = discretize(linearize_hover(cfg.veh, cfg.env), cfg.sim.control_dt)
-            controller = MpcController(model, cfg.mpc, cfg.veh, cfg.env)
-        else:
-            controller = PidController(cfg.pid, cfg.veh, cfg.env, cfg.sim.control_dt)
-        log = run_closed_loop(controller, cfg.trajectory(), cfg.disturbance,
-                              duration=cfg.sim.duration, control_dt=cfg.sim.control_dt,
-                              substeps=cfg.sim.substeps, veh=cfg.veh, env=cfg.env,
-                              seed=cfg.sim.seed)
-        results[kind] = (log, compute_metrics(log))
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(args.out or tmp)
+        results = {kind: run_scenario(cfg, kind, outdir) for kind in ("mpc", "pid")}
 
     print(f"{'metric':<28} {'mpc':>12} {'pid':>12}")
     rows = [
@@ -65,9 +45,6 @@ def main() -> int:
         print(f"{label:<28} {m:>12.4g} {p:>12.4g}")
 
     if args.out:
-        from pathlib import Path
-        for kind in ("mpc", "pid"):
-            run_scenario(cfg, kind, Path(args.out))
         print(f"logs written under {args.out}/square_corners/")
     return 0
 

@@ -17,7 +17,7 @@ from .params import (EARTH, MARS, EnvParams, VehicleParams, calibrate_thrust_coe
                      check_rotor_feasible, hover_speed, hover_thrust,
                      mach_from_velocity, speed_of_sound, tip_mach)
 from .dynamics import (AllocationInfeasible, AllocationSaturated, Wrench, allocate,
-                       allocation_matrix, hover_command, make_state,
+                       hover_command, make_state, mixer_matrix,
                        state_derivative, wrench_from_rotors)
 from .linmodel import LinearModel, discretize, linearize_hover, numeric_jacobian
 from .mpc import MpcConfig, MpcController, build_cost, build_prediction, mpc_step, solve_qp

@@ -47,7 +47,10 @@ def _make_controller(kind: str, cfg: ScenarioConfig):
 
 
 def run_scenario(cfg: ScenarioConfig, kind: str, outdir: Path):
-    """Run one controller on one scenario and write its artifacts."""
+    """Run one controller on one scenario and write its artifacts.
+
+    Returns the run's ``(SimLog, Metrics)`` pair.
+    """
     controller = _make_controller(kind, cfg)
     log = run_closed_loop(
         controller, cfg.trajectory(), cfg.disturbance,
@@ -60,7 +63,7 @@ def run_scenario(cfg: ScenarioConfig, kind: str, outdir: Path):
     write_csv(log, dest / "log.csv")
     write_metrics(metrics, dest / "metrics.json")
     (dest / "config.ini").write_text(config_snapshot(cfg))
-    return metrics
+    return log, metrics
 
 
 def _print_metrics(name: str, metrics):
@@ -93,7 +96,7 @@ def _cmd_run(args) -> int:
     results = {}
     for kind in kinds:
         try:
-            results[kind] = run_scenario(cfg, kind, outdir)
+            _, results[kind] = run_scenario(cfg, kind, outdir)
         except NumericalDivergence as err:
             print(f"error: {kind} run diverged: {err}", file=sys.stderr)
             return 3
@@ -131,7 +134,7 @@ def _sweep_worker(task):
     kinds = ["mpc", "pid"] if cfg.sim.controller == "both" else [cfg.sim.controller]
     summary = {}
     for kind in kinds:
-        metrics = run_scenario(cfg, kind, outdir)
+        _, metrics = run_scenario(cfg, kind, outdir)
         summary[kind] = metrics.as_dict()
     return cfg.name, summary
 

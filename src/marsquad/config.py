@@ -10,8 +10,8 @@ directory alone.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import params as par
 from .mpc import MpcConfig
 from .pid import AxisGains, PidGains
 from .simulator import Disturbance, Pulse
-from .trajectories import RefGenerator, constant_ref, helix_ref, square_ref
+from .trajectories import TRAJECTORIES, RefGenerator
 
 __all__ = ["ConfigError", "SimSettings", "ScenarioConfig", "load_config",
            "parse_overrides", "config_snapshot", "derived_report"]
@@ -45,12 +45,10 @@ _MPC_KEYS = {"horizon", "position_weight", "velocity_weight", "angle_weight",
 _PID_AXES = ("x", "y", "z", "roll", "pitch", "yaw")
 _PID_KEYS = {f"{axis}_{g}" for axis in _PID_AXES for g in ("kp", "ki", "kd")} | {
     "integrator_limit", "max_tilt"}
-_TRAJ_KEYS_BY_TYPE = {
-    "constant": {"x", "y", "z", "psi"},
-    "helix": {"radius", "angular_rate", "climb_rate"},
-    "square": {"side", "edge_duration", "altitude"},
-}
-_TRAJ_KEYS = {"type"} | set().union(*_TRAJ_KEYS_BY_TYPE.values())
+# each trajectory type's config keys and defaults: its factory's signature
+_TRAJ_PARAMS = {kind: {p.name: p.default for p in inspect.signature(factory).parameters.values()}
+                for kind, factory in TRAJECTORIES.items()}
+_TRAJ_KEYS = {"type"}.union(*_TRAJ_PARAMS.values())
 _DIST_KEYS = {"pulses", "noise_force", "noise_torque"}
 _SIM_KEYS = {"controller", "duration", "control_dt", "substeps", "seed", "outdir",
              "transient_skip"}
@@ -112,13 +110,7 @@ class ScenarioConfig:
     acceptance: dict
 
     def trajectory(self) -> RefGenerator:
-        if self.traj_type == "constant":
-            return constant_ref(**self.traj_params)
-        if self.traj_type == "helix":
-            return helix_ref(**self.traj_params)
-        if self.traj_type == "square":
-            return square_ref(**self.traj_params)
-        raise ValueError(f"unknown trajectory type {self.traj_type!r}")
+        return TRAJECTORIES[self.traj_type](**self.traj_params)
 
 
 def _read_ini(path) -> configparser.ConfigParser:
@@ -288,26 +280,18 @@ def _build_pid(r: _Reader) -> PidGains | None:
         return None
 
 
-_TRAJ_DEFAULTS = {
-    "constant": {"x": 0.0, "y": 0.0, "z": 0.0, "psi": 0.0},
-    "helix": {"radius": 1.0, "angular_rate": 0.02 * math.pi, "climb_rate": 0.1},
-    "square": {"side": 2.0, "edge_duration": 10.0, "altitude": 1.0},
-}
-
-
 def _build_traj(r: _Reader):
     kind = (r.get("trajectory", "type", "constant") or "constant").lower()
-    if kind not in _TRAJ_KEYS_BY_TYPE:
-        r.problems.append(f"trajectory.type must be one of {sorted(_TRAJ_KEYS_BY_TYPE)}, "
+    if kind not in TRAJECTORIES:
+        r.problems.append(f"trajectory.type must be one of {sorted(TRAJECTORIES)}, "
                           f"got {kind!r}")
         return None, {}
-    allowed = _TRAJ_KEYS_BY_TYPE[kind]
+    tp = dict(_TRAJ_PARAMS[kind])
     if r.parser.has_section("trajectory"):
         for key in r.parser["trajectory"]:
-            if key != "type" and key in _TRAJ_KEYS and key not in allowed:
+            if key != "type" and key in _TRAJ_KEYS and key not in tp:
                 r.problems.append(f"trajectory.{key} does not apply to type {kind!r}")
-    tp = dict(_TRAJ_DEFAULTS[kind])
-    for key in allowed:
+    for key in tp:
         v = r.get_float("trajectory", key)
         if v is not None:
             tp[key] = v
@@ -394,8 +378,7 @@ def load_config(path, overrides=()) -> ScenarioConfig:
 
     if traj_type is not None:
         try:
-            {"constant": constant_ref, "helix": helix_ref,
-             "square": square_ref}[traj_type](**traj_params)
+            TRAJECTORIES[traj_type](**traj_params)
         except ValueError as err:
             r.problems.append(f"[trajectory] {err}")
 

@@ -32,7 +32,6 @@ __all__ = [
     "wrap_state_angles",
     "make_state",
     "wrench_from_rotors",
-    "allocation_matrix",
     "mixer_matrix",
     "allocate",
     "state_derivative",
@@ -44,9 +43,6 @@ POS = slice(0, 3)
 VEL = slice(3, 6)
 ANG = slice(6, 9)
 RATE = slice(9, 12)
-
-# sign of each rotor's spin direction, used for the net rotor speed
-_SPIN = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
 
 
 class Wrench(NamedTuple):
@@ -96,43 +92,15 @@ def hover_command(veh: VehicleParams, env: EnvParams) -> np.ndarray:
     return np.full(N_ROTORS, hover_thrust(veh, env) / (N_ROTORS * veh.thrust_coeff))
 
 
-def wrench_from_rotors(omega_sq: np.ndarray, veh: VehicleParams) -> Wrench:
-    """Map the eight squared rotor speeds to thrust, moments, and net speed.
-
-    Thrust is the sum of per-rotor thrusts k_t * w_i^2. Roll and pitch
-    moments come from differential thrust across opposing arms, the yaw
-    moment from the reaction-torque imbalance between spin directions.
-    """
-    w = np.asarray(omega_sq, dtype=float)
-    if w.shape != (N_ROTORS,):
-        raise ValueError(f"expected {N_ROTORS} squared rotor speeds, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("squared rotor speeds must be >= 0")
-    kt = veh.thrust_coeff
-    kd = veh.torque_coeff
-    d = veh.arm_length
-    thrust = kt * w.sum()
-    roll = d * kt * (w[6] + w[7] - w[2] - w[3])
-    pitch = d * kt * (w[4] + w[5] - w[0] - w[1])
-    yaw = kd * (w[1] + w[3] + w[5] + w[7] - w[0] - w[2] - w[4] - w[6])
-    net = float(_SPIN @ np.sqrt(w))
-    return Wrench(thrust, roll, pitch, yaw, net)
-
-
-def allocation_matrix(veh: VehicleParams) -> np.ndarray:
+def mixer_matrix(veh: VehicleParams) -> np.ndarray:
     """4x8 map from squared rotor speeds to (thrust, roll, pitch, yaw).
 
-    Sign convention: the thrust row is negative (thrust along -z of the
-    ground frame when the craft is level). ``mixer_matrix`` provides the
-    upward-positive variant used by allocation and the wrench map.
+    The one place the arm and spin-sign pattern is written down. Thrust is
+    the sum of per-rotor thrusts k_t * w_i^2; roll and pitch moments come
+    from differential thrust across opposing arms, the yaw moment from the
+    reaction-torque imbalance between spin directions. The wrench map, the
+    allocation and the linear model's input matrix all derive from it.
     """
-    m = mixer_matrix(veh).copy()
-    m[0, :] *= -1.0
-    return m
-
-
-def mixer_matrix(veh: VehicleParams) -> np.ndarray:
-    """Upward-positive-thrust variant of the allocation matrix."""
     kt = veh.thrust_coeff
     kd = veh.torque_coeff
     dkt = veh.arm_length * kt
@@ -145,8 +113,37 @@ def mixer_matrix(veh: VehicleParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _wrench_map(veh: VehicleParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only mixer and rotor spin signs (the signs of its yaw row)."""
+    mixer = mixer_matrix(veh)
+    spin = np.sign(mixer[3])
+    mixer.flags.writeable = False
+    spin.flags.writeable = False
+    return mixer, spin
+
+
+@lru_cache(maxsize=8)
 def _mixer_pinv(veh: VehicleParams) -> np.ndarray:
     return np.linalg.pinv(mixer_matrix(veh))
+
+
+def wrench_from_rotors(omega_sq: np.ndarray, veh: VehicleParams) -> Wrench:
+    """Map the eight squared rotor speeds to thrust, moments, and net speed.
+
+    Thrust and moments are ``mixer_matrix(veh) @ omega_sq``; the net rotor
+    speed is the spin-signed sum of the rotor speeds. A symmetric command
+    yields exactly zero roll and pitch moments.
+    """
+    w = np.asarray(omega_sq, dtype=float)
+    if w.shape != (N_ROTORS,):
+        raise ValueError(f"expected {N_ROTORS} squared rotor speeds, got shape {w.shape}")
+    if np.any(w < 0):
+        raise ValueError("squared rotor speeds must be >= 0")
+    mixer, spin = _wrench_map(veh)
+    # products summed per row rather than a BLAS matvec: a fused multiply-add
+    # would leave a rounding residue where opposing arms cancel exactly
+    thrust, roll, pitch, yaw = (mixer * w).sum(axis=1).tolist()
+    return Wrench(thrust, roll, pitch, yaw, float(spin @ np.sqrt(w)))
 
 
 def allocate(target, veh: VehicleParams) -> np.ndarray:

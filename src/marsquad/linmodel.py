@@ -81,14 +81,12 @@ def linearize_hover(veh: VehicleParams, env: EnvParams) -> LinearModel:
     a[7, 10] = 1.0
     a[8, 11] = 1.0
 
-    kt_m = veh.thrust_coeff / veh.mass
-    dkt = veh.arm_length * veh.thrust_coeff
+    # vertical and angular accelerations per unit squared speed, from the same
+    # mixer as the plant; each entry is one division, so it rounds only once
+    mixer = dynamics.mixer_matrix(veh)
     b = np.zeros((N_STATES, N_ROTORS))
-    b[5, :] = kt_m
-    b[9, :] = (dkt / veh.inertia_xx) * np.array([0, 0, -1, -1, 0, 0, 1, 1], dtype=float)
-    b[10, :] = (dkt / veh.inertia_yy) * np.array([-1, -1, 0, 0, 1, 1, 0, 0], dtype=float)
-    b[11, :] = (veh.torque_coeff / veh.inertia_zz) * np.array(
-        [-1, 1, -1, 1, -1, 1, -1, 1], dtype=float)
+    b[5] = mixer[0] / veh.mass
+    b[9:12] = mixer[1:4] / np.array([veh.inertia_xx, veh.inertia_yy, veh.inertia_zz])[:, None]
 
     return LinearModel(
         A=a,

@@ -23,7 +23,6 @@ from .trajectories import ref_window
 __all__ = [
     "MpcConfig",
     "Prediction",
-    "ControllerState",
     "QpMaxIterations",
     "build_prediction",
     "build_cost",
@@ -112,27 +111,17 @@ class Prediction:
     """Stacked prediction operators over the horizon.
 
     The state window runs from the current step to horizon-1:
-        X_stack = G dx0 + H U_stack,  Y_stack = Cbar X_stack
+        X_stack = G dx0 + H U_stack
     G stacks I, Ad, Ad^2, ...; H is strictly block lower triangular with
     block (i, j) = Ad^(i-j-1) Bd for i > j.
     """
 
     G: np.ndarray      # (12N, 12)
     H: np.ndarray      # (12N, 8N)
-    Cbar: np.ndarray   # (4N, 12N)
-
-
-@dataclass
-class ControllerState:
-    """Mutable per-controller memory: last applied input and QP warm start."""
-
-    u_prev: np.ndarray              # (8,), absolute squared speeds
-    warm_start: np.ndarray          # (8N,), input-deviation sequence
-    last_qp_iters: int = 0
 
 
 def build_prediction(model: LinearModel, horizon: int) -> Prediction:
-    """Assemble the stacked G, H, Cbar operators for a discrete model."""
+    """Assemble the stacked G, H operators for a discrete model."""
     if model.continuous:
         raise ValueError("prediction needs a discretized model")
     if horizon < 1:
@@ -154,8 +143,7 @@ def build_prediction(model: LinearModel, horizon: int) -> Prediction:
         for j in range(i):
             h[i * n:(i + 1) * n, j * m:(j + 1) * m] = prods[i - j - 1]
 
-    cbar = np.kron(np.eye(horizon), model.C)
-    return Prediction(G=g, H=h, Cbar=cbar)
+    return Prediction(G=g, H=h)
 
 
 def _difference_operator(horizon: int) -> np.ndarray:
@@ -196,16 +184,24 @@ def build_cost(pred: Prediction, cfg: MpcConfig, dx0: np.ndarray,
     hessian = h.T @ (mx[:, None] * h) + np.diag(mu) + diff.T @ (mdu[:, None] * diff)
     hessian = 0.5 * (hessian + hessian.T)
 
-    err = x_ref_stack - pred.G @ dx0
-    boundary = np.zeros(N_ROTORS * n)
-    boundary[:N_ROTORS] = du_prev
-    gradient = -(h.T @ (mx * err) + diff.T @ (mdu * boundary))
-
     try:
         np.linalg.cholesky(hessian)
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
-    return hessian, gradient
+    return hessian, _gradient(pred, cfg, dx0, x_ref_stack, du_prev)
+
+
+def _gradient(pred: Prediction, cfg: MpcConfig, dx0: np.ndarray,
+              x_ref_stack: np.ndarray, du_prev: np.ndarray) -> np.ndarray:
+    """Linear term q of the condensed cost 0.5 U'PU + q'U.
+
+    The input-rate penalty contributes only through ``du_prev``, which
+    closes the difference at the first input block.
+    """
+    mx = np.tile(cfg.state_weight, cfg.horizon)
+    gradient = -(pred.H.T @ (mx * (x_ref_stack - pred.G @ dx0)))
+    gradient[:N_ROTORS] -= cfg.input_rate_weight * du_prev
+    return gradient
 
 
 def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
@@ -330,25 +326,18 @@ def _stack_reference(refs: np.ndarray, x_ref: np.ndarray, horizon: int,
     return stack
 
 
-def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: ControllerState,
-             model: LinearModel, cfg: MpcConfig,
-             pred: Prediction | None = None,
-             hessian: np.ndarray | None = None,
-             chol: np.ndarray | None = None) -> np.ndarray:
+def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.ndarray:
     """One receding-horizon update: solve the QP, apply the first input.
 
-    ``refs`` is the (N, 4) window of (x, y, z, psi) references. ``pred``
-    and ``hessian`` may be passed in to reuse work that does not change
-    between steps. Mutates ``ctrl`` (last input, warm start) and returns
+    ``refs`` is the (N, 4) window of (x, y, z, psi) references. Reuses the
+    controller's prediction operators, Hessian and its factor; updates the
+    controller's last input, warm start and QP iteration count, and returns
     the absolute squared-speed command, always inside the input box.
     """
-    if model.continuous:
-        raise ValueError("mpc_step needs a discretized model")
+    model, cfg = ctrl.model, ctrl.cfg
     refs = np.asarray(refs, dtype=float)
     if refs.shape != (cfg.horizon, N_OUTPUTS):
         raise ValueError(f"expected a ({cfg.horizon}, 4) reference window, got {refs.shape}")
-    if pred is None:
-        pred = build_prediction(model, cfg.horizon)
 
     x_now = np.asarray(x_now, dtype=float)
     dx0 = x_now - model.x_ref
@@ -356,16 +345,7 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: ControllerState,
     dx0[8] = wrap_angle(refs[0, 3] - model.x_ref[8]) - wrap_angle(refs[0, 3] - x_now[8])
 
     x_ref_stack = _stack_reference(refs, model.x_ref, cfg.horizon, model.dt)
-    du_prev = ctrl.u_prev - model.u_ref
-
-    if hessian is None:
-        hessian, gradient = build_cost(pred, cfg, dx0, x_ref_stack, du_prev)
-    else:
-        # the boundary rate term only touches the first input block
-        mx = np.tile(cfg.state_weight, cfg.horizon)
-        err = x_ref_stack - pred.G @ dx0
-        gradient = -(pred.H.T @ (mx * err))
-        gradient[:N_ROTORS] -= cfg.input_rate_weight * du_prev
+    gradient = _gradient(ctrl.pred, cfg, dx0, x_ref_stack, ctrl.u_prev - model.u_ref)
 
     if cfg.constrained:
         lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
@@ -374,8 +354,8 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: ControllerState,
         lower = np.full(N_ROTORS * cfg.horizon, -np.inf)
         upper = np.full(N_ROTORS * cfg.horizon, np.inf)
 
-    du_seq, info = solve_qp(hessian, gradient, lower, upper, cfg,
-                            x0=ctrl.warm_start, return_info=True, chol=chol)
+    du_seq, info = solve_qp(ctrl.hessian, gradient, lower, upper, cfg,
+                            x0=ctrl.warm_start, return_info=True, chol=ctrl.chol)
 
     u = model.u_ref + du_seq[:N_ROTORS]
     u = np.clip(u, cfg.u_min, cfg.u_max)
@@ -389,8 +369,10 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: ControllerState,
 class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
-    Holds the prediction operators, the constant cost Hessian, and the warm
-    start between steps. One instance drives one closed loop.
+    Holds the prediction operators and the constant cost Hessian with its
+    Cholesky factor, plus the per-loop memory: the last applied input
+    ``u_prev``, the QP warm start ``warm_start`` and ``last_qp_iters``.
+    One instance drives one closed loop.
     """
 
     def __init__(self, model: LinearModel, cfg: MpcConfig, veh: VehicleParams,
@@ -403,25 +385,17 @@ class MpcController:
         self.env = env
         self.pred = build_prediction(model, cfg.horizon)
         zero_stack = np.zeros(N_STATES * cfg.horizon)
-        self._hessian, _ = build_cost(self.pred, cfg, np.zeros(N_STATES),
-                                      zero_stack, np.zeros(N_ROTORS))
-        self._chol = cho_factor(self._hessian, lower=True)
-        self.state = ControllerState(
-            u_prev=model.u_ref.copy(),
-            warm_start=np.zeros(N_ROTORS * cfg.horizon),
-        )
+        self.hessian, _ = build_cost(self.pred, cfg, np.zeros(N_STATES),
+                                     zero_stack, np.zeros(N_ROTORS))
+        self.chol = cho_factor(self.hessian, lower=True)
+        self.reset()
 
     def reset(self):
-        self.state = ControllerState(
-            u_prev=self.model.u_ref.copy(),
-            warm_start=np.zeros(N_ROTORS * self.cfg.horizon),
-        )
-
-    @property
-    def last_qp_iters(self) -> int:
-        return self.state.last_qp_iters
+        """Forget the last input and the warm start, as after construction."""
+        self.u_prev = self.model.u_ref.copy()
+        self.warm_start = np.zeros(N_ROTORS * self.cfg.horizon)
+        self.last_qp_iters = 0
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:
         refs = ref_window(traj, t, self.cfg.horizon, self.model.dt)
-        return mpc_step(x_now, refs, self.state, self.model, self.cfg,
-                        pred=self.pred, hessian=self._hessian, chol=self._chol)
+        return mpc_step(x_now, refs, self)

@@ -28,6 +28,7 @@ __all__ = [
     "rk4_step",
     "run_closed_loop",
     "compute_metrics",
+    "corner_overshoot",
     "write_csv",
     "write_metrics",
     "CSV_COLUMNS",
@@ -349,6 +350,18 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
         control_effort=effort,
         constraint_violations=violations,
     )
+
+
+def corner_overshoot(log: SimLog, side: float) -> float:
+    """Worst horizontal excursion (m) outside the square [0, side] x [0, side].
+
+    For the square circuit this is the overshoot at its sharp corners.
+    """
+    x, y = log.states[:, 0], log.states[:, 1]
+    excursion = np.maximum.reduce([
+        np.maximum(0.0, -x), np.maximum(0.0, x - side),
+        np.maximum(0.0, -y), np.maximum(0.0, y - side)])
+    return float(excursion.max())
 
 
 def _fmt(v: float) -> str:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["RefSample", "RefGenerator", "constant_ref", "helix_ref", "square_ref",
-           "ref_window"]
+           "TRAJECTORIES", "ref_window"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ class RefSample:
 RefGenerator = Callable[[float], RefSample]
 
 
-def constant_ref(x: float, y: float, z: float, psi: float = 0.0) -> RefGenerator:
+def constant_ref(x: float = 0.0, y: float = 0.0, z: float = 0.0,
+                 psi: float = 0.0) -> RefGenerator:
     """Hold a fixed position and heading forever."""
     if not all(math.isfinite(v) for v in (x, y, z, psi)):
         raise ValueError("setpoint must be finite")
@@ -53,10 +54,10 @@ def constant_ref(x: float, y: float, z: float, psi: float = 0.0) -> RefGenerator
 
 
 def helix_ref(radius: float = 1.0, angular_rate: float = 0.02 * math.pi,
-              climb_rate: float = 0.1, psi: float = 0.0) -> RefGenerator:
+              climb_rate: float = 0.1) -> RefGenerator:
     """Circle of given radius in the horizontal plane with a constant climb.
 
-    x = r cos(w t), y = r sin(w t), z = c t.
+    x = r cos(w t), y = r sin(w t), z = c t, heading held at zero.
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
@@ -64,7 +65,7 @@ def helix_ref(radius: float = 1.0, angular_rate: float = 0.02 * math.pi,
     def gen(t: float) -> RefSample:
         ang = angular_rate * t
         return RefSample(t, radius * math.cos(ang), radius * math.sin(ang),
-                         climb_rate * t, psi)
+                         climb_rate * t, 0.0)
 
     return gen
 
@@ -97,6 +98,15 @@ def square_ref(side: float = 2.0, edge_duration: float = 10.0,
         return RefSample(t, x, y, altitude, 0.0)
 
     return gen
+
+
+# trajectory type name -> factory; a factory's keyword parameters and their
+# defaults are the type's config keys (see ``marsquad.config``)
+TRAJECTORIES: dict[str, Callable[..., RefGenerator]] = {
+    "constant": constant_ref,
+    "helix": helix_ref,
+    "square": square_ref,
+}
 
 
 def ref_window(gen: RefGenerator, t0: float, n: int, dt: float) -> np.ndarray:

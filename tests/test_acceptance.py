@@ -100,7 +100,7 @@ def test_criterion_02_allocation_round_trip():
         cmd = dynamics.allocate(w, veh)
         back = np.array(dynamics.wrench_from_rotors(cmd, veh)[:4])
         worst = max(worst, np.linalg.norm(back - w) / np.linalg.norm(w))
-    a = dynamics.allocation_matrix(veh)
+    a = dynamics.mixer_matrix(veh)
     identity_err = np.abs(a @ np.linalg.pinv(a) - np.eye(4)).max()
     ok = worst < 1e-10 and identity_err < 1e-12
     _report(2, ok, f"1000 wrench round trips: worst rel err {worst:.2e} (tol 1e-10), "
@@ -227,18 +227,10 @@ def test_criterion_08_helix_tracking(helix_run):
                    f"wall {elapsed:.1f} s")
 
 
-def _corner_overshoot(log, side):
-    x, y = log.states[:, 0], log.states[:, 1]
-    excursion = np.maximum.reduce([
-        np.maximum(0.0, -x), np.maximum(0.0, x - side),
-        np.maximum(0.0, -y), np.maximum(0.0, y - side)])
-    return float(excursion.max())
-
-
 def test_criterion_09_square_corner_comparison(square_runs):
     cfg = square_runs["mpc"][0]
     side = cfg.traj_params["side"]
-    over = {k: _corner_overshoot(run[1], side) for k, run in square_runs.items()}
+    over = {k: sim.corner_overshoot(run[1], side) for k, run in square_runs.items()}
     effort = {k: run[2].control_effort for k, run in square_runs.items()}
     ok = over["mpc"] < over["pid"] and effort["mpc"] < effort["pid"]
     _report(9, ok, f"square corners: overshoot mpc {over['mpc'] * 100:.2f} cm < "

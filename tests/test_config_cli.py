@@ -66,10 +66,13 @@ class TestLoading:
             load_config(p)
 
     def test_trajectory_key_for_wrong_type_rejected(self, tmp_path):
+        # helix has no heading key: psi is accepted for constant only
         p = tmp_path / "bad.cfg"
-        p.write_text(MINIMAL.replace("type = constant", "type = constant\nradius = 2.0"))
-        with pytest.raises(ConfigError, match="radius"):
-            load_config(p)
+        for kind, key in (("constant", "radius"), ("helix", "psi"), ("square", "climb_rate")):
+            p.write_text(MINIMAL.replace("type = constant\nx = 0.0\ny = 0.0\nz = 0.0",
+                                         f"type = {kind}\n{key} = 2.0"))
+            with pytest.raises(ConfigError, match=f"trajectory.{key} does not apply"):
+                load_config(p)
 
     def test_all_problems_collected(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from marsquad import dynamics, params
+from marsquad import dynamics, linmodel, params
 from marsquad.dynamics import (AllocationInfeasible, AllocationSaturated, Wrench, allocate,
-                               allocation_matrix, hover_command, make_state, mixer_matrix,
+                               hover_command, make_state, mixer_matrix,
                                state_derivative, wrap_angle, wrench_from_rotors)
 
 ENV = params.MARS
@@ -79,13 +79,26 @@ class TestWrench:
         assert w1.yaw_moment == pytest.approx(w0.yaw_moment, abs=1e-9)
 
 
+def random_vehicles():
+    """Vehicles with random rotor coefficients, arm length and inertias."""
+    return st.builds(
+        lambda kt, kd, d, ixx, iyy, izz: params.VehicleParams(**{
+            **VEH.__dict__, "thrust_coeff": kt, "torque_coeff": kd, "arm_length": d,
+            "inertia_xx": ixx, "inertia_yy": iyy, "inertia_zz": izz}),
+        st.floats(1e-6, 1e-3), st.floats(1e-7, 1e-4), st.floats(0.1, 3.0),
+        st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+    )
+
+
 class TestAllocationMatrix:
-    def test_thrust_row_is_negative(self):
-        m = allocation_matrix(VEH)
-        assert np.allclose(m[0], -VEH.thrust_coeff)
+    """``mixer_matrix`` is the allocation matrix: squared speeds to wrench."""
+
+    def test_thrust_row_is_positive(self):
+        m = mixer_matrix(VEH)
+        assert np.allclose(m[0], VEH.thrust_coeff)
 
     def test_roll_row_pattern(self):
-        m = allocation_matrix(VEH)
+        m = mixer_matrix(VEH)
         dkt = VEH.arm_length * VEH.thrust_coeff
         assert np.allclose(m[1], [0, 0, -dkt, -dkt, 0, 0, dkt, dkt])
 
@@ -94,12 +107,31 @@ class TestAllocationMatrix:
     def test_full_rank_for_any_positive_coefficients(self, kt, kd, d):
         veh = params.VehicleParams(**{**VEH.__dict__, "thrust_coeff": kt,
                                       "torque_coeff": kd, "arm_length": d})
-        assert np.linalg.matrix_rank(allocation_matrix(veh)) == 4
+        assert np.linalg.matrix_rank(mixer_matrix(veh)) == 4
 
     def test_mixer_matches_wrench_map(self):
         cmd = np.linspace(1e3, 8e4, 8)
         w = wrench_from_rotors(cmd, VEH)
         assert np.allclose(mixer_matrix(VEH) @ cmd, np.array(w[:4]), rtol=1e-12)
+
+    @given(veh=random_vehicles(), frac=st.lists(st.floats(0.4, 0.6), min_size=8, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_wrench_allocation_and_linear_model_share_the_mixer(self, veh, frac):
+        m = mixer_matrix(veh)
+        cmd = np.array(frac) * veh.max_rotor_speed ** 2
+        wrench = np.array(wrench_from_rotors(cmd, veh)[:4])
+        # relative to the summed magnitudes, since the moment rows cancel
+        assert np.all(np.abs(wrench - m @ cmd) <= 1e-12 * (np.abs(m) @ cmd))
+
+        b = linmodel.linearize_hover(veh, ENV).B
+        assert np.array_equal(b[5], m[0] / veh.mass)
+        inertia = np.array([veh.inertia_xx, veh.inertia_yy, veh.inertia_zz])
+        assert np.array_equal(b[9:12], m[1:4] / inertia[:, None])
+
+        # a command within 40-60% of the ceiling keeps its minimum-norm
+        # re-allocation strictly inside the box, so allocate cannot saturate
+        back = m @ allocate(wrench, veh)
+        assert np.linalg.norm(back - wrench) <= 1e-10 * np.linalg.norm(wrench)
 
 
 class TestAllocate:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marsquad import dynamics, linmodel, mpc, params, trajectories as traj
-from marsquad.mpc import (ControllerState, MpcConfig, MpcController, QpMaxIterations,
-                          build_cost, build_prediction, mpc_step, solve_qp)
+from marsquad.mpc import (MpcConfig, MpcController, QpMaxIterations, build_cost,
+                          build_prediction, mpc_step, solve_qp)
 
 ENV = params.MARS
 VEH = params.VehicleParams.default()
@@ -56,13 +56,6 @@ class TestPrediction:
         assert not p.H[:12].any()
         assert np.allclose(p.H[12:, :8], disc_model.B)
         assert not p.H[12:, 8:].any()
-
-    def test_block_diagonal_output_map(self, disc_model):
-        p = build_prediction(disc_model, 3)
-        assert p.Cbar.shape == (12, 36)
-        for i in range(3):
-            assert np.allclose(p.Cbar[4 * i:4 * (i + 1), 12 * i:12 * (i + 1)],
-                               disc_model.C)
 
     @given(n=st.integers(1, 12), seed=st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
@@ -221,18 +214,16 @@ class TestSolveQp:
 
 class TestMpcStep:
     def test_hover_reference_returns_hover_command(self, disc_model, mpc_cfg):
-        ctrl = ControllerState(u_prev=disc_model.u_ref.copy(),
-                               warm_start=np.zeros(8 * mpc_cfg.horizon))
+        ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
         refs = np.zeros((mpc_cfg.horizon, 4))
-        u = mpc_step(np.zeros(12), refs, ctrl, disc_model, mpc_cfg)
+        u = mpc_step(np.zeros(12), refs, ctrl)
         assert np.allclose(u, disc_model.u_ref, atol=1e-9)
 
     def test_climb_reference_raises_all_rotors_equally(self, disc_model, mpc_cfg):
-        ctrl = ControllerState(u_prev=disc_model.u_ref.copy(),
-                               warm_start=np.zeros(8 * mpc_cfg.horizon))
+        ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
         refs = np.zeros((mpc_cfg.horizon, 4))
         refs[:, 2] = 1.0
-        u = mpc_step(np.zeros(12), refs, ctrl, disc_model, mpc_cfg)
+        u = mpc_step(np.zeros(12), refs, ctrl)
         assert u.max() - u.min() < 1e-6
         assert u[0] > disc_model.u_ref[0]
         wrench = dynamics.wrench_from_rotors(u, VEH)
@@ -244,12 +235,11 @@ class TestMpcStep:
         """Displaced +x with a hover reference: nose must pitch down (-pitch
         moment), so the front pair (rotors 1, 2) spins up and the rear pair
         (rotors 5, 6) slows."""
-        ctrl = ControllerState(u_prev=disc_model.u_ref.copy(),
-                               warm_start=np.zeros(8 * mpc_cfg.horizon))
+        ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
         refs = np.zeros((mpc_cfg.horizon, 4))
         x = np.zeros(12)
         x[0] = 0.5
-        u = mpc_step(x, refs, ctrl, disc_model, mpc_cfg)
+        u = mpc_step(x, refs, ctrl)
         assert u[0] + u[1] > u[4] + u[5]
 
     @given(seed=st.integers(0, 200))
@@ -257,32 +247,41 @@ class TestMpcStep:
     def test_command_always_inside_box(self, disc_model, seed):
         cfg = MpcConfig.default(VEH, horizon=10)
         rng = np.random.default_rng(seed)
-        ctrl = ControllerState(u_prev=disc_model.u_ref.copy(),
-                               warm_start=np.zeros(80))
+        ctrl = MpcController(disc_model, cfg, VEH, ENV)
         x = rng.normal(0, 1.0, 12)
         x[6:9] = rng.normal(0, 0.2, 3)
         refs = rng.normal(0, 3.0, (10, 4))
-        u = mpc_step(x, refs, ctrl, disc_model, cfg)
+        u = mpc_step(x, refs, ctrl)
         assert np.all(u >= cfg.u_min)
         assert np.all(u <= cfg.u_max)
 
     def test_unconstrained_mode_still_clips_output(self, disc_model):
         cfg = MpcConfig.default(VEH, horizon=10)
         cfg = MpcConfig(**{**cfg.__dict__, "constrained": False})
-        ctrl = ControllerState(u_prev=disc_model.u_ref.copy(),
-                               warm_start=np.zeros(80))
+        ctrl = MpcController(disc_model, cfg, VEH, ENV)
         refs = np.zeros((10, 4))
         refs[:, 2] = 50.0  # absurd climb demand
-        u = mpc_step(np.zeros(12), refs, ctrl, disc_model, cfg)
+        u = mpc_step(np.zeros(12), refs, ctrl)
         assert np.all(u <= cfg.u_max + 1e-12)
         assert np.all(u >= cfg.u_min - 1e-12)
 
     def test_rejects_continuous_model(self, cont_model, mpc_cfg):
-        ctrl = ControllerState(u_prev=cont_model.u_ref.copy(),
-                               warm_start=np.zeros(8 * mpc_cfg.horizon))
         with pytest.raises(ValueError):
-            mpc_step(np.zeros(12), np.zeros((mpc_cfg.horizon, 4)), ctrl,
-                     cont_model, mpc_cfg)
+            MpcController(cont_model, mpc_cfg, VEH, ENV)
+
+    def test_step_updates_controller_memory_and_reset_restores_it(self, disc_model):
+        cfg = MpcConfig.default(VEH, horizon=10)
+        ctrl = MpcController(disc_model, cfg, VEH, ENV)
+        refs = np.zeros((10, 4))
+        refs[:, 0] = 1.0
+        u = mpc_step(np.zeros(12), refs, ctrl)
+        assert np.array_equal(ctrl.u_prev, u)
+        assert ctrl.warm_start.any()
+        ctrl.reset()
+        fresh = MpcController(disc_model, cfg, VEH, ENV)
+        assert np.array_equal(ctrl.u_prev, fresh.u_prev)
+        assert np.array_equal(ctrl.warm_start, fresh.warm_start)
+        assert ctrl.last_qp_iters == fresh.last_qp_iters == 0
 
 
 class TestClosedLoopLinear:
