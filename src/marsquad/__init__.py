@@ -6,7 +6,7 @@ Modules:
     linmodel      near-hover linear model and exact discretization
     mpc           condensed predictive controller with a box-constrained QP
     pid           cascaded PID baseline controller
-    trajectories  reference generators (setpoint, helix, square)
+    trajectories  reference generators over time arrays (setpoint, helix, square)
     simulator     RK4 closed loop, disturbances, logging, metrics
     config        strict scenario-file parsing
     cli           run / validate / sweep entry points

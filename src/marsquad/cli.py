@@ -128,8 +128,7 @@ def _cmd_validate(args) -> int:
 
 
 def _sweep_worker(task):
-    config_path, overrides, out = task
-    cfg = load_config(config_path, overrides)
+    cfg, out = task
     outdir = Path(out) if out else Path(cfg.sim.outdir)
     kinds = ["mpc", "pid"] if cfg.sim.controller == "both" else [cfg.sim.controller]
     summary = {}
@@ -140,20 +139,22 @@ def _sweep_worker(task):
 
 
 def _cmd_sweep(args) -> int:
-    tasks = [(path, args.set or [], args.out) for path in args.configs]
-    # validate everything up front so a typo does not burn a sweep
+    # load and validate everything up front so a typo does not burn a sweep;
+    # the workers run the loaded configs
+    configs = []
     for path in args.configs:
         try:
-            load_config(path, args.set or [])
+            configs.append(load_config(path, args.set or []))
         except ConfigError as err:
             print(f"{path}: {err}", file=sys.stderr)
             return 2
+    tasks = [(cfg, args.out) for cfg in configs]
     failures = 0
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for task, result in zip(tasks, pool.map(_sweep_worker_safe, tasks)):
+        for path, result in zip(args.configs, pool.map(_sweep_worker_safe, tasks)):
             name, payload = result
             if name is None:
-                print(f"error: {task[0]}: {payload}", file=sys.stderr)
+                print(f"error: {path}: {payload}", file=sys.stderr)
                 failures += 1
             else:
                 rms = {k: v["rms_position_error"] for k, v in payload.items()}

@@ -67,16 +67,18 @@ class AllocationInfeasible(ValueError):
     """The requested wrench cannot be produced (negative collective thrust)."""
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    return -((math.pi - angle) % (2.0 * math.pi) - math.pi)
+def wrap_angle(angle):
+    """Wrap an angle, or an array of angles elementwise, into (-pi, pi].
+
+    ``np.remainder`` rounds exactly like Python's float ``%``.
+    """
+    return -(np.remainder(math.pi - angle, 2.0 * math.pi) - math.pi)
 
 
 def wrap_state_angles(state: np.ndarray) -> np.ndarray:
     """Return a copy of the state with roll, pitch, yaw wrapped to (-pi, pi]."""
     out = np.array(state, dtype=float)
-    for i in range(6, 9):
-        out[i] = wrap_angle(out[i])
+    out[ANG] = wrap_angle(out[ANG])
     return out
 
 

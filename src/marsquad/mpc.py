@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, solve_triangular
 
 from .dynamics import wrap_angle
 from .linmodel import N_OUTPUTS, N_STATES, LinearModel
@@ -146,13 +146,23 @@ def build_prediction(model: LinearModel, horizon: int) -> Prediction:
     return Prediction(G=g, H=h)
 
 
-def _difference_operator(horizon: int) -> np.ndarray:
-    """8N x 8N map from an input sequence to its step-to-step differences."""
-    m = N_ROTORS
-    d = np.eye(m * horizon)
-    for i in range(1, horizon):
-        d[i * m:(i + 1) * m, (i - 1) * m:i * m] = -np.eye(m)
-    return d
+def _rate_penalty(mdu: np.ndarray) -> np.ndarray:
+    """The input-rate Hessian term D' diag(mdu) D, built as its band.
+
+    D maps an input sequence to its step-to-step differences (identity on
+    the diagonal, minus identity one block below), so the product has
+    ``mdu[k] + mdu[k + 8]`` on the diagonal (``mdu[k]`` in the last block)
+    and ``-mdu[k + 8]`` one block off it: the same sums the dense product
+    rounds to.
+    """
+    m, size = N_ROTORS, mdu.shape[0]
+    out = np.zeros((size, size))
+    diag = np.arange(size)
+    out[diag, diag] = mdu
+    out[diag[:-m], diag[:-m]] += mdu[m:]
+    out[diag[:-m], diag[m:]] = -mdu[m:]
+    out[diag[m:], diag[:-m]] = -mdu[m:]
+    return out
 
 
 def build_cost(pred: Prediction, cfg: MpcConfig, dx0: np.ndarray,
@@ -180,27 +190,26 @@ def build_cost(pred: Prediction, cfg: MpcConfig, dx0: np.ndarray,
     mdu = np.tile(cfg.input_rate_weight, n)
 
     h = pred.H
-    diff = _difference_operator(n)
-    hessian = h.T @ (mx[:, None] * h) + np.diag(mu) + diff.T @ (mdu[:, None] * diff)
+    hessian = h.T @ (mx[:, None] * h) + np.diag(mu) + _rate_penalty(mdu)
     hessian = 0.5 * (hessian + hessian.T)
 
     try:
         np.linalg.cholesky(hessian)
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
-    return hessian, _gradient(pred, cfg, dx0, x_ref_stack, du_prev)
+    return hessian, _gradient(pred, mx, cfg.input_rate_weight, dx0, x_ref_stack, du_prev)
 
 
-def _gradient(pred: Prediction, cfg: MpcConfig, dx0: np.ndarray,
-              x_ref_stack: np.ndarray, du_prev: np.ndarray) -> np.ndarray:
+def _gradient(pred: Prediction, mx: np.ndarray, rate_weight: np.ndarray,
+              dx0: np.ndarray, x_ref_stack: np.ndarray, du_prev: np.ndarray) -> np.ndarray:
     """Linear term q of the condensed cost 0.5 U'PU + q'U.
 
-    The input-rate penalty contributes only through ``du_prev``, which
-    closes the difference at the first input block.
+    ``mx`` is the state weight tiled over the horizon. The input-rate
+    penalty contributes only through ``du_prev``, which closes the
+    difference at the first input block.
     """
-    mx = np.tile(cfg.state_weight, cfg.horizon)
     gradient = -(pred.H.T @ (mx * (x_ref_stack - pred.G @ dx0)))
-    gradient[:N_ROTORS] -= cfg.input_rate_weight * du_prev
+    gradient[:N_ROTORS] -= rate_weight * du_prev
     return gradient
 
 
@@ -217,6 +226,10 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     Raises ``QpMaxIterations`` (with the best iterate attached) at the
     iteration cap. ``chol`` may carry a precomputed ``cho_factor`` of the
     full Hessian, reused whenever no coordinate is clamped.
+
+    Each line-search trial costs one product with the Hessian: the
+    objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
+    accepted trial's gradient is the next iteration's.
     """
     h = np.asarray(hessian, dtype=float)
     g = np.asarray(gradient, dtype=float)
@@ -229,6 +242,8 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
         raise ValueError("bounds must match the gradient length")
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound")
+    if not np.isfinite(g).all():
+        raise ValueError("QP gradient must be finite")
 
     if x0 is None:
         x = np.zeros(n)
@@ -239,14 +254,11 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
 
     tol = cfg.qp_tol * max(1.0, float(np.max(np.abs(g))) if n else 1.0)
 
-    def objective(v):
-        return 0.5 * v @ h @ v + g @ v
-
-    value = objective(x)
+    grad = h @ x + g
+    value = 0.5 * x @ (grad + g)
     objectives = [value]
     iters = 0
     while True:
-        grad = h @ x + g
         residual = float(np.max(np.abs(x - np.clip(x - grad, lower, upper)))) if n else 0.0
         if residual <= tol:
             break
@@ -273,7 +285,7 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
         rhs = g[free].copy()
         if np.any(clamped):
             rhs += h[np.ix_(free, clamped)] @ x[clamped]
-        target_free = -cho_solve(factor, rhs)
+        target_free = -_cho_solve(factor, rhs)
         step_dir = np.zeros(n)
         step_dir[free] = target_free - x[free]
 
@@ -285,7 +297,8 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
         accepted = False
         for _ in range(40):
             cand = np.clip(x + step * step_dir, lower, upper)
-            cand_val = objective(cand)
+            cand_grad = h @ cand + g
+            cand_val = 0.5 * cand @ (cand_grad + g)
             if cand_val <= value + 0.1 * step * descent:
                 accepted = True
                 break
@@ -293,13 +306,26 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
         if not accepted:
             break  # no further progress possible at machine precision
 
-        x = cand
-        value = cand_val
+        x, grad, value = cand, cand_grad, cand_val
         objectives.append(value)
 
     if return_info:
         return x, {"iterations": iters, "residual": residual, "objectives": objectives}
     return x
+
+
+def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a ``cho_factor`` result by two triangular solves.
+
+    The factor is trusted to be finite (it was checked when it was made),
+    so only the right-hand side is scanned.
+    """
+    c, lower = factor
+    if not np.isfinite(rhs).all():
+        raise ValueError("QP right-hand side must be finite")
+    first, second = ("N", "T") if lower else ("T", "N")
+    y = solve_triangular(c, rhs, trans=first, lower=lower, check_finite=False)
+    return solve_triangular(c, y, trans=second, lower=lower, check_finite=False)
 
 
 def _stack_reference(refs: np.ndarray, x_ref: np.ndarray, horizon: int,
@@ -311,19 +337,14 @@ def _stack_reference(refs: np.ndarray, x_ref: np.ndarray, horizon: int,
     Roll, pitch, and the angular rates target the hover reference; their
     pull is controlled by the state weights.
     """
-    stack = np.zeros(N_STATES * horizon)
-    for i in range(horizon):
-        base = i * N_STATES
-        stack[base + 0] = refs[i, 0] - x_ref[0]
-        stack[base + 1] = refs[i, 1] - x_ref[1]
-        stack[base + 2] = refs[i, 2] - x_ref[2]
-        j = min(i, horizon - 2)
-        if horizon > 1 and dt > 0:
-            stack[base + 3] = (refs[j + 1, 0] - refs[j, 0]) / dt
-            stack[base + 4] = (refs[j + 1, 1] - refs[j, 1]) / dt
-            stack[base + 5] = (refs[j + 1, 2] - refs[j, 2]) / dt
-        stack[base + 8] = wrap_angle(refs[i, 3] - x_ref[8])
-    return stack
+    stack = np.zeros((horizon, N_STATES))
+    stack[:, 0:3] = refs[:, 0:3] - x_ref[0:3]
+    if horizon > 1 and dt > 0:
+        vel = (refs[1:, 0:3] - refs[:-1, 0:3]) / dt
+        stack[:-1, 3:6] = vel
+        stack[-1, 3:6] = vel[-1]  # the last sample keeps the last difference
+    stack[:, 8] = wrap_angle(refs[:, 3] - x_ref[8])
+    return stack.ravel()
 
 
 def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.ndarray:
@@ -345,16 +366,10 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
     dx0[8] = wrap_angle(refs[0, 3] - model.x_ref[8]) - wrap_angle(refs[0, 3] - x_now[8])
 
     x_ref_stack = _stack_reference(refs, model.x_ref, cfg.horizon, model.dt)
-    gradient = _gradient(ctrl.pred, cfg, dx0, x_ref_stack, ctrl.u_prev - model.u_ref)
+    gradient = _gradient(ctrl.pred, ctrl.state_weights, cfg.input_rate_weight, dx0,
+                         x_ref_stack, ctrl.u_prev - model.u_ref)
 
-    if cfg.constrained:
-        lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
-        upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
-    else:
-        lower = np.full(N_ROTORS * cfg.horizon, -np.inf)
-        upper = np.full(N_ROTORS * cfg.horizon, np.inf)
-
-    du_seq, info = solve_qp(ctrl.hessian, gradient, lower, upper, cfg,
+    du_seq, info = solve_qp(ctrl.hessian, gradient, ctrl.lower, ctrl.upper, cfg,
                             x0=ctrl.warm_start, return_info=True, chol=ctrl.chol)
 
     u = model.u_ref + du_seq[:N_ROTORS]
@@ -369,9 +384,12 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
 class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
-    Holds the prediction operators and the constant cost Hessian with its
-    Cholesky factor, plus the per-loop memory: the last applied input
-    ``u_prev``, the QP warm start ``warm_start`` and ``last_qp_iters``.
+    Holds the prediction operators, the constant cost Hessian with its
+    Cholesky factor, the state weights tiled over the horizon
+    (``state_weights``) and the QP's input box (``lower``, ``upper``,
+    unbounded when ``cfg.constrained`` is false), plus the per-loop
+    memory: the last applied input ``u_prev``, the QP warm start
+    ``warm_start`` and ``last_qp_iters``.
     One instance drives one closed loop.
     """
 
@@ -388,6 +406,13 @@ class MpcController:
         self.hessian, _ = build_cost(self.pred, cfg, np.zeros(N_STATES),
                                      zero_stack, np.zeros(N_ROTORS))
         self.chol = cho_factor(self.hessian, lower=True)
+        self.state_weights = np.tile(cfg.state_weight, cfg.horizon)
+        if cfg.constrained:
+            self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
+            self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
+        else:
+            self.lower = np.full(N_ROTORS * cfg.horizon, -np.inf)
+            self.upper = np.full(N_ROTORS * cfg.horizon, np.inf)
         self.reset()
 
     def reset(self):

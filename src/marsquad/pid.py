@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics
 from .params import EnvParams, VehicleParams
-from .trajectories import RefGenerator, RefSample
+from .trajectories import RefGenerator, RefSample, ref_window
 
 __all__ = ["AxisGains", "PidGains", "PidMemory", "pid_step", "PidController"]
 
@@ -153,5 +153,6 @@ class PidController:
         self.memory = PidMemory()
 
     def command(self, t: float, x_now: np.ndarray, traj: RefGenerator) -> np.ndarray:
-        return pid_step(x_now, traj(t), self.gains, self.dt, self.memory,
+        ref = RefSample(t, *ref_window(traj, t, 1, self.dt)[0].tolist())
+        return pid_step(x_now, ref, self.gains, self.dt, self.memory,
                         self.veh, self.env)

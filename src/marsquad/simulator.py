@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics
 from .params import EnvParams, VehicleParams
-from .trajectories import RefGenerator
+from .trajectories import RefGenerator, ref_window
 
 __all__ = [
     "Pulse",
@@ -160,20 +160,26 @@ def _check_envelope(state: np.ndarray, t: float):
         raise NumericalDivergence(f"pitch approached gimbal lock at t={t:.3f}")
 
 
-def rk4_step(state: np.ndarray, omega_sq: np.ndarray, dt: float,
+def rk4_step(state: np.ndarray, omega_sq: np.ndarray | dynamics.Wrench, dt: float,
              veh: VehicleParams, env: EnvParams,
              dist: Disturbance | None = None, t: float = 0.0,
              rng: np.random.Generator | None = None) -> np.ndarray:
     """Classical RK4 step with the command and disturbance held constant.
 
-    The disturbance is sampled once at the step start, matching the
-    piecewise-constant actuation model. Angles are re-wrapped afterwards
-    and the envelope check raises ``NumericalDivergence`` on blow-up.
+    The command is the eight squared rotor speeds or the ``dynamics.Wrench``
+    they produce; passing the wrench saves recomputing it on every substep
+    of a held command. The disturbance is sampled once at the step start,
+    matching the piecewise-constant actuation model. Angles are re-wrapped
+    afterwards and the envelope check raises ``NumericalDivergence`` on
+    blow-up.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     s = np.asarray(state, dtype=float)
-    wrench = dynamics.wrench_from_rotors(omega_sq, veh)
+    if isinstance(omega_sq, dynamics.Wrench):
+        wrench = omega_sq
+    else:
+        wrench = dynamics.wrench_from_rotors(omega_sq, veh)
     if dist is not None:
         force, torque = dist.sample(t, rng)
     else:
@@ -201,7 +207,9 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
 
     ``plant="linear"`` steps the supplied discrete model instead of the
     nonlinear equations (no substeps, no disturbances); it exists to check
-    the controller's internal predictions against an exact plant.
+    the controller's internal predictions against an exact plant. The
+    command's wrench is computed once per step, logged, and held over the
+    substeps.
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
@@ -243,18 +251,18 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
     for k in range(n_steps):
         t = k * control_dt
         cmd = controller.command(t, state, traj)
-        ref = traj(t)
+        wrench = dynamics.wrench_from_rotors(cmd, veh)
         t_log[k] = t
         states[k] = state
         commands[k] = cmd
-        refs[k] = ref.as_array()
-        wrenches[k] = dynamics.wrench_from_rotors(cmd, veh)
+        refs[k] = ref_window(traj, t, 1, control_dt)[0]
+        wrenches[k] = wrench
         qp_iters[k] = getattr(controller, "last_qp_iters", 0)
 
         try:
             if plant == "nonlinear":
                 for i in range(substeps):
-                    state = rk4_step(state, cmd, sub_dt, veh, env, dist,
+                    state = rk4_step(state, wrench, sub_dt, veh, env, dist,
                                      t + i * sub_dt, rng)
             else:
                 dx = state - model.x_ref

@@ -1,8 +1,11 @@
 """Reference trajectory generators: constant setpoint, helix, square circuit.
 
-A generator is a pure function of time returning a ``RefSample``; the
-controllers sample it as needed. The square keeps its corners sharp on
-purpose, the interesting control behaviour happens there.
+A generator is a pure function of a time array: ``gen(t)`` with ``t`` of
+shape (n,) returns an (n, 4) array of x, y, z and heading psi, one row per
+time. ``ref_window`` is the checked way to sample one: it rejects negative
+times and non-finite references. ``RefSample`` is one such row as a
+validated record, the input of the PID cascade. The square keeps its
+corners sharp on purpose, the interesting control behaviour happens there.
 """
 
 from __future__ import annotations
@@ -34,11 +37,9 @@ class RefSample:
         if self.t < 0:
             raise ValueError(f"reference time must be >= 0, got {self.t}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.psi])
 
-
-RefGenerator = Callable[[float], RefSample]
+# (n,) times -> (n, 4) rows of x, y, z, psi
+RefGenerator = Callable[[np.ndarray], np.ndarray]
 
 
 def constant_ref(x: float = 0.0, y: float = 0.0, z: float = 0.0,
@@ -46,9 +47,10 @@ def constant_ref(x: float = 0.0, y: float = 0.0, z: float = 0.0,
     """Hold a fixed position and heading forever."""
     if not all(math.isfinite(v) for v in (x, y, z, psi)):
         raise ValueError("setpoint must be finite")
+    point = np.array([x, y, z, psi])
 
-    def gen(t: float) -> RefSample:
-        return RefSample(t, x, y, z, psi)
+    def gen(t: np.ndarray) -> np.ndarray:
+        return np.tile(point, (len(t), 1))
 
     return gen
 
@@ -62,10 +64,13 @@ def helix_ref(radius: float = 1.0, angular_rate: float = 0.02 * math.pi,
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
 
-    def gen(t: float) -> RefSample:
+    def gen(t: np.ndarray) -> np.ndarray:
         ang = angular_rate * t
-        return RefSample(t, radius * math.cos(ang), radius * math.sin(ang),
-                         climb_rate * t, 0.0)
+        out = np.zeros((len(t), 4))
+        out[:, 0] = radius * np.cos(ang)
+        out[:, 1] = radius * np.sin(ang)
+        out[:, 2] = climb_rate * t
+        return out
 
     return gen
 
@@ -82,20 +87,19 @@ def square_ref(side: float = 2.0, edge_duration: float = 10.0,
         raise ValueError(f"side must be > 0, got {side}")
     if edge_duration <= 0:
         raise ValueError(f"edge_duration must be > 0, got {edge_duration}")
+    # start corner and travel direction of edges 0..3
+    corner = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
+    direction = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
-    def gen(t: float) -> RefSample:
-        tau = t % (4.0 * edge_duration)
-        edge = int(tau // edge_duration)
+    def gen(t: np.ndarray) -> np.ndarray:
+        tau = np.remainder(t, 4.0 * edge_duration)
+        edge = np.floor_divide(tau, edge_duration)
         s = (tau - edge * edge_duration) / edge_duration * side
-        if edge == 0:
-            x, y = s, 0.0
-        elif edge == 1:
-            x, y = side, s
-        elif edge == 2:
-            x, y = side - s, side
-        else:
-            x, y = 0.0, side - s
-        return RefSample(t, x, y, altitude, 0.0)
+        e = edge.astype(int)
+        out = np.zeros((len(t), 4))
+        out[:, 0:2] = corner[e] + direction[e] * s[:, None]
+        out[:, 2] = altitude
+        return out
 
     return gen
 
@@ -110,8 +114,14 @@ TRAJECTORIES: dict[str, Callable[..., RefGenerator]] = {
 
 
 def ref_window(gen: RefGenerator, t0: float, n: int, dt: float) -> np.ndarray:
-    """Sample a generator at t0, t0+dt, ... into an (n, 4) array."""
-    out = np.empty((n, 4))
-    for i in range(n):
-        out[i] = gen(t0 + i * dt).as_array()
+    """Sample a generator at t0, t0+dt, ... into an (n, 4) array.
+
+    Raises ``ValueError`` for a start time that is negative or not finite,
+    a negative or non-finite step, and a window that is not finite.
+    """
+    if not (0.0 <= t0 < math.inf and 0.0 <= dt < math.inf):
+        raise ValueError(f"reference times must be finite and >= 0, got t0={t0}, dt={dt}")
+    out = gen(t0 + np.arange(n) * dt)
+    if not np.isfinite(out).all():
+        raise ValueError(f"reference window from t={t0} is not finite")
     return out

@@ -43,6 +43,12 @@ def small_cfg(horizon=1, **kw):
     return MpcConfig.default(VEH, horizon=horizon, **kw)
 
 
+@pytest.fixture(scope="module")
+def horizon_ctrl(disc_model, mpc_cfg):
+    """Controller with the shipped horizon: its Hessian, factor and box."""
+    return MpcController(disc_model, mpc_cfg, VEH, ENV)
+
+
 class TestPrediction:
     def test_horizon_one(self, disc_model):
         p = build_prediction(disc_model, 1)
@@ -121,6 +127,20 @@ class TestCost:
         assert np.allclose(h, h_dense, atol=1e-12)
         assert np.allclose(g, g_dense, atol=1e-12)
 
+    def test_hessian_matches_dense_rate_product_bitwise(self, disc_model, mpc_cfg):
+        # the input-rate term is built as a band; it must round like D' diag(mdu) D
+        n = mpc_cfg.horizon
+        pred = build_prediction(disc_model, n)
+        h, _ = build_cost(pred, mpc_cfg, np.zeros(12), np.zeros(12 * n), np.zeros(8))
+        mx = np.tile(mpc_cfg.state_weight, n)
+        mu = np.tile(mpc_cfg.input_weight, n)
+        mdu = np.tile(mpc_cfg.input_rate_weight, n)
+        diff = np.eye(8 * n)
+        for i in range(1, n):
+            diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
+        dense = pred.H.T @ (mx[:, None] * pred.H) + np.diag(mu) + diff.T @ (mdu[:, None] * diff)
+        assert np.array_equal(h, 0.5 * (dense + dense.T))
+
     def test_dimension_checks(self, disc_model):
         cfg = small_cfg(horizon=3)
         pred = build_prediction(disc_model, 3)
@@ -198,6 +218,45 @@ class TestSolveQp:
         with pytest.raises(ValueError):
             solve_qp(np.eye(3), np.ones(2), np.zeros(2), np.ones(2), self.CFG)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_gradient(self, bad):
+        g = np.ones(3)
+        g[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_qp(np.eye(3), g, np.full(3, -10.0), np.full(3, 10.0), self.CFG)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_kkt_on_horizon_sized_boxes(self, horizon_ctrl, seed):
+        """KKT conditions on 480-variable QPs with the shipped Hessian.
+
+        Gradients come from random states, position references and last
+        inputs; the box is the shipped one shrunk by a random factor, so
+        anywhere from none to most bounds end up active.
+        """
+        ctrl = horizon_ctrl
+        cfg, h = ctrl.cfg, ctrl.hessian
+        rng = np.random.default_rng(seed)
+        dx0 = rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
+        ref = np.zeros((cfg.horizon, 12))
+        ref[:, 0:3] = rng.normal(0, 2, 3)
+        g = mpc._gradient(ctrl.pred, ctrl.state_weights, cfg.input_rate_weight, dx0,
+                          ref.ravel(), rng.normal(0, 3000, 8))
+        span = rng.uniform(0.05, 1.0)
+        lo, hi = ctrl.lower * span, ctrl.upper * span
+        x0 = rng.uniform(lo, hi) if rng.random() < 0.5 else None
+        chol = ctrl.chol if rng.random() < 0.5 else None
+        x = solve_qp(h, g, lo, hi, cfg, x0=x0, chol=chol)
+
+        assert x.shape == (8 * cfg.horizon,)
+        assert np.all(lo <= x) and np.all(x <= hi)
+        grad = h @ x + g
+        tol = 1e-12 * np.max(np.abs(h) @ np.abs(x) + np.abs(g))
+        free = (lo < x) & (x < hi)
+        assert np.all(np.abs(grad[free]) <= tol)
+        assert np.all(grad[x == lo] >= -tol)
+        assert np.all(grad[x == hi] <= tol)
+
     @given(seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_random_problems_against_oracle(self, seed):
@@ -210,6 +269,30 @@ class TestSolveQp:
         x = solve_qp(h, g, lo, hi, self.CFG)
         xb = brute_force_box_qp(h, g, lo, hi)
         assert np.abs(x - xb).max() < 1e-8
+
+
+def _stack_reference_loop(refs, x_ref, horizon, dt):
+    """Per-sample reference for ``mpc._stack_reference``."""
+    stack = np.zeros(12 * horizon)
+    for i in range(horizon):
+        base = i * 12
+        stack[base:base + 3] = [refs[i, k] - x_ref[k] for k in range(3)]
+        j = min(i, horizon - 2)
+        if horizon > 1 and dt > 0:
+            stack[base + 3:base + 6] = [(refs[j + 1, k] - refs[j, k]) / dt for k in range(3)]
+        stack[base + 8] = -((math.pi - (refs[i, 3] - x_ref[8])) % (2.0 * math.pi) - math.pi)
+    return stack
+
+
+class TestStackReference:
+    @given(seed=st.integers(0, 1000), horizon=st.integers(1, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_sample_loop(self, seed, horizon):
+        rng = np.random.default_rng(seed)
+        refs = rng.normal(0, 5, (horizon, 4))
+        x_ref = rng.normal(0, 1, 12)
+        want = _stack_reference_loop(refs, x_ref, horizon, 0.02)
+        assert np.array_equal(mpc._stack_reference(refs, x_ref, horizon, 0.02), want)
 
 
 class TestMpcStep:

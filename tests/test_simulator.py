@@ -76,6 +76,17 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(np.zeros(12), U_HOVER, 0.0, VEH, ENV)
 
+    def test_wrench_and_its_command_step_identically(self):
+        rng = np.random.default_rng(4)
+        dist = Disturbance(pulses=(Pulse(0.0, 1.0, force=(0.3, 0, 0)),), noise_torque=0.01)
+        for _ in range(20):
+            s = rng.normal(0, 0.3, 12)
+            cmd = U_HOVER * rng.uniform(0.8, 1.2, 8)
+            wrench = dynamics.wrench_from_rotors(cmd, VEH)
+            a = rk4_step(s, cmd, 0.004, VEH, ENV, dist, 0.1, np.random.default_rng(1))
+            b = rk4_step(s, wrench, 0.004, VEH, ENV, dist, 0.1, np.random.default_rng(1))
+            assert np.array_equal(a, b)
+
 
 class _HoverController:
     last_qp_iters = 0
@@ -96,6 +107,21 @@ class TestClosedLoop:
         run_closed_loop(Counting(), constant_ref(0, 0, 0, 0), None, duration=1.0,
                         control_dt=0.1, substeps=2, veh=VEH, env=ENV)
         assert len(calls) == 10
+
+    def test_wrench_computed_once_per_step(self, monkeypatch):
+        calls = []
+        original = dynamics.wrench_from_rotors
+
+        def counting(omega_sq, veh):
+            calls.append(1)
+            return original(omega_sq, veh)
+
+        monkeypatch.setattr(dynamics, "wrench_from_rotors", counting)
+        log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+                              duration=0.5, control_dt=0.05, substeps=4,
+                              veh=VEH, env=ENV)
+        assert len(calls) == len(log) == 10
+        assert np.array_equal(log.wrenches[0], original(U_HOVER, VEH))
 
     def test_log_uniform_grid(self):
         log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,

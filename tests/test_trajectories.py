@@ -7,20 +7,24 @@ from hypothesis import given, strategies as st
 from marsquad.trajectories import RefSample, constant_ref, helix_ref, ref_window, square_ref
 
 
+def at(g, t):
+    """The (x, y, z, psi) row of generator g at the single time t."""
+    return g(np.array([t]))[0]
+
+
 class TestConstant:
     def test_returns_setpoint_at_zero(self):
         g = constant_ref(1.0, 2.0, 3.0, 0.5)
-        s = g(0.0)
-        assert (s.x, s.y, s.z, s.psi) == (1.0, 2.0, 3.0, 0.5)
+        assert at(g, 0.0).tolist() == [1.0, 2.0, 3.0, 0.5]
 
     def test_time_invariant(self):
         g = constant_ref(1.0, 2.0, 3.0, 0.5)
-        assert g(100.0).as_array().tolist() == g(0.0).as_array().tolist()
+        assert at(g, 100.0).tolist() == at(g, 0.0).tolist()
 
     @given(t=st.floats(0.0, 1e4))
     def test_heading_never_changes(self, t):
         g = constant_ref(0.0, 0.0, 1.0, 0.3)
-        assert g(t).psi == 0.3
+        assert at(g, t)[3] == 0.3
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -30,29 +34,28 @@ class TestConstant:
 class TestHelix:
     def test_start_point(self):
         g = helix_ref()
-        s = g(0.0)
-        assert (s.x, s.y, s.z, s.psi) == (1.0, 0.0, 0.0, 0.0)
+        assert at(g, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_half_turn(self):
         # default rate 0.02*pi: half a revolution takes 50 s, climbing 5 m
-        s = helix_ref()(50.0)
-        assert s.x == pytest.approx(-1.0)
-        assert s.y == pytest.approx(0.0, abs=1e-12)
-        assert s.z == pytest.approx(5.0)
-        assert s.psi == 0.0
+        x, y, z, psi = at(helix_ref(), 50.0)
+        assert x == pytest.approx(-1.0)
+        assert y == pytest.approx(0.0, abs=1e-12)
+        assert z == pytest.approx(5.0)
+        assert psi == 0.0
 
     @given(t=st.floats(0.0, 500.0))
     def test_stays_on_circle(self, t):
-        s = helix_ref(radius=1.0)(t)
-        assert s.x**2 + s.y**2 == pytest.approx(1.0, rel=1e-12)
+        x, y, _, _ = at(helix_ref(radius=1.0), t)
+        assert x**2 + y**2 == pytest.approx(1.0, rel=1e-12)
 
     def test_horizontal_speed_matches_rate(self):
         r, w = 2.0, 0.1
         g = helix_ref(radius=r, angular_rate=w, climb_rate=0.0)
         dt = 1e-4
         for t in (0.0, 7.3, 40.0):
-            a, b = g(t), g(t + dt)
-            speed = math.hypot(b.x - a.x, b.y - a.y) / dt
+            a, b = g(np.array([t, t + dt]))
+            speed = math.hypot(b[0] - a[0], b[1] - a[1]) / dt
             assert speed == pytest.approx(r * w, rel=1e-4)
 
     def test_rejects_bad_radius(self):
@@ -62,19 +65,17 @@ class TestHelix:
 
 class TestSquare:
     def test_starts_at_origin_corner(self):
-        s = square_ref(side=2.0, edge_duration=10.0, altitude=1.0)(0.0)
-        assert (s.x, s.y, s.z, s.psi) == (0.0, 0.0, 1.0, 0.0)
+        g = square_ref(side=2.0, edge_duration=10.0, altitude=1.0)
+        assert at(g, 0.0).tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_position_continuous_velocity_rotates_at_corner(self):
         g = square_ref(side=2.0, edge_duration=10.0, altitude=1.0)
         eps = 1e-6
-        before, after = g(10.0 - eps), g(10.0 + eps)
-        assert before.x == pytest.approx(after.x, abs=1e-4)
-        assert before.y == pytest.approx(after.y, abs=1e-4)
-        v_before = ((g(10.0 - eps).x - g(10.0 - 2 * eps).x) / eps,
-                    (g(10.0 - eps).y - g(10.0 - 2 * eps).y) / eps)
-        v_after = ((g(10.0 + 2 * eps).x - g(10.0 + eps).x) / eps,
-                   (g(10.0 + 2 * eps).y - g(10.0 + eps).y) / eps)
+        before2, before, after, after2 = g(10.0 + eps * np.array([-2.0, -1.0, 1.0, 2.0]))
+        assert before[0] == pytest.approx(after[0], abs=1e-4)
+        assert before[1] == pytest.approx(after[1], abs=1e-4)
+        v_before = (before[0:2] - before2[0:2]) / eps
+        v_after = (after2[0:2] - after[0:2]) / eps
         # along +x before the corner, along +y after
         assert v_before[0] > 0.1 and abs(v_before[1]) < 1e-6
         assert abs(v_after[0]) < 1e-6 and v_after[1] > 0.1
@@ -82,19 +83,33 @@ class TestSquare:
     @given(t=st.floats(0.0, 200.0))
     def test_periodic(self, t):
         g = square_ref(side=2.0, edge_duration=10.0, altitude=1.0)
-        a, b = g(t), g(t + 40.0)
-        assert a.x == pytest.approx(b.x, abs=1e-9)
-        assert a.y == pytest.approx(b.y, abs=1e-9)
+        a, b = g(np.array([t, t + 40.0]))
+        assert a[0] == pytest.approx(b[0], abs=1e-9)
+        assert a[1] == pytest.approx(b[1], abs=1e-9)
 
     @given(t=st.floats(0.0, 100.0))
     def test_stays_on_boundary(self, t):
         g = square_ref(side=2.0, edge_duration=10.0, altitude=1.0)
-        s = g(t)
-        on_edge = (abs(s.x) < 1e-9 or abs(s.x - 2.0) < 1e-9
-                   or abs(s.y) < 1e-9 or abs(s.y - 2.0) < 1e-9)
+        x, y, _, _ = at(g, t)
+        on_edge = (abs(x) < 1e-9 or abs(x - 2.0) < 1e-9
+                   or abs(y) < 1e-9 or abs(y - 2.0) < 1e-9)
         assert on_edge
-        assert -1e-9 <= s.x <= 2.0 + 1e-9
-        assert -1e-9 <= s.y <= 2.0 + 1e-9
+        assert -1e-9 <= x <= 2.0 + 1e-9
+        assert -1e-9 <= y <= 2.0 + 1e-9
+
+    def test_matches_piecewise_formula(self):
+        side, edge_duration, altitude = 2.2, 7.3, 0.8
+
+        def piecewise(t):
+            tau = t % (4.0 * edge_duration)
+            edge = int(tau // edge_duration)
+            s = (tau - edge * edge_duration) / edge_duration * side
+            x, y = ((s, 0.0), (side, s), (side - s, side), (0.0, side - s))[edge]
+            return [x, y, altitude, 0.0]
+
+        t = np.concatenate([np.arange(3001) * 0.02, np.arange(1, 9) * edge_duration])
+        want = np.array([piecewise(v) for v in t.tolist()])
+        assert np.array_equal(square_ref(side, edge_duration, altitude)(t), want)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -109,10 +124,31 @@ class TestWindow:
         win = ref_window(g, 2.0, 5, 0.1)
         assert win.shape == (5, 4)
         for i in range(5):
-            assert np.allclose(win[i], g(2.0 + 0.1 * i).as_array())
+            assert np.allclose(win[i], at(g, 2.0 + 0.1 * i))
 
     def test_sample_invariants(self):
         with pytest.raises(ValueError):
             RefSample(-1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             RefSample(0.0, math.inf, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("t0", [-0.02, -math.inf, math.nan, math.inf])
+    def test_rejects_bad_start_time(self, t0):
+        with pytest.raises(ValueError, match="reference times"):
+            ref_window(constant_ref(), t0, 3, 0.02)
+
+    def test_rejects_nonfinite_window(self):
+        def blows_up(t):
+            out = np.zeros((len(t), 4))
+            out[-1, 2] = math.inf
+            return out
+
+        with pytest.raises(ValueError, match="not finite"):
+            ref_window(blows_up, 0.0, 3, 0.02)
+
+    def test_window_rows_match_single_samples(self):
+        # the closed loop reads one row at a time through the same function
+        for g in (helix_ref(), square_ref(side=2.0, edge_duration=3.0)):
+            win = ref_window(g, 1.3, 60, 0.02)
+            for i in (0, 17, 59):
+                assert np.array_equal(win[i], ref_window(g, 1.3 + i * 0.02, 1, 0.02)[0])
