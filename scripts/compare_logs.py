@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Compare two run logs (``log.csv``) column by column.
 
-For every column it prints the worst relative difference
-``|a - b| / max(1, |a|)`` over all rows, then the number of rows whose
-``qp_iters`` differ. Exits 1 if the headers or the row counts differ.
+The first line says whether the two files are byte-identical
+(``byte-identical: yes|no``). Then, for every column, it prints the worst
+relative difference ``|a - b| / max(1, |a|)`` over all rows, and the
+number of rows whose ``qp_iters`` differ. Exits 1 if the headers or the
+row counts differ.
 
     python scripts/compare_logs.py A/log.csv B/log.csv
 """
@@ -28,6 +30,9 @@ def main(argv=None) -> int:
     parser.add_argument("b", help="log.csv to compare with it")
     args = parser.parse_args(argv)
 
+    with open(args.a, "rb") as fa, open(args.b, "rb") as fb:
+        identical = fa.read() == fb.read()
+    print(f"byte-identical: {'yes' if identical else 'no'}")
     head_a, a = read_log(args.a)
     head_b, b = read_log(args.b)
     if head_a != head_b:

@@ -8,6 +8,11 @@ The control input is the vector of eight squared rotor speeds (rad^2/s^2).
 Arm convention: rotors 1,2 sit on the +x arm, 5,6 on the -x arm, 7,8 on the
 +y arm, 3,4 on the -y arm; within each coaxial pair the even-numbered rotor
 spins opposite to the odd one. Indices in code are 0-based.
+
+The equations of motion (``_derivative``) run on Python floats: a state
+goes in as 12 floats and the derivative comes out as a 12-tuple, so an
+integrator substep builds no numpy temporaries. ``state_derivative`` is
+the checked array form of the same equations.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ __all__ = [
     "AllocationSaturated",
     "AllocationInfeasible",
     "wrap_angle",
-    "wrap_state_angles",
     "make_state",
     "wrench_from_rotors",
     "mixer_matrix",
@@ -70,16 +74,10 @@ class AllocationInfeasible(ValueError):
 def wrap_angle(angle):
     """Wrap an angle, or an array of angles elementwise, into (-pi, pi].
 
-    ``np.remainder`` rounds exactly like Python's float ``%``.
+    A float gives a float; an array goes through ``np.remainder``, which
+    rounds exactly like Python's float ``%``.
     """
-    return -(np.remainder(math.pi - angle, 2.0 * math.pi) - math.pi)
-
-
-def wrap_state_angles(state: np.ndarray) -> np.ndarray:
-    """Return a copy of the state with roll, pitch, yaw wrapped to (-pi, pi]."""
-    out = np.array(state, dtype=float)
-    out[ANG] = wrap_angle(out[ANG])
-    return out
+    return -((math.pi - angle) % (2.0 * math.pi) - math.pi)
 
 
 def make_state(x=0.0, y=0.0, z=0.0, vx=0.0, vy=0.0, vz=0.0,
@@ -183,19 +181,19 @@ def state_derivative(state: np.ndarray, omega_sq: np.ndarray,
     if not np.all(np.isfinite(s)):
         raise ValueError("state must be finite")
     wrench = wrench_from_rotors(omega_sq, veh)
-    return _derivative(s, wrench, veh, env)
+    return np.array(_derivative(s.tolist(), wrench, veh, env))
 
 
-def _derivative(s: np.ndarray, wrench: Wrench, veh: VehicleParams, env: EnvParams,
-                extra_force=None, extra_torque=None) -> np.ndarray:
-    """Core equations of motion; wrench precomputed so integrators can reuse it.
+def _derivative(s, wrench: Wrench, veh: VehicleParams, env: EnvParams,
+                extra_force=None, extra_torque=None) -> tuple:
+    """Core equations of motion on floats; returns the derivative as a 12-tuple.
 
-    ``extra_force`` (ground frame, N) and ``extra_torque`` (body frame, N m)
-    inject disturbances.
+    ``s`` is the state as a sequence of 12 floats; the wrench is precomputed
+    so integrators can reuse it. ``extra_force`` (ground frame, N) and
+    ``extra_torque`` (body frame, N m) are 3-sequences that inject
+    disturbances.
     """
-    vx, vy, vz = s[3], s[4], s[5]
-    phi, theta, psi = s[6], s[7], s[8]
-    p, q, r = s[9], s[10], s[11]
+    _, _, _, vx, vy, vz, phi, theta, psi, p, q, r = s
 
     m = veh.mass
     thrust, roll_m, pitch_m, yaw_m, net_rot = wrench
@@ -228,4 +226,4 @@ def _derivative(s: np.ndarray, wrench: Wrench, veh: VehicleParams, env: EnvParam
         q_dot += extra_torque[1] / veh.inertia_yy
         r_dot += extra_torque[2] / veh.inertia_zz
 
-    return np.array([vx, vy, vz, ax, ay, az, p, q, r, p_dot, q_dot, r_dot])
+    return (vx, vy, vz, ax, ay, az, p, q, r, p_dot, q_dot, r_dot)

@@ -172,7 +172,8 @@ def build_cost(pred: Prediction, cfg: MpcConfig, dx0: np.ndarray,
     The three penalty terms are state tracking toward ``x_ref_stack``,
     input deviation from the nominal, and input rate of change (with
     ``du_prev`` closing the boundary at the first step). Returns the
-    (Hessian, gradient) pair of 0.5 U'PU + q'U.
+    (Hessian, gradient) pair of 0.5 U'PU + q'U; raises ``ValueError`` if
+    the Hessian is not positive definite.
     """
     n = cfg.horizon
     dx0 = np.asarray(dx0, dtype=float)
@@ -185,19 +186,30 @@ def build_cost(pred: Prediction, cfg: MpcConfig, dx0: np.ndarray,
     if du_prev.shape != (N_ROTORS,):
         raise ValueError("du_prev must be an 8-vector")
 
+    hessian = _hessian(pred, cfg)
+    _factor(hessian)
+    mx = np.tile(cfg.state_weight, n)
+    return hessian, _gradient(pred, mx, cfg.input_rate_weight, dx0, x_ref_stack, du_prev)
+
+
+def _hessian(pred: Prediction, cfg: MpcConfig) -> np.ndarray:
+    """The constant Hessian P of the condensed cost 0.5 U'PU + q'U."""
+    n = cfg.horizon
     mx = np.tile(cfg.state_weight, n)
     mu = np.tile(cfg.input_weight, n)
     mdu = np.tile(cfg.input_rate_weight, n)
 
     h = pred.H
     hessian = h.T @ (mx[:, None] * h) + np.diag(mu) + _rate_penalty(mdu)
-    hessian = 0.5 * (hessian + hessian.T)
+    return 0.5 * (hessian + hessian.T)
 
+
+def _factor(hessian: np.ndarray):
+    """``cho_factor`` of the cost Hessian; ``ValueError`` if not positive definite."""
     try:
-        np.linalg.cholesky(hessian)
+        return cho_factor(hessian, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
-    return hessian, _gradient(pred, mx, cfg.input_rate_weight, dx0, x_ref_stack, du_prev)
 
 
 def _gradient(pred: Prediction, mx: np.ndarray, rate_weight: np.ndarray,
@@ -402,10 +414,8 @@ class MpcController:
         self.veh = veh
         self.env = env
         self.pred = build_prediction(model, cfg.horizon)
-        zero_stack = np.zeros(N_STATES * cfg.horizon)
-        self.hessian, _ = build_cost(self.pred, cfg, np.zeros(N_STATES),
-                                     zero_stack, np.zeros(N_ROTORS))
-        self.chol = cho_factor(self.hessian, lower=True)
+        self.hessian = _hessian(self.pred, cfg)
+        self.chol = _factor(self.hessian)
         self.state_weights = np.tile(cfg.state_weight, cfg.horizon)
         if cfg.constrained:
             self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)

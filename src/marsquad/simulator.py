@@ -1,10 +1,18 @@
 """Fixed-step closed-loop simulation, disturbance injection, logging, metrics.
 
 The plant integrates with classical RK4 at ``control_dt / substeps`` while
-the controller output is held between samples. Runs are deterministic: a
-given configuration and seed always produce the same log, and the CSV
-writer prints floats at 17 significant digits so logs compare byte for
-byte.
+the controller output is held between samples. A substep works on Python
+floats: the state becomes a list once, the four stages and their
+combination run element by element through ``dynamics._derivative``, the
+angles are wrapped and the envelope checked on floats, and one array is
+returned. Each float operation is the IEEE operation numpy would do
+elementwise, in the same order, so the floats give the array formula's
+result bit for bit. The logged reference is sampled for the whole run in
+one ``ref_window`` call.
+
+Runs are deterministic: a given configuration and seed always produce the
+same log, and the CSV writer prints floats at 17 significant digits so
+logs compare byte for byte.
 """
 
 from __future__ import annotations
@@ -84,20 +92,25 @@ class Disturbance:
         return self.noise_force > 0 or self.noise_torque > 0
 
     def sample(self, t: float, rng: np.random.Generator | None):
-        """Force/torque realization at time t, held over the next substep."""
-        force = np.zeros(3)
-        torque = np.zeros(3)
+        """Force/torque realization at time t, held over the next substep.
+
+        Returns two 3-lists of floats: ground-frame force, body-frame torque.
+        """
+        force = [0.0, 0.0, 0.0]
+        torque = [0.0, 0.0, 0.0]
         for p in self.pulses:
             if p.t_start <= t < p.t_end:
-                force += p.force
-                torque += p.torque
+                force = [a + b for a, b in zip(force, p.force)]
+                torque = [a + b for a, b in zip(torque, p.torque)]
         if self.has_noise:
             if rng is None:
                 raise ValueError("noisy disturbance needs an rng")
             if self.noise_force > 0:
-                force += rng.normal(0.0, self.noise_force, 3)
+                noise = rng.normal(0.0, self.noise_force, 3).tolist()
+                force = [a + b for a, b in zip(force, noise)]
             if self.noise_torque > 0:
-                torque += rng.normal(0.0, self.noise_torque, 3)
+                noise = rng.normal(0.0, self.noise_torque, 3).tolist()
+                torque = [a + b for a, b in zip(torque, noise)]
         return force, torque
 
 
@@ -153,8 +166,9 @@ class NumericalDivergence(RuntimeError):
         self.log = log
 
 
-def _check_envelope(state: np.ndarray, t: float):
-    if np.any(np.abs(state) > _STATE_LIMIT) or not np.all(np.isfinite(state)):
+def _check_envelope(state: list, t: float):
+    # not (|v| <= limit) also catches NaN and infinities
+    if not all(abs(v) <= _STATE_LIMIT for v in state):
         raise NumericalDivergence(f"state magnitude exceeded {_STATE_LIMIT:g} at t={t:.3f}")
     if abs(state[7]) >= _PITCH_LIMIT:
         raise NumericalDivergence(f"pitch approached gimbal lock at t={t:.3f}")
@@ -171,11 +185,13 @@ def rk4_step(state: np.ndarray, omega_sq: np.ndarray | dynamics.Wrench, dt: floa
     of a held command. The disturbance is sampled once at the step start,
     matching the piecewise-constant actuation model. Angles are re-wrapped
     afterwards and the envelope check raises ``NumericalDivergence`` on
-    blow-up.
+    blow-up. The arithmetic runs on floats in the order of the array
+    formula ``s + dt/6 (k1 + 2 k2 + 2 k3 + k4)``, so the result is bitwise
+    that formula's.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    s = np.asarray(state, dtype=float)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    s = np.asarray(state, dtype=float).tolist()
     if isinstance(omega_sq, dynamics.Wrench):
         wrench = omega_sq
     else:
@@ -188,14 +204,17 @@ def rk4_step(state: np.ndarray, omega_sq: np.ndarray | dynamics.Wrench, dt: floa
     def f(x):
         return dynamics._derivative(x, wrench, veh, env, force, torque)
 
+    half = 0.5 * dt
     k1 = f(s)
-    k2 = f(s + 0.5 * dt * k1)
-    k3 = f(s + 0.5 * dt * k2)
-    k4 = f(s + dt * k3)
-    out = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = dynamics.wrap_state_angles(out)
+    k2 = f([a + half * b for a, b in zip(s, k1)])
+    k3 = f([a + half * b for a, b in zip(s, k2)])
+    k4 = f([a + dt * b for a, b in zip(s, k3)])
+    sixth = dt / 6.0
+    out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+    out[6:9] = [dynamics.wrap_angle(a) for a in out[6:9]]
     _check_envelope(out, t + dt)
-    return out
+    return np.array(out)
 
 
 def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
@@ -209,12 +228,13 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
     nonlinear equations (no substeps, no disturbances); it exists to check
     the controller's internal predictions against an exact plant. The
     command's wrench is computed once per step, logged, and held over the
-    substeps.
+    substeps. The logged reference is sampled for the whole run in one
+    ``ref_window`` call at the control-step times.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    if control_dt <= 0:
-        raise ValueError(f"control_dt must be > 0, got {control_dt}")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
+    if not 0.0 < control_dt < math.inf:
+        raise ValueError(f"control_dt must be finite and > 0, got {control_dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     if plant not in ("nonlinear", "linear"):
@@ -229,7 +249,7 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
     t_log = np.empty(n_steps)
     states = np.empty((n_steps, 12))
     commands = np.empty((n_steps, 8))
-    refs = np.empty((n_steps, 4))
+    refs = ref_window(traj, 0.0, n_steps, control_dt)
     wrenches = np.empty((n_steps, 5))
     qp_iters = np.zeros(n_steps, dtype=int)
 
@@ -255,7 +275,6 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
         t_log[k] = t
         states[k] = state
         commands[k] = cmd
-        refs[k] = ref_window(traj, t, 1, control_dt)[0]
         wrenches[k] = wrench
         qp_iters[k] = getattr(controller, "last_qp_iters", 0)
 

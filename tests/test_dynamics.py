@@ -237,3 +237,13 @@ class TestWrapAngle:
     def test_boundary_maps_to_positive_pi(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+
+    @given(angles=st.lists(st.one_of(st.floats(-50.0, 50.0),
+                                     st.sampled_from([math.pi, -math.pi, 0.0, -0.0,
+                                                      2 * math.pi, 1e6])),
+                           min_size=1, max_size=8))
+    def test_floats_and_arrays_agree_bitwise(self, angles):
+        as_array = wrap_angle(np.array(angles))
+        as_floats = [wrap_angle(a) for a in angles]
+        assert all(type(w) is float for w in as_floats)
+        assert as_array.tobytes() == np.array(as_floats).tobytes()

@@ -366,6 +366,39 @@ class TestMpcStep:
         assert np.array_equal(ctrl.warm_start, fresh.warm_start)
         assert ctrl.last_qp_iters == fresh.last_qp_iters == 0
 
+    def test_constructor_factors_the_hessian_once(self, disc_model, mpc_cfg, monkeypatch):
+        calls = []
+        original = mpc.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(mpc, "cho_factor", counting)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        n = mpc_cfg.horizon
+        pred = build_prediction(disc_model, n)
+        h, _ = build_cost(pred, mpc_cfg, np.zeros(12), np.zeros(12 * n), np.zeros(8))
+        assert np.array_equal(ctrl.hessian, h)
+        assert np.array_equal(ctrl.chol[0], original(h, lower=True)[0])
+
+    def test_indefinite_hessian_rejected_by_build_cost_and_constructor(
+            self, disc_model, monkeypatch):
+        # identical huge input columns: the input weights are lost to rounding
+        cfg = small_cfg(horizon=1)
+        pred = mpc.Prediction(G=np.eye(12), H=np.full((12, 8), 1e8))
+        with pytest.raises(ValueError, match="cost Hessian is not positive definite"):
+            build_cost(pred, cfg, np.zeros(12), np.zeros(12), np.zeros(8))
+        monkeypatch.setattr(mpc, "build_prediction", lambda model, horizon: pred)
+        with pytest.raises(ValueError, match="cost Hessian is not positive definite"):
+            MpcController(disc_model, cfg, VEH, ENV)
+
 
 class TestClosedLoopLinear:
     def test_spectral_radius_below_one(self, disc_model, mpc_cfg):

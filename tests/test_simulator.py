@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from marsquad import dynamics, params
 from marsquad.mpc import MpcConfig, MpcController
@@ -8,11 +12,73 @@ from marsquad.pid import PidController, PidGains
 from marsquad.simulator import (CSV_COLUMNS, Disturbance, Metrics, NumericalDivergence,
                                 Pulse, SimLog, compute_metrics, rk4_step,
                                 run_closed_loop, write_csv)
-from marsquad.trajectories import constant_ref, helix_ref
+from marsquad.trajectories import constant_ref, helix_ref, ref_window, square_ref
 
 ENV = params.MARS
 VEH = params.VehicleParams.default()
 U_HOVER = dynamics.hover_command(VEH, ENV)
+PITCH_LIMIT = math.pi / 2 - 0.01
+
+
+def array_rk4(state, cmd, dt, veh, dist=None, t=0.0, rng=None):
+    """Classical RK4 written over numpy arrays of ``state_derivative``.
+
+    The disturbance is drawn as numpy arrays (pulses summed, then force
+    noise, then torque noise) and added after the equations of motion,
+    which is where the plant adds it; the angles are wrapped at the end.
+    """
+    force = torque = None
+    if dist is not None:
+        force, torque = np.zeros(3), np.zeros(3)
+        for p in dist.pulses:
+            if p.t_start <= t < p.t_end:
+                force += p.force
+                torque += p.torque
+        if dist.noise_force > 0:
+            force += rng.normal(0.0, dist.noise_force, 3)
+        if dist.noise_torque > 0:
+            torque += rng.normal(0.0, dist.noise_torque, 3)
+    inertia = np.array([veh.inertia_xx, veh.inertia_yy, veh.inertia_zz])
+
+    def f(x):
+        k = dynamics.state_derivative(x, cmd, veh, ENV)
+        if force is not None:
+            k[3:6] += force / veh.mass
+            k[9:12] += torque / inertia
+        return k
+
+    s = np.asarray(state, dtype=float)
+    k1 = f(s)
+    k2 = f(s + 0.5 * dt * k1)
+    k3 = f(s + 0.5 * dt * k2)
+    k4 = f(s + dt * k3)
+    out = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out[6:9] = dynamics.wrap_angle(out[6:9])
+    return out
+
+
+def in_envelope_states():
+    return st.builds(
+        dynamics.make_state,
+        *[st.floats(-100.0, 100.0)] * 3,
+        *[st.floats(-10.0, 10.0)] * 3,
+        st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(-4.0, 4.0),
+        *[st.floats(-2.0, 2.0)] * 3,
+    )
+
+
+def disturbances():
+    pulses = st.lists(st.builds(
+        lambda t0, width, force, torque: Pulse(t0, t0 + width, force, torque),
+        st.floats(0.0, 1.0), st.floats(0.01, 1.0),
+        st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.tuples(*[st.floats(-0.2, 0.2)] * 3)),
+        max_size=3).map(tuple)
+    return st.one_of(
+        st.none(),
+        st.builds(Disturbance, pulses),
+        st.builds(Disturbance, pulses, st.sampled_from([0.0, 0.05, 0.5]),
+                  st.sampled_from([0.0, 0.01, 0.1])),
+    )
 
 
 class TestRk4:
@@ -76,6 +142,43 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(np.zeros(12), U_HOVER, 0.0, VEH, ENV)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.01])
+    def test_rejects_nonfinite_dt(self, dt):
+        # a NaN step used to integrate and report a false divergence at t=nan
+        with pytest.raises(ValueError, match="dt must be finite"):
+            rk4_step(np.zeros(12), U_HOVER, dt, VEH, ENV)
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=in_envelope_states(),
+           frac=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+           dt=st.floats(1e-4, 0.05),
+           t=st.floats(0.0, 2.0),
+           dist=disturbances(),
+           drag=st.sampled_from([0.0, 0.4]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_array_formula_bitwise(self, state, frac, dt, t, dist, drag, seed):
+        veh = dataclasses.replace(VEH, linear_drag=drag)
+        cmd = np.array(frac) * veh.max_rotor_speed ** 2
+        ref = array_rk4(state, cmd, dt, veh, dist, t, np.random.default_rng(seed))
+        assume(np.abs(ref).max() <= 1e6 and abs(ref[7]) < PITCH_LIMIT)
+        out = rk4_step(state, cmd, dt, veh, ENV, dist, t, np.random.default_rng(seed))
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("index, value", [
+        (3, math.nan), (6, math.nan), (0, math.inf), (3, -math.inf), (1, 2e6)])
+    def test_leaving_the_envelope_raises(self, index, value):
+        s = np.zeros(12)
+        s[index] = value
+        with pytest.raises(NumericalDivergence,
+                           match=r"^state magnitude exceeded 1e\+06 at t=0\.010$"):
+            rk4_step(s, U_HOVER, 0.01, VEH, ENV)
+
+    def test_pitch_past_the_limit_raises(self):
+        s = dynamics.make_state(theta=PITCH_LIMIT + 1e-3)
+        with pytest.raises(NumericalDivergence,
+                           match=r"^pitch approached gimbal lock at t=1\.260$"):
+            rk4_step(s, U_HOVER, 0.01, VEH, ENV, t=1.25)
+
     def test_wrench_and_its_command_step_identically(self):
         rng = np.random.default_rng(4)
         dist = Disturbance(pulses=(Pulse(0.0, 1.0, force=(0.3, 0, 0)),), noise_torque=0.01)
@@ -93,6 +196,16 @@ class _HoverController:
 
     def command(self, t, x, traj):
         return U_HOVER
+
+
+class _FullThrottle(_HoverController):
+    """Front pair at full speed, rear pair off: pitches over and diverges."""
+
+    def command(self, t, x, traj):
+        cmd = U_HOVER.copy()
+        cmd[[0, 1]] = VEH.max_rotor_speed**2
+        cmd[[4, 5]] = 0.0
+        return cmd
 
 
 class TestClosedLoop:
@@ -131,15 +244,8 @@ class TestClosedLoop:
         assert len(log) == 10
 
     def test_divergence_attaches_partial_log(self):
-        class FullThrottle(_HoverController):
-            def command(self, t, x, traj):
-                cmd = U_HOVER.copy()
-                cmd[[0, 1]] = VEH.max_rotor_speed**2
-                cmd[[4, 5]] = 0.0
-                return cmd
-
         with pytest.raises(NumericalDivergence) as exc:
-            run_closed_loop(FullThrottle(), constant_ref(0, 0, 0, 0), None,
+            run_closed_loop(_FullThrottle(), constant_ref(0, 0, 0, 0), None,
                             duration=20.0, control_dt=0.02, substeps=5,
                             veh=VEH, env=ENV)
         assert exc.value.log is not None
@@ -174,6 +280,34 @@ class TestClosedLoop:
 
         delta = np.abs(final_state(10) - final_state(20)).max()
         assert delta < 1e-8
+
+    @pytest.mark.parametrize("traj", [helix_ref(), square_ref(side=2.0, edge_duration=0.3)])
+    def test_reference_rows_equal_per_step_samples(self, traj):
+        log = run_closed_loop(_HoverController(), traj, None, duration=1.0,
+                              control_dt=0.02, substeps=1, veh=VEH, env=ENV)
+        rows = np.array([ref_window(traj, k * 0.02, 1, 0.02)[0] for k in range(len(log))])
+        assert log.refs.tobytes() == rows.tobytes()
+
+    def test_partial_log_carries_its_reference_rows(self):
+        traj = square_ref(side=2.0, edge_duration=0.5)
+        with pytest.raises(NumericalDivergence) as exc:
+            run_closed_loop(_FullThrottle(), traj, None, duration=20.0, control_dt=0.02,
+                            substeps=5, veh=VEH, env=ENV)
+        log = exc.value.log
+        assert 1 < len(log) < 1000
+        assert log.refs.shape == (len(log), 4)
+        rows = np.array([ref_window(traj, k * 0.02, 1, 0.02)[0] for k in range(len(log))])
+        assert log.refs.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("name, value", [
+        ("duration", math.inf), ("duration", math.nan),
+        ("control_dt", math.inf), ("control_dt", math.nan)])
+    def test_rejects_nonfinite_times(self, name, value):
+        # infinity used to raise OverflowError and NaN "cannot convert float NaN"
+        kwargs = {"duration": 1.0, "control_dt": 0.02, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+                            substeps=1, veh=VEH, env=ENV, **kwargs)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
