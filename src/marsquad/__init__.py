@@ -24,6 +24,6 @@ from .mpc import MpcConfig, MpcController, build_cost, build_prediction, mpc_ste
 from .pid import PidController, PidGains, pid_step
 from .simulator import (Disturbance, Metrics, NumericalDivergence, Pulse, SimLog,
                         compute_metrics, rk4_step, run_closed_loop)
-from .trajectories import RefSample, constant_ref, helix_ref, ref_window, square_ref
+from .trajectories import constant_ref, helix_ref, ref_window, square_ref
 
 __version__ = "0.1.0"

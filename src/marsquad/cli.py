@@ -81,14 +81,14 @@ def _print_comparison(mpc_metrics, pid_metrics):
 
 
 def _cmd_run(args) -> int:
+    overrides = list(args.set or [])
+    if args.seed is not None:
+        overrides.append(f"sim.seed={args.seed}")
     try:
-        cfg = load_config(args.config, args.set or [])
+        cfg = load_config(args.config, overrides)
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2
-    if args.seed is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
     controller = args.controller or cfg.sim.controller
     outdir = Path(args.out) if args.out else Path(cfg.sim.outdir)
 
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value")
     p_run.add_argument("--out", help="output directory (default from [sim] outdir)")
-    p_run.add_argument("--seed", type=int, help="override the run seed")
+    p_run.add_argument("--seed", type=int, help="override the run seed (as --set sim.seed=N)")
     p_run.add_argument("--controller", choices=["mpc", "pid", "both"],
                        help="override the configured controller")
     p_run.set_defaults(func=_cmd_run)

@@ -5,13 +5,25 @@ fails loudly instead of silently running with defaults. Every parameter the
 simulation uses is representable in the file; the snapshot writer emits the
 fully resolved configuration so a run can be reproduced from its output
 directory alone.
+
+One table per section holds its keys, their order, their types and their
+defaults, and it is derived from the section's default object: the fields
+of ``MARS``, ``VehicleParams.default()``, ``Disturbance()`` and
+``SimSettings()``, the flattened ``MpcConfig.default`` and
+``PidGains.default()``, and each trajectory factory's signature. A value
+parses as the type of its default, and a number must be finite. The schema
+check, the reader and ``config_snapshot`` all read these tables; where a
+section's object does not map one field to one key (``[mpc]``, ``[pid]``,
+``[disturbance]``), a ``_*_flat`` function gives its keys and a
+``_*_build`` function rebuilds the object from them.
 """
 
 from __future__ import annotations
 
 import configparser
 import inspect
-import io
+import math
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -32,44 +44,6 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.problems))
-
-
-_ENV_KEYS = {"profile", "density", "static_pressure", "temperature", "gas_constant",
-             "dynamic_viscosity", "gamma", "gravity"}
-_VEHICLE_KEYS = {"mass", "arm_length", "rotor_radius", "inertia_xx", "inertia_yy",
-                 "inertia_zz", "rotor_inertia", "thrust_coeff", "torque_coeff",
-                 "linear_drag", "max_rotor_speed"}
-_MPC_KEYS = {"horizon", "position_weight", "velocity_weight", "angle_weight",
-             "rate_weight", "input_weight", "input_rate_weight", "u_min", "u_max",
-             "qp_max_iter", "qp_tol", "constrained"}
-_PID_AXES = ("x", "y", "z", "roll", "pitch", "yaw")
-_PID_KEYS = {f"{axis}_{g}" for axis in _PID_AXES for g in ("kp", "ki", "kd")} | {
-    "integrator_limit", "max_tilt"}
-# each trajectory type's config keys and defaults: its factory's signature
-_TRAJ_PARAMS = {kind: {p.name: p.default for p in inspect.signature(factory).parameters.values()}
-                for kind, factory in TRAJECTORIES.items()}
-_TRAJ_KEYS = {"type"}.union(*_TRAJ_PARAMS.values())
-_DIST_KEYS = {"pulses", "noise_force", "noise_torque"}
-_SIM_KEYS = {"controller", "duration", "control_dt", "substeps", "seed", "outdir",
-             "transient_skip"}
-_SCENARIO_KEYS = {"description"}
-_ACCEPT_KEYS = {"settling_time_max", "overshoot_pct_max", "steady_state_error_max",
-                "rms_error_max", "recovery_time_max", "recovery_radius",
-                "max_position_deviation"}
-
-_SCHEMA = {
-    "scenario": _SCENARIO_KEYS,
-    "environment": _ENV_KEYS,
-    "vehicle": _VEHICLE_KEYS,
-    "mpc": _MPC_KEYS,
-    "pid": _PID_KEYS,
-    "trajectory": _TRAJ_KEYS,
-    "disturbance": _DIST_KEYS,
-    "sim": _SIM_KEYS,
-    "acceptance": _ACCEPT_KEYS,
-}
-
-_PROFILES = {"mars": par.MARS, "earth": par.EARTH}
 
 
 @dataclass(frozen=True)
@@ -113,6 +87,115 @@ class ScenarioConfig:
         return TRAJECTORIES[self.traj_type](**self.traj_params)
 
 
+def _fields(obj) -> dict:
+    """A dataclass instance's field values by name, in field order."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def _mpc_flat(m: MpcConfig) -> dict:
+    """[mpc]: the arguments of ``MpcConfig.default``, then the scalar fields."""
+    w = m.state_weight
+    return {"horizon": m.horizon, "position_weight": float(w[0]),
+            "velocity_weight": float(w[3]), "angle_weight": float(w[6]),
+            "rate_weight": float(w[9]), "input_weight": float(m.input_weight[0]),
+            "input_rate_weight": float(m.input_rate_weight[0]),
+            "u_min": float(m.u_min[0]), "u_max": float(m.u_max[0]),
+            "qp_max_iter": m.qp_max_iter, "qp_tol": m.qp_tol, "constrained": m.constrained}
+
+
+# the [mpc] keys that are arguments of MpcConfig.default (the rest are fields)
+_MPC_ARGS = frozenset(inspect.signature(MpcConfig.default).parameters) - {"veh"}
+
+
+def _mpc_build(values: dict, veh: par.VehicleParams) -> MpcConfig:
+    cfg = MpcConfig.default(veh, **{k: v for k, v in values.items() if k in _MPC_ARGS})
+    return replace(cfg, **{k: np.full(par.N_ROTORS, v) if k in ("u_min", "u_max") else v
+                           for k, v in values.items() if k not in _MPC_ARGS})
+
+
+def _pid_flat(g: PidGains) -> dict:
+    """[pid]: ``<axis>_kp``, ``_ki``, ``_kd`` for each axis, then the clamps."""
+    out = {}
+    for name, v in _fields(g).items():
+        if isinstance(v, AxisGains):
+            out.update((f"{name}_{k}", x) for k, x in v._asdict().items())
+        else:
+            out[name] = v
+    return out
+
+
+def _pid_build(values: dict) -> PidGains:
+    full = {**_TABLES["pid"], **values}
+    return PidGains(**{
+        name: AxisGains(*(full[f"{name}_{k}"] for k in AxisGains._fields))
+        if isinstance(v, AxisGains) else full[name]
+        for name, v in _fields(_PID_DEFAULT).items()})
+
+
+def _dist_flat(d: Disturbance) -> dict:
+    """[disturbance]: the fields, with the pulses written as one string."""
+    pulses = "; ".join(" ".join(_fmt(v) for v in (p.t_start, p.t_end, *p.force, *p.torque))
+                       for p in d.pulses)
+    return {**_fields(d), "pulses": pulses}
+
+
+def _parse_pulses(raw: str):
+    pulses = []
+    for chunk in raw.replace("\n", ";").split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        vals = chunk.split()
+        if len(vals) != 8:
+            raise ValueError(
+                f"pulse {chunk!r} must have 8 numbers: t_start t_end fx fy fz tx ty tz")
+        nums = [float(v) for v in vals]
+        pulses.append(Pulse(t_start=nums[0], t_end=nums[1],
+                            force=tuple(nums[2:5]), torque=tuple(nums[5:8])))
+    return tuple(pulses)
+
+
+def _dist_build(values: dict) -> Disturbance:
+    return Disturbance(**{**values, "pulses": _parse_pulses(values.get("pulses", ""))})
+
+
+_PROFILES = {"mars": par.MARS, "earth": par.EARTH}
+_VEHICLE_DEFAULT = par.VehicleParams.default()
+_PID_DEFAULT = PidGains.default()
+# each trajectory type's parameters and defaults: its factory's signature
+_TRAJ_PARAMS = {kind: {p.name: p.default for p in inspect.signature(factory).parameters.values()}
+                for kind, factory in TRAJECTORIES.items()}
+
+# section -> {key: default} in snapshot order; a value parses as its default's type
+_TABLES = {
+    "scenario": {"description": ""},
+    "environment": _fields(par.MARS),
+    "vehicle": _fields(_VEHICLE_DEFAULT),
+    "mpc": _mpc_flat(MpcConfig.default(_VEHICLE_DEFAULT)),
+    "pid": _pid_flat(_PID_DEFAULT),
+    "trajectory": {k: v for params in _TRAJ_PARAMS.values() for k, v in params.items()},
+    "disturbance": _dist_flat(Disturbance()),
+    "sim": _fields(SimSettings()),
+    # thresholds have no default (an absent one is not checked); 0.0 makes them floats
+    "acceptance": dict.fromkeys(
+        ("max_position_deviation", "overshoot_pct_max", "recovery_radius",
+         "recovery_time_max", "rms_error_max", "settling_time_max",
+         "steady_state_error_max"), 0.0),
+}
+# keys that pick a section's base object rather than set a value
+_SELECTORS = {("environment", "profile"), ("trajectory", "type")}
+_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+          **dict.fromkeys(("false", "no", "off", "0"), False)}
+
+
 def _read_ini(path) -> configparser.ConfigParser:
     # '#' only: ';' separates pulse entries inside [disturbance] values
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
@@ -140,213 +223,71 @@ class _Reader:
     """Typed access to one parsed file, accumulating problems instead of raising."""
 
     def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
+        # every section read once, keys in file order
+        self.raw = {s: dict(parser.items(s)) for s in parser.sections()}
         self.problems: list[str] = []
 
     def check_schema(self):
-        for section in self.parser.sections():
-            if section not in _SCHEMA:
+        for section, values in self.raw.items():
+            if section not in _TABLES:
                 self.problems.append(f"unknown section [{section}]")
                 continue
-            for key in self.parser[section]:
-                if key not in _SCHEMA[section]:
+            for key in values:
+                if key not in _TABLES[section] and (section, key) not in _SELECTORS:
                     self.problems.append(f"unknown key {section}.{key}")
 
-    def get(self, section, key, default=None):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key)
-        return default
+    def get(self, section, key, default):
+        """``section.key`` parsed as the type of ``default``; ``default`` if absent.
 
-    def get_float(self, section, key, default=None):
-        raw = self.get(section, key)
+        A malformed value is recorded as a problem and gives None, as does a
+        number that is not finite.
+        """
+        raw = self.raw.get(section, {}).get(key)
         if raw is None:
             return default
+        kind = type(default)
+        if kind is str:
+            return raw
+        if kind is bool:
+            value, what = _BOOLS.get(raw.strip().lower()), "a boolean"
+        else:
+            what = "an integer" if kind is int else "a number"
+            try:
+                value = kind(raw)
+            except ValueError:
+                value = None
+            if kind is float and value is not None and not math.isfinite(value):
+                value, what = None, "a finite number"
+        if value is None:
+            self.problems.append(f"{section}.{key} must be {what}, got {raw!r}")
+        return value
+
+    def choice(self, section, key, default) -> str:
+        """A case-insensitive name; ``default`` if absent or empty."""
+        return (self.raw.get(section, {}).get(key) or default).lower()
+
+    def read(self, section, table) -> dict:
+        """The section's well-formed values of the table's keys, in table order."""
+        present = self.raw.get(section, {})
+        values = {}
+        for key, default in table.items():
+            if key in present:
+                value = self.get(section, key, default)
+                if value is not None:
+                    values[key] = value
+        return values
+
+    def build(self, section, make, prefix=True):
+        """``make`` applied to the section's values; None if it raises ValueError."""
         try:
-            return float(raw)
-        except ValueError:
-            self.problems.append(f"{section}.{key} must be a number, got {raw!r}")
-            return default
-
-    def get_int(self, section, key, default=None):
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            self.problems.append(f"{section}.{key} must be an integer, got {raw!r}")
-            return default
-
-    def get_bool(self, section, key, default=None):
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        self.problems.append(f"{section}.{key} must be a boolean, got {raw!r}")
-        return default
-
-
-def _build_env(r: _Reader) -> par.EnvParams | None:
-    profile = (r.get("environment", "profile", "mars") or "mars").lower()
-    if profile not in _PROFILES:
-        r.problems.append(f"environment.profile must be one of {sorted(_PROFILES)}, "
-                          f"got {profile!r}")
-        return None
-    base = _PROFILES[profile]
-    updates = {}
-    for f in fields(par.EnvParams):
-        v = r.get_float("environment", f.name)
-        if v is not None:
-            updates[f.name] = v
-    try:
-        return replace(base, **updates)
-    except ValueError as err:
-        r.problems.append(str(err))
-        return None
-
-
-def _build_vehicle(r: _Reader) -> par.VehicleParams | None:
-    base = par.VehicleParams.default()
-    updates = {}
-    for f in fields(par.VehicleParams):
-        v = r.get_float("vehicle", f.name)
-        if v is not None:
-            updates[f.name] = v
-    try:
-        return replace(base, **updates)
-    except ValueError as err:
-        r.problems.append(str(err))
-        return None
-
-
-def _build_mpc(r: _Reader, veh: par.VehicleParams) -> MpcConfig | None:
-    kwargs = {}
-    for key in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
-                "input_weight", "input_rate_weight"):
-        v = r.get_float("mpc", key)
-        if v is not None:
-            kwargs[key] = v
-    horizon = r.get_int("mpc", "horizon")
-    if horizon is not None:
-        kwargs["horizon"] = horizon
-    try:
-        cfg = MpcConfig.default(veh, **kwargs)
-        u_min = r.get_float("mpc", "u_min")
-        u_max = r.get_float("mpc", "u_max")
-        qp_max_iter = r.get_int("mpc", "qp_max_iter")
-        qp_tol = r.get_float("mpc", "qp_tol")
-        constrained = r.get_bool("mpc", "constrained")
-        updates = {}
-        if u_min is not None:
-            updates["u_min"] = np.full(par.N_ROTORS, u_min)
-        if u_max is not None:
-            updates["u_max"] = np.full(par.N_ROTORS, u_max)
-        if qp_max_iter is not None:
-            updates["qp_max_iter"] = qp_max_iter
-        if qp_tol is not None:
-            updates["qp_tol"] = qp_tol
-        if constrained is not None:
-            updates["constrained"] = constrained
-        if updates:
-            cfg = replace(cfg, **updates)
-        return cfg
-    except ValueError as err:
-        r.problems.append(f"[mpc] {err}")
-        return None
-
-
-def _build_pid(r: _Reader) -> PidGains | None:
-    base = PidGains.default()
-    try:
-        axes = {}
-        for axis in _PID_AXES:
-            current = getattr(base, axis)
-            axes[axis] = AxisGains(
-                kp=r.get_float("pid", f"{axis}_kp", current.kp),
-                ki=r.get_float("pid", f"{axis}_ki", current.ki),
-                kd=r.get_float("pid", f"{axis}_kd", current.kd),
-            )
-        return PidGains(
-            integrator_limit=r.get_float("pid", "integrator_limit", base.integrator_limit),
-            max_tilt=r.get_float("pid", "max_tilt", base.max_tilt),
-            **axes,
-        )
-    except ValueError as err:
-        r.problems.append(f"[pid] {err}")
-        return None
-
-
-def _build_traj(r: _Reader):
-    kind = (r.get("trajectory", "type", "constant") or "constant").lower()
-    if kind not in TRAJECTORIES:
-        r.problems.append(f"trajectory.type must be one of {sorted(TRAJECTORIES)}, "
-                          f"got {kind!r}")
-        return None, {}
-    tp = dict(_TRAJ_PARAMS[kind])
-    if r.parser.has_section("trajectory"):
-        for key in r.parser["trajectory"]:
-            if key != "type" and key in _TRAJ_KEYS and key not in tp:
-                r.problems.append(f"trajectory.{key} does not apply to type {kind!r}")
-    for key in tp:
-        v = r.get_float("trajectory", key)
-        if v is not None:
-            tp[key] = v
-    return kind, tp
-
-
-def _parse_pulses(raw: str):
-    pulses = []
-    for chunk in raw.replace("\n", ";").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vals = chunk.split()
-        if len(vals) != 8:
-            raise ValueError(
-                f"pulse {chunk!r} must have 8 numbers: t_start t_end fx fy fz tx ty tz")
-        nums = [float(v) for v in vals]
-        pulses.append(Pulse(t_start=nums[0], t_end=nums[1],
-                            force=tuple(nums[2:5]), torque=tuple(nums[5:8])))
-    return tuple(pulses)
-
-
-def _build_disturbance(r: _Reader) -> Disturbance | None:
-    try:
-        pulses = _parse_pulses(r.get("disturbance", "pulses", "") or "")
-        return Disturbance(
-            pulses=pulses,
-            noise_force=r.get_float("disturbance", "noise_force", 0.0),
-            noise_torque=r.get_float("disturbance", "noise_torque", 0.0),
-        )
-    except ValueError as err:
-        r.problems.append(f"[disturbance] {err}")
-        return None
-
-
-def _build_sim(r: _Reader) -> SimSettings | None:
-    try:
-        return SimSettings(
-            controller=(r.get("sim", "controller", "mpc") or "mpc").lower(),
-            duration=r.get_float("sim", "duration", 20.0),
-            control_dt=r.get_float("sim", "control_dt", 0.02),
-            substeps=r.get_int("sim", "substeps", 10),
-            seed=r.get_int("sim", "seed", 0),
-            outdir=r.get("sim", "outdir", "results"),
-            transient_skip=r.get_float("sim", "transient_skip", 0.0),
-        )
-    except ValueError as err:
-        r.problems.append(f"[sim] {err}")
-        return None
+            return make(self.read(section, _TABLES[section]))
+        except ValueError as err:
+            self.problems.append(f"[{section}] {err}" if prefix else str(err))
+            return None
 
 
 def load_config(path, overrides=()) -> ScenarioConfig:
     """Load, override, and validate a scenario file. Raises ``ConfigError``."""
-    import os
-
     if not os.path.isfile(path):
         raise ConfigError([f"config file not found: {path}"])
     try:
@@ -362,13 +303,34 @@ def load_config(path, overrides=()) -> ScenarioConfig:
     r = _Reader(parser)
     r.check_schema()
 
-    env = _build_env(r)
-    veh = _build_vehicle(r)
-    mpc_cfg = _build_mpc(r, veh) if veh is not None else None
-    pid_gains = _build_pid(r)
-    traj_type, traj_params = _build_traj(r)
-    dist = _build_disturbance(r)
-    sim = _build_sim(r)
+    env = mpc_cfg = None
+    profile = r.choice("environment", "profile", "mars")
+    if profile in _PROFILES:
+        env = r.build("environment", lambda v: replace(_PROFILES[profile], **v), prefix=False)
+    else:
+        r.problems.append(f"environment.profile must be one of {sorted(_PROFILES)}, "
+                          f"got {profile!r}")
+    veh = r.build("vehicle", lambda v: replace(_VEHICLE_DEFAULT, **v), prefix=False)
+    if veh is not None:
+        mpc_cfg = r.build("mpc", lambda v: _mpc_build(v, veh))
+    pid_gains = r.build("pid", _pid_build)
+
+    traj_type = r.choice("trajectory", "type", "constant")
+    traj_params = {}
+    if traj_type in TRAJECTORIES:
+        defaults = _TRAJ_PARAMS[traj_type]
+        for key in r.raw.get("trajectory", ()):
+            if key in _TABLES["trajectory"] and key not in defaults:
+                r.problems.append(f"trajectory.{key} does not apply to type {traj_type!r}")
+        traj_params = {**defaults, **r.read("trajectory", defaults)}
+    else:
+        r.problems.append(f"trajectory.type must be one of {sorted(TRAJECTORIES)}, "
+                          f"got {traj_type!r}")
+        traj_type = None
+
+    dist = r.build("disturbance", _dist_build)
+    sim = r.build("sim", lambda v: SimSettings(
+        **{**v, "controller": (v.get("controller") or SimSettings.controller).lower()}))
 
     if env is not None and veh is not None:
         try:
@@ -382,21 +344,14 @@ def load_config(path, overrides=()) -> ScenarioConfig:
         except ValueError as err:
             r.problems.append(f"[trajectory] {err}")
 
-    acceptance = {}
-    if parser.has_section("acceptance"):
-        for key in parser["acceptance"]:
-            if key in _ACCEPT_KEYS:
-                v = r.get_float("acceptance", key)
-                if v is not None:
-                    acceptance[key] = v
+    acceptance = r.read("acceptance", _TABLES["acceptance"])
 
     if r.problems:
         raise ConfigError(r.problems)
 
-    name = os.path.splitext(os.path.basename(str(path)))[0]
     return ScenarioConfig(
-        name=name,
-        description=r.get("scenario", "description", "") or "",
+        name=os.path.splitext(os.path.basename(str(path)))[0],
+        description=r.get("scenario", "description", _TABLES["scenario"]["description"]),
         env=env,
         veh=veh,
         mpc=mpc_cfg,
@@ -409,63 +364,22 @@ def load_config(path, overrides=()) -> ScenarioConfig:
     )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def config_snapshot(cfg: ScenarioConfig) -> str:
     """Serialize the fully resolved configuration back to INI text."""
-    out = io.StringIO()
-
-    def section(name, pairs):
-        out.write(f"[{name}]\n")
-        for k, v in pairs:
-            out.write(f"{k} = {_fmt(v)}\n")
-        out.write("\n")
-
-    section("scenario", [("description", cfg.description)])
-    section("environment", [(f.name, getattr(cfg.env, f.name))
-                            for f in fields(par.EnvParams)])
-    section("vehicle", [(f.name, getattr(cfg.veh, f.name))
-                        for f in fields(par.VehicleParams)])
-    m = cfg.mpc
-    section("mpc", [
-        ("horizon", m.horizon),
-        ("position_weight", float(m.state_weight[0])),
-        ("velocity_weight", float(m.state_weight[3])),
-        ("angle_weight", float(m.state_weight[6])),
-        ("rate_weight", float(m.state_weight[9])),
-        ("input_weight", float(m.input_weight[0])),
-        ("input_rate_weight", float(m.input_rate_weight[0])),
-        ("u_min", float(m.u_min[0])),
-        ("u_max", float(m.u_max[0])),
-        ("qp_max_iter", m.qp_max_iter),
-        ("qp_tol", m.qp_tol),
-        ("constrained", m.constrained),
-    ])
-    pid_pairs = []
-    for axis in _PID_AXES:
-        g = getattr(cfg.pid, axis)
-        pid_pairs += [(f"{axis}_kp", g.kp), (f"{axis}_ki", g.ki), (f"{axis}_kd", g.kd)]
-    pid_pairs += [("integrator_limit", cfg.pid.integrator_limit),
-                  ("max_tilt", cfg.pid.max_tilt)]
-    section("pid", pid_pairs)
-    section("trajectory", [("type", cfg.traj_type)]
-            + sorted(cfg.traj_params.items()))
-    pulse_str = "; ".join(
-        " ".join(_fmt(v) for v in (p.t_start, p.t_end, *p.force, *p.torque))
-        for p in cfg.disturbance.pulses)
-    section("disturbance", [("pulses", pulse_str),
-                            ("noise_force", cfg.disturbance.noise_force),
-                            ("noise_torque", cfg.disturbance.noise_torque)])
-    section("sim", [(f.name, getattr(cfg.sim, f.name)) for f in fields(SimSettings)])
-    if cfg.acceptance:
-        section("acceptance", sorted(cfg.acceptance.items()))
-    return out.getvalue()
+    sections = {
+        "scenario": {"description": cfg.description},
+        "environment": _fields(cfg.env),
+        "vehicle": _fields(cfg.veh),
+        "mpc": _mpc_flat(cfg.mpc),
+        "pid": _pid_flat(cfg.pid),
+        "trajectory": {"type": cfg.traj_type, **dict(sorted(cfg.traj_params.items()))},
+        "disturbance": _dist_flat(cfg.disturbance),
+        "sim": _fields(cfg.sim),
+        "acceptance": dict(sorted(cfg.acceptance.items())),
+    }
+    # every section but [acceptance] is never empty
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {_fmt(v)}\n" for k, v in values.items())
+                   + "\n" for name, values in sections.items() if values)
 
 
 def derived_report(cfg: ScenarioConfig) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics
 from .params import EnvParams, VehicleParams
-from .trajectories import RefGenerator, RefSample, ref_window
+from .trajectories import RefGenerator, ref_window
 
 __all__ = ["AxisGains", "PidGains", "PidMemory", "pid_step", "PidController"]
 
@@ -79,20 +79,22 @@ def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
 
-def pid_step(x_now: np.ndarray, ref: RefSample, gains: PidGains, dt: float,
+def pid_step(x_now: np.ndarray, ref: np.ndarray, gains: PidGains, dt: float,
              mem: PidMemory, veh: VehicleParams, env: EnvParams) -> np.ndarray:
     """One cascade update; returns the squared-speed command.
 
-    Saturated allocations fall back to the clamped command and freeze the
-    integrators for the step (conditional anti-windup).
+    ``ref`` is one reference row, x, y, z and heading psi, as ``ref_window``
+    returns it. Saturated allocations fall back to the clamped command and
+    freeze the integrators for the step (conditional anti-windup).
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     s = np.asarray(x_now, dtype=float)
+    ref_x, ref_y, ref_z, ref_psi = ref
 
-    ex = ref.x - s[0]
-    ey = ref.y - s[1]
-    ez = ref.z - s[2]
+    ex = ref_x - s[0]
+    ey = ref_y - s[1]
+    ez = ref_z - s[2]
     psi = s[8]
     cps, sps = math.cos(psi), math.sin(psi)
     # rotate position errors and velocities into the heading frame
@@ -100,7 +102,7 @@ def pid_step(x_now: np.ndarray, ref: RefSample, gains: PidGains, dt: float,
     e_by = -sps * ex + cps * ey
     v_bx = cps * s[3] + sps * s[4]
     v_by = -sps * s[3] + cps * s[4]
-    e_psi = dynamics.wrap_angle(ref.psi - psi)
+    e_psi = dynamics.wrap_angle(ref_psi - psi)
 
     lim = gains.integrator_limit
     new_int = mem.integrals.copy()
@@ -153,6 +155,5 @@ class PidController:
         self.memory = PidMemory()
 
     def command(self, t: float, x_now: np.ndarray, traj: RefGenerator) -> np.ndarray:
-        ref = RefSample(t, *ref_window(traj, t, 1, self.dt)[0].tolist())
-        return pid_step(x_now, ref, self.gains, self.dt, self.memory,
-                        self.veh, self.env)
+        return pid_step(x_now, ref_window(traj, t, 1, self.dt)[0], self.gains, self.dt,
+                        self.memory, self.veh, self.env)

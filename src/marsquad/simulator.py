@@ -166,10 +166,14 @@ class NumericalDivergence(RuntimeError):
         self.log = log
 
 
+def _magnitude_exceeded(t: float) -> NumericalDivergence:
+    return NumericalDivergence(f"state magnitude exceeded {_STATE_LIMIT:g} at t={t:.3f}")
+
+
 def _check_envelope(state: list, t: float):
     # not (|v| <= limit) also catches NaN and infinities
     if not all(abs(v) <= _STATE_LIMIT for v in state):
-        raise NumericalDivergence(f"state magnitude exceeded {_STATE_LIMIT:g} at t={t:.3f}")
+        raise _magnitude_exceeded(t)
     if abs(state[7]) >= _PITCH_LIMIT:
         raise NumericalDivergence(f"pitch approached gimbal lock at t={t:.3f}")
 
@@ -185,9 +189,9 @@ def rk4_step(state: np.ndarray, omega_sq: np.ndarray | dynamics.Wrench, dt: floa
     of a held command. The disturbance is sampled once at the step start,
     matching the piecewise-constant actuation model. Angles are re-wrapped
     afterwards and the envelope check raises ``NumericalDivergence`` on
-    blow-up. The arithmetic runs on floats in the order of the array
-    formula ``s + dt/6 (k1 + 2 k2 + 2 k3 + k4)``, so the result is bitwise
-    that formula's.
+    blow-up, as does a state with an infinite angle. The arithmetic runs on
+    floats in the order of the array formula ``s + dt/6 (k1 + 2 k2 + 2 k3 +
+    k4)``, so the result is bitwise that formula's.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
@@ -205,10 +209,14 @@ def rk4_step(state: np.ndarray, omega_sq: np.ndarray | dynamics.Wrench, dt: floa
         return dynamics._derivative(x, wrench, veh, env, force, torque)
 
     half = 0.5 * dt
-    k1 = f(s)
-    k2 = f([a + half * b for a, b in zip(s, k1)])
-    k3 = f([a + half * b for a, b in zip(s, k2)])
-    k4 = f([a + dt * b for a, b in zip(s, k3)])
+    try:
+        k1 = f(s)
+        k2 = f([a + half * b for a, b in zip(s, k1)])
+        k3 = f([a + half * b for a, b in zip(s, k2)])
+        k4 = f([a + dt * b for a, b in zip(s, k3)])
+    except ValueError:
+        # math.sin / math.cos of an infinite angle: the state has left the envelope
+        raise _magnitude_exceeded(t + dt) from None
     sixth = dt / 6.0
     out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
            for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
@@ -229,7 +237,8 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
     the controller's internal predictions against an exact plant. The
     command's wrench is computed once per step, logged, and held over the
     substeps. The logged reference is sampled for the whole run in one
-    ``ref_window`` call at the control-step times.
+    ``ref_window`` call at the control-step times. ``x0``, the start state
+    (hover at the origin by default), must be a finite 12-vector.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration}")
@@ -244,7 +253,9 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
 
     n_steps = math.ceil(duration / control_dt)
     rng = np.random.default_rng(seed)
-    state = np.zeros(12) if x0 is None else np.asarray(x0, dtype=float).copy()
+    state = np.zeros(12) if x0 is None else np.array(x0, dtype=float)
+    if state.shape != (12,) or not np.isfinite(state).all():
+        raise ValueError(f"x0 must be a finite 12-vector, got {x0!r}")
 
     t_log = np.empty(n_steps)
     states = np.empty((n_steps, 12))

@@ -3,39 +3,19 @@
 A generator is a pure function of a time array: ``gen(t)`` with ``t`` of
 shape (n,) returns an (n, 4) array of x, y, z and heading psi, one row per
 time. ``ref_window`` is the checked way to sample one: it rejects negative
-times and non-finite references. ``RefSample`` is one such row as a
-validated record, the input of the PID cascade. The square keeps its
-corners sharp on purpose, the interesting control behaviour happens there.
+times and non-finite references. The square keeps its corners sharp on
+purpose, the interesting control behaviour happens there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["RefSample", "RefGenerator", "constant_ref", "helix_ref", "square_ref",
-           "TRAJECTORIES", "ref_window"]
-
-
-@dataclass(frozen=True)
-class RefSample:
-    """One reference point: position and heading at time t."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-    psi: float
-
-    def __post_init__(self):
-        vals = (self.t, self.x, self.y, self.z, self.psi)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"reference sample must be finite, got {vals}")
-        if self.t < 0:
-            raise ValueError(f"reference time must be >= 0, got {self.t}")
+__all__ = ["RefGenerator", "constant_ref", "helix_ref", "square_ref", "TRAJECTORIES",
+           "ref_window"]
 
 
 # (n,) times -> (n, 4) rows of x, y, z, psi

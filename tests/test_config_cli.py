@@ -1,13 +1,17 @@
+import configparser
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marsquad import cli, params
+from marsquad import cli, config, params
 from marsquad.config import (ConfigError, config_snapshot, derived_report, load_config,
                              parse_overrides)
 from marsquad.scenarios import list_scenarios, scenario_names, scenario_path
+from marsquad.trajectories import TRAJECTORIES
 
 MINIMAL = """
 [trajectory]
@@ -27,6 +31,34 @@ def minimal_cfg(tmp_path):
     path = tmp_path / "minimal.cfg"
     path.write_text(MINIMAL)
     return path
+
+
+@pytest.fixture
+def bare_cfg(tmp_path):
+    """A file that leaves every section but [sim] at its defaults."""
+    path = tmp_path / "bare.cfg"
+    path.write_text("[sim]\nduration = 1.0\n")
+    return path
+
+
+def assert_same(a, b):
+    """Equal values of equal types, through dataclasses, tuples, dicts and arrays."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert a == b
 
 
 class TestLoading:
@@ -102,6 +134,27 @@ class TestLoading:
         with pytest.raises(ConfigError, match="pulse"):
             load_config(p)
 
+    def test_pulse_may_last_forever(self, minimal_cfg):
+        cfg = load_config(minimal_cfg, ["disturbance.pulses=1 inf 0.5 0 0 0 0 0"])
+        assert cfg.disturbance.pulses[0].t_end == math.inf
+
+    @pytest.mark.parametrize("key, raw, extra", [
+        ("environment.density", "inf", []),
+        ("vehicle.mass", "nan", []),
+        ("mpc.qp_tol", "nan", []),
+        ("mpc.position_weight", "-inf", []),
+        ("pid.x_kp", "nan", []),
+        ("trajectory.radius", "nan", ["trajectory.type=helix"]),
+        ("trajectory.side", "inf", ["trajectory.type=square"]),
+        ("disturbance.noise_force", "inf", []),
+        ("sim.duration", "inf", []),
+        ("acceptance.rms_error_max", "1e400", []),
+    ])
+    def test_nonfinite_number_rejected(self, bare_cfg, key, raw, extra):
+        with pytest.raises(ConfigError) as exc:
+            load_config(bare_cfg, extra + [f"{key}={raw}"])
+        assert exc.value.problems == [f"{key} must be a finite number, got {raw!r}"]
+
 
 class TestOverrides:
     def test_parse(self):
@@ -132,7 +185,33 @@ class TestSnapshot:
         assert cfg2.sim.seed == 42
         assert cfg2.veh == cfg.veh
         assert cfg2.env == cfg.env
-        assert config_snapshot(cfg2).split("\n")[1:] == config_snapshot(cfg).split("\n")[1:]
+        assert config_snapshot(cfg2) == config_snapshot(cfg)
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_shipped_scenario_round_trips(self, tmp_path, name):
+        cfg = load_config(scenario_path(name))
+        text = config_snapshot(cfg)
+        snap = tmp_path / f"{name}.cfg"
+        snap.write_text(text)
+        cfg2 = load_config(snap)
+        assert_same(cfg2, cfg)
+        assert config_snapshot(cfg2) == text
+
+    def test_reader_accepts_the_keys_the_snapshot_writes(self, bare_cfg):
+        accepted = {section: set(table) for section, table in config._TABLES.items()}
+        for section, key in config._SELECTORS:
+            accepted[section].add(key)
+        thresholds = [f"acceptance.{key}=1" for key in accepted["acceptance"]]
+        written = {}
+        for kind in TRAJECTORIES:
+            cfg = load_config(bare_cfg, [f"trajectory.type={kind}"] + thresholds)
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read_string(config_snapshot(cfg))
+            for section in parser.sections():
+                written.setdefault(section, set()).update(parser[section])
+        # the snapshot writes the profile's resolved values, not its name
+        written["environment"].add("profile")
+        assert written == accepted
 
     def test_derived_report_values(self, minimal_cfg):
         rep = derived_report(load_config(minimal_cfg))
@@ -181,6 +260,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert "mass" in err and "bogus" in err
 
+    def test_validate_rejects_nonfinite_number(self, minimal_cfg, capsys):
+        rc = cli.main(["validate", "--config", str(minimal_cfg), "--set", "sim.duration=inf"])
+        assert rc == 2
+        assert "sim.duration must be a finite number, got 'inf'" in capsys.readouterr().err
+
     def test_run_missing_config_no_outputs(self, tmp_path, capsys):
         out = tmp_path / "results"
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
@@ -215,6 +299,12 @@ class TestCli:
                   "--seed", "123", "--set", "sim.duration=0.5"])
         snap = (out / "minimal" / "mpc" / "config.ini").read_text()
         assert "seed = 123" in snap
+
+    def test_seed_flag_wins_over_set(self, tmp_path, minimal_cfg):
+        out = tmp_path / "results"
+        cli.main(["run", "--config", str(minimal_cfg), "--out", str(out), "--seed", "7",
+                  "--set", "sim.seed=5", "--set", "sim.duration=0.1"])
+        assert "seed = 7\n" in (out / "minimal" / "mpc" / "config.ini").read_text()
 
     def test_sweep_runs_multiple(self, tmp_path, capsys):
         a = tmp_path / "a.cfg"

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from marsquad import dynamics, params
 from marsquad.pid import AxisGains, PidController, PidGains, PidMemory, pid_step
-from marsquad.trajectories import RefSample, constant_ref
+from marsquad.trajectories import constant_ref
 
 ENV = params.MARS
 VEH = params.VehicleParams.default()
@@ -14,8 +14,9 @@ ZERO = AxisGains(0.0, 0.0, 0.0)
 ZERO_GAINS = PidGains(x=ZERO, y=ZERO, z=ZERO, roll=ZERO, pitch=ZERO, yaw=ZERO)
 
 
-def ref(x=0.0, y=0.0, z=0.0, psi=0.0, t=0.0):
-    return RefSample(t, x, y, z, psi)
+def ref(x=0.0, y=0.0, z=0.0, psi=0.0):
+    """One reference row as ``ref_window`` returns it."""
+    return np.array([x, y, z, psi])
 
 
 class TestEquilibrium:

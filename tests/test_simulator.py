@@ -165,7 +165,8 @@ class TestRk4:
         assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("index, value", [
-        (3, math.nan), (6, math.nan), (0, math.inf), (3, -math.inf), (1, 2e6)])
+        (3, math.nan), (6, math.nan), (0, math.inf), (3, -math.inf), (1, 2e6),
+        (6, math.inf)])
     def test_leaving_the_envelope_raises(self, index, value):
         s = np.zeros(12)
         s[index] = value
@@ -308,6 +309,15 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
                             substeps=1, veh=VEH, env=ENV, **kwargs)
+
+    @pytest.mark.parametrize("x0", [
+        np.full(12, math.nan), dynamics.make_state(psi=math.inf), np.zeros(5),
+        np.zeros((12, 1))])
+    def test_rejects_bad_start_state(self, x0):
+        with pytest.raises(ValueError, match="x0 must be a finite 12-vector"):
+            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+                            duration=1.0, control_dt=0.02, substeps=1,
+                            veh=VEH, env=ENV, x0=x0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

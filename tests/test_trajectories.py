@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marsquad.trajectories import RefSample, constant_ref, helix_ref, ref_window, square_ref
+from marsquad.trajectories import constant_ref, helix_ref, ref_window, square_ref
 
 
 def at(g, t):
@@ -125,12 +125,6 @@ class TestWindow:
         assert win.shape == (5, 4)
         for i in range(5):
             assert np.allclose(win[i], at(g, 2.0 + 0.1 * i))
-
-    def test_sample_invariants(self):
-        with pytest.raises(ValueError):
-            RefSample(-1.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            RefSample(0.0, math.inf, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("t0", [-0.02, -math.inf, math.nan, math.inf])
     def test_rejects_bad_start_time(self, t0):
