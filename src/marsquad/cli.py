@@ -35,9 +35,12 @@ _METRIC_ROWS = (
     ("control effort", "control_effort"),
     ("constraint violations", "constraint_violations"),
 )
+# the controllers each ``sim.controller`` choice runs, in run order
+_KINDS = {"mpc": ("mpc",), "pid": ("pid",), "both": ("mpc", "pid")}
 
 
-def _make_controller(kind: str, cfg: ScenarioConfig):
+def make_controller(kind: str, cfg: ScenarioConfig):
+    """The ``"mpc"`` or ``"pid"`` controller a scenario configures."""
     if kind == "mpc":
         model = discretize(linearize_hover(cfg.veh, cfg.env), cfg.sim.control_dt)
         return MpcController(model, cfg.mpc, cfg.veh, cfg.env)
@@ -51,7 +54,7 @@ def run_scenario(cfg: ScenarioConfig, kind: str, outdir: Path):
 
     Returns the run's ``(SimLog, Metrics)`` pair.
     """
-    controller = _make_controller(kind, cfg)
+    controller = make_controller(kind, cfg)
     log = run_closed_loop(
         controller, cfg.trajectory(), cfg.disturbance,
         duration=cfg.sim.duration, control_dt=cfg.sim.control_dt,
@@ -92,9 +95,8 @@ def _cmd_run(args) -> int:
     controller = args.controller or cfg.sim.controller
     outdir = Path(args.out) if args.out else Path(cfg.sim.outdir)
 
-    kinds = ["mpc", "pid"] if controller == "both" else [controller]
     results = {}
-    for kind in kinds:
+    for kind in _KINDS[controller]:
         try:
             _, results[kind] = run_scenario(cfg, kind, outdir)
         except NumericalDivergence as err:
@@ -130,9 +132,8 @@ def _cmd_validate(args) -> int:
 def _sweep_worker(task):
     cfg, out = task
     outdir = Path(out) if out else Path(cfg.sim.outdir)
-    kinds = ["mpc", "pid"] if cfg.sim.controller == "both" else [cfg.sim.controller]
     summary = {}
-    for kind in kinds:
+    for kind in _KINDS[cfg.sim.controller]:
         _, metrics = run_scenario(cfg, kind, outdir)
         summary[kind] = metrics.as_dict()
     return cfg.name, summary

@@ -24,6 +24,7 @@ import configparser
 import inspect
 import math
 import os
+import re
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -97,7 +98,8 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
-    return str(v)
+    # a line break goes on as an indented continuation line, as a file writes it
+    return str(v).replace("\n", "\n    ")
 
 
 def _mpc_flat(m: MpcConfig) -> dict:
@@ -206,7 +208,12 @@ def _read_ini(path) -> configparser.ConfigParser:
 
 
 def parse_overrides(pairs) -> list[tuple[str, str, str]]:
-    """Parse ``section.key=value`` strings into (section, key, value) triples."""
+    """Parse ``section.key=value`` strings into (section, key, value) triples.
+
+    A value with a ``#`` at its start or after whitespace is rejected: a file
+    reads that ``#`` as the start of a comment, so the run's snapshot could
+    not hold the value.
+    """
     out = []
     for item in pairs:
         if "=" not in item:
@@ -214,8 +221,12 @@ def parse_overrides(pairs) -> list[tuple[str, str, str]]:
         lhs, value = item.split("=", 1)
         if "." not in lhs:
             raise ConfigError([f"override {item!r} is not of the form section.key=value"])
-        section, key = lhs.split(".", 1)
-        out.append((section.strip(), key.strip(), value.strip()))
+        section, key = (part.strip() for part in lhs.split(".", 1))
+        value = value.strip()
+        if re.search(r"(^|\s)#", value):
+            raise ConfigError([f"override {section}.{key}: {value!r} has a '#' that a "
+                               "config file reads as the start of a comment"])
+        out.append((section, key, value))
     return out
 
 

@@ -69,7 +69,12 @@ def _output_matrix() -> np.ndarray:
 
 
 def linearize_hover(veh: VehicleParams, env: EnvParams) -> LinearModel:
-    """Analytic continuous (A, B, C, D) about the hover equilibrium."""
+    """Analytic continuous (A, B, C, D) about the hover equilibrium.
+
+    ``veh.linear_drag`` is left out: the plant's -drag/mass velocity terms
+    would put nonzero entries on A's velocity diagonal, and the exact
+    discretization relies on A^4 = 0, which they break.
+    """
     g = env.gravity
     a = np.zeros((N_STATES, N_STATES))
     a[0, 3] = 1.0

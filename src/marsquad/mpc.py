@@ -6,6 +6,10 @@ resulting box-constrained QP with a projected-Newton method, and applies
 the first input block. The decision variable is the deviation of the eight
 squared rotor speeds from the hover command, so the model stays affine in
 the input.
+
+The condensed cost 0.5 U'PU + q'U has one path: ``build_cost`` builds the
+constant Hessian P and its factor, called once by the ``MpcController``
+constructor, and ``MpcController.gradient`` assembles q at each step.
 """
 
 from __future__ import annotations
@@ -165,35 +169,13 @@ def _rate_penalty(mdu: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_cost(pred: Prediction, cfg: MpcConfig, dx0: np.ndarray,
-               x_ref_stack: np.ndarray, du_prev: np.ndarray):
-    """Condense the tracking cost onto the stacked input deviations.
+def build_cost(pred: Prediction, cfg: MpcConfig):
+    """The constant Hessian P of the condensed cost 0.5 U'PU + q'U, factored.
 
-    The three penalty terms are state tracking toward ``x_ref_stack``,
-    input deviation from the nominal, and input rate of change (with
-    ``du_prev`` closing the boundary at the first step). Returns the
-    (Hessian, gradient) pair of 0.5 U'PU + q'U; raises ``ValueError`` if
-    the Hessian is not positive definite.
+    P sums the state-tracking term H' diag(mx) H, the input penalty and the
+    input-rate band. Returns ``(P, cho_factor(P, lower=True))``; raises
+    ``ValueError`` if P is not positive definite.
     """
-    n = cfg.horizon
-    dx0 = np.asarray(dx0, dtype=float)
-    x_ref_stack = np.asarray(x_ref_stack, dtype=float)
-    du_prev = np.asarray(du_prev, dtype=float)
-    if dx0.shape != (N_STATES,):
-        raise ValueError("dx0 must be a 12-vector")
-    if x_ref_stack.shape != (N_STATES * n,):
-        raise ValueError(f"x_ref_stack must have length {N_STATES * n}")
-    if du_prev.shape != (N_ROTORS,):
-        raise ValueError("du_prev must be an 8-vector")
-
-    hessian = _hessian(pred, cfg)
-    _factor(hessian)
-    mx = np.tile(cfg.state_weight, n)
-    return hessian, _gradient(pred, mx, cfg.input_rate_weight, dx0, x_ref_stack, du_prev)
-
-
-def _hessian(pred: Prediction, cfg: MpcConfig) -> np.ndarray:
-    """The constant Hessian P of the condensed cost 0.5 U'PU + q'U."""
     n = cfg.horizon
     mx = np.tile(cfg.state_weight, n)
     mu = np.tile(cfg.input_weight, n)
@@ -201,28 +183,11 @@ def _hessian(pred: Prediction, cfg: MpcConfig) -> np.ndarray:
 
     h = pred.H
     hessian = h.T @ (mx[:, None] * h) + np.diag(mu) + _rate_penalty(mdu)
-    return 0.5 * (hessian + hessian.T)
-
-
-def _factor(hessian: np.ndarray):
-    """``cho_factor`` of the cost Hessian; ``ValueError`` if not positive definite."""
+    hessian = 0.5 * (hessian + hessian.T)
     try:
-        return cho_factor(hessian, lower=True)
+        return hessian, cho_factor(hessian, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
-
-
-def _gradient(pred: Prediction, mx: np.ndarray, rate_weight: np.ndarray,
-              dx0: np.ndarray, x_ref_stack: np.ndarray, du_prev: np.ndarray) -> np.ndarray:
-    """Linear term q of the condensed cost 0.5 U'PU + q'U.
-
-    ``mx`` is the state weight tiled over the horizon. The input-rate
-    penalty contributes only through ``du_prev``, which closes the
-    difference at the first input block.
-    """
-    gradient = -(pred.H.T @ (mx * (x_ref_stack - pred.G @ dx0)))
-    gradient[:N_ROTORS] -= rate_weight * du_prev
-    return gradient
 
 
 def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
@@ -234,10 +199,12 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     Clamped coordinates (at a bound with the gradient pushing outward) are
     frozen; a Newton step on the free block is backtracked along the
     projected path until Armijo decrease holds. Stops when the projected
-    gradient falls below ``qp_tol`` scaled by the gradient magnitude.
-    Raises ``QpMaxIterations`` (with the best iterate attached) at the
-    iteration cap. ``chol`` may carry a precomputed ``cho_factor`` of the
-    full Hessian, reused whenever no coordinate is clamped.
+    gradient's largest entry is at most ``qp_tol * max(1, max|g|)``, which
+    is relative to the gradient only where ``max|g| > 1`` and an absolute
+    ``qp_tol`` below that. Raises ``QpMaxIterations`` (with the best
+    iterate attached) at the iteration cap. ``chol`` may carry a
+    precomputed lower ``cho_factor`` of the full Hessian, reused whenever
+    no coordinate is clamped.
 
     Each line-search trial costs one product with the Hessian: the
     objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
@@ -327,66 +294,32 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
 
 
 def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a ``cho_factor`` result by two triangular solves.
+    """Solve with a lower ``cho_factor`` result by two triangular solves.
 
     The factor is trusted to be finite (it was checked when it was made),
     so only the right-hand side is scanned.
     """
-    c, lower = factor
+    c, _ = factor
     if not np.isfinite(rhs).all():
         raise ValueError("QP right-hand side must be finite")
-    first, second = ("N", "T") if lower else ("T", "N")
-    y = solve_triangular(c, rhs, trans=first, lower=lower, check_finite=False)
-    return solve_triangular(c, y, trans=second, lower=lower, check_finite=False)
-
-
-def _stack_reference(refs: np.ndarray, x_ref: np.ndarray, horizon: int,
-                     dt: float) -> np.ndarray:
-    """Embed an (N, 4) position-and-heading window into a 12N state stack.
-
-    Velocity references come from forward differences of the position
-    window, so a moving reference is tracked without a built-in lag.
-    Roll, pitch, and the angular rates target the hover reference; their
-    pull is controlled by the state weights.
-    """
-    stack = np.zeros((horizon, N_STATES))
-    stack[:, 0:3] = refs[:, 0:3] - x_ref[0:3]
-    if horizon > 1 and dt > 0:
-        vel = (refs[1:, 0:3] - refs[:-1, 0:3]) / dt
-        stack[:-1, 3:6] = vel
-        stack[-1, 3:6] = vel[-1]  # the last sample keeps the last difference
-    stack[:, 8] = wrap_angle(refs[:, 3] - x_ref[8])
-    return stack.ravel()
+    y = solve_triangular(c, rhs, trans="N", lower=True, check_finite=False)
+    return solve_triangular(c, y, trans="T", lower=True, check_finite=False)
 
 
 def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.ndarray:
     """One receding-horizon update: solve the QP, apply the first input.
 
-    ``refs`` is the (N, 4) window of (x, y, z, psi) references. Reuses the
-    controller's prediction operators, Hessian and its factor; updates the
-    controller's last input, warm start and QP iteration count, and returns
-    the absolute squared-speed command, always inside the input box.
+    ``refs`` is the (N, 4) window of (x, y, z, psi) references. The QP is
+    the controller's constant Hessian and its factor with the gradient
+    ``ctrl.gradient`` assembles; updates the controller's last input, warm
+    start and QP iteration count, and returns the absolute squared-speed
+    command, always inside the input box.
     """
-    model, cfg = ctrl.model, ctrl.cfg
-    refs = np.asarray(refs, dtype=float)
-    if refs.shape != (cfg.horizon, N_OUTPUTS):
-        raise ValueError(f"expected a ({cfg.horizon}, 4) reference window, got {refs.shape}")
+    cfg = ctrl.cfg
+    du_seq, info = solve_qp(ctrl.hessian, ctrl.gradient(x_now, refs), ctrl.lower, ctrl.upper,
+                            cfg, x0=ctrl.warm_start, return_info=True, chol=ctrl.chol)
 
-    x_now = np.asarray(x_now, dtype=float)
-    dx0 = x_now - model.x_ref
-    # track yaw on the wrapped branch nearest the first reference sample
-    dx0[8] = wrap_angle(refs[0, 3] - model.x_ref[8]) - wrap_angle(refs[0, 3] - x_now[8])
-
-    x_ref_stack = _stack_reference(refs, model.x_ref, cfg.horizon, model.dt)
-    gradient = _gradient(ctrl.pred, ctrl.state_weights, cfg.input_rate_weight, dx0,
-                         x_ref_stack, ctrl.u_prev - model.u_ref)
-
-    du_seq, info = solve_qp(ctrl.hessian, gradient, ctrl.lower, ctrl.upper, cfg,
-                            x0=ctrl.warm_start, return_info=True, chol=ctrl.chol)
-
-    u = model.u_ref + du_seq[:N_ROTORS]
-    u = np.clip(u, cfg.u_min, cfg.u_max)
-
+    u = np.clip(ctrl.model.u_ref + du_seq[:N_ROTORS], cfg.u_min, cfg.u_max)
     ctrl.u_prev = u.copy()
     ctrl.warm_start = np.concatenate([du_seq[N_ROTORS:], du_seq[-N_ROTORS:]])
     ctrl.last_qp_iters = info["iterations"]
@@ -397,11 +330,11 @@ class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
     Holds the prediction operators, the constant cost Hessian with its
-    Cholesky factor, the state weights tiled over the horizon
-    (``state_weights``) and the QP's input box (``lower``, ``upper``,
-    unbounded when ``cfg.constrained`` is false), plus the per-loop
-    memory: the last applied input ``u_prev``, the QP warm start
-    ``warm_start`` and ``last_qp_iters``.
+    Cholesky factor (both from ``build_cost``), the state weights tiled
+    over the horizon (``state_weights``) and the QP's input box
+    (``lower``, ``upper``, unbounded when ``cfg.constrained`` is false),
+    plus the per-loop memory: the last applied input ``u_prev``, the QP
+    warm start ``warm_start`` and ``last_qp_iters``.
     One instance drives one closed loop.
     """
 
@@ -414,8 +347,7 @@ class MpcController:
         self.veh = veh
         self.env = env
         self.pred = build_prediction(model, cfg.horizon)
-        self.hessian = _hessian(self.pred, cfg)
-        self.chol = _factor(self.hessian)
+        self.hessian, self.chol = build_cost(self.pred, cfg)
         self.state_weights = np.tile(cfg.state_weight, cfg.horizon)
         if cfg.constrained:
             self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
@@ -430,6 +362,41 @@ class MpcController:
         self.u_prev = self.model.u_ref.copy()
         self.warm_start = np.zeros(N_ROTORS * self.cfg.horizon)
         self.last_qp_iters = 0
+
+    def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:
+        """Linear term q of the condensed cost 0.5 U'PU + q'U at one step.
+
+        ``refs``, the (N, 4) window of (x, y, z, psi) references, becomes a
+        12N state stack: velocity references are forward differences of the
+        positions, so a moving reference is tracked without a built-in lag,
+        and roll, pitch and the angular rates target hover. The deviation of
+        the 12-state ``x_now`` takes yaw on the wrapped branch nearest the
+        first reference sample; the input-rate penalty enters only through
+        ``u_prev``, at the first input block.
+        """
+        model, horizon = self.model, self.cfg.horizon
+        refs = np.asarray(refs, dtype=float)
+        if refs.shape != (horizon, N_OUTPUTS):
+            raise ValueError(f"expected a ({horizon}, 4) reference window, got {refs.shape}")
+        x_now = np.asarray(x_now, dtype=float)
+        if x_now.shape != (N_STATES,):
+            raise ValueError(f"x_now must be a 12-vector, got shape {x_now.shape}")
+
+        x_ref = model.x_ref
+        dx0 = x_now - x_ref
+        dx0[8] = wrap_angle(refs[0, 3] - x_ref[8]) - wrap_angle(refs[0, 3] - x_now[8])
+
+        stack = np.zeros((horizon, N_STATES))
+        stack[:, 0:3] = refs[:, 0:3] - x_ref[0:3]
+        if horizon > 1:
+            vel = (refs[1:, 0:3] - refs[:-1, 0:3]) / model.dt
+            stack[:-1, 3:6] = vel
+            stack[-1, 3:6] = vel[-1]  # the last sample keeps the last difference
+        stack[:, 8] = wrap_angle(refs[:, 3] - x_ref[8])
+
+        gradient = -(self.pred.H.T @ (self.state_weights * (stack.ravel() - self.pred.G @ dx0)))
+        gradient[:N_ROTORS] -= self.cfg.input_rate_weight * (self.u_prev - model.u_ref)
+        return gradient
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:
         refs = ref_window(traj, t, self.cfg.horizon, self.model.dt)

@@ -228,15 +228,11 @@ def rk4_step(state: np.ndarray, omega_sq: np.ndarray | dynamics.Wrench, dt: floa
 def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
                     duration: float, control_dt: float, substeps: int,
                     veh: VehicleParams, env: EnvParams,
-                    seed: int = 0, x0: np.ndarray | None = None,
-                    plant: str = "nonlinear", model=None) -> SimLog:
+                    seed: int = 0, x0: np.ndarray | None = None) -> SimLog:
     """Run controller against plant on a fixed grid and log every step.
 
-    ``plant="linear"`` steps the supplied discrete model instead of the
-    nonlinear equations (no substeps, no disturbances); it exists to check
-    the controller's internal predictions against an exact plant. The
-    command's wrench is computed once per step, logged, and held over the
-    substeps. The logged reference is sampled for the whole run in one
+    The command's wrench is computed once per step, logged, and held over
+    the substeps. The logged reference is sampled for the whole run in one
     ``ref_window`` call at the control-step times. ``x0``, the start state
     (hover at the origin by default), must be a finite 12-vector.
     """
@@ -246,10 +242,6 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
         raise ValueError(f"control_dt must be finite and > 0, got {control_dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    if plant not in ("nonlinear", "linear"):
-        raise ValueError(f"unknown plant kind {plant!r}")
-    if plant == "linear" and model is None:
-        raise ValueError("linear plant needs a discrete model")
 
     n_steps = math.ceil(duration / control_dt)
     rng = np.random.default_rng(seed)
@@ -275,7 +267,6 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
         "u_min": np.zeros(8),
         "u_max": np.full(8, veh.max_rotor_speed ** 2),
         "control_dt": control_dt,
-        "plant": plant,
     }
 
     sub_dt = control_dt / substeps
@@ -290,14 +281,9 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
         qp_iters[k] = getattr(controller, "last_qp_iters", 0)
 
         try:
-            if plant == "nonlinear":
-                for i in range(substeps):
-                    state = rk4_step(state, wrench, sub_dt, veh, env, dist,
-                                     t + i * sub_dt, rng)
-            else:
-                dx = state - model.x_ref
-                du = cmd - model.u_ref
-                state = model.x_ref + model.A @ dx + model.B @ du
+            for i in range(substeps):
+                state = rk4_step(state, wrench, sub_dt, veh, env, dist,
+                                 t + i * sub_dt, rng)
         except NumericalDivergence as err:
             raise NumericalDivergence(str(err), log=partial(k + 1)) from None
 

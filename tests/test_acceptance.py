@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from marsquad import dynamics, linmodel, mpc, params, simulator as sim
+from marsquad.cli import make_controller
 from marsquad.config import load_config
-from marsquad.mpc import MpcConfig, MpcController, build_cost, build_prediction, solve_qp
-from marsquad.pid import PidController
+from marsquad.mpc import MpcConfig, MpcController, solve_qp
 from marsquad.scenarios import scenario_path
 from marsquad.simulator import compute_metrics, run_closed_loop, write_csv
 
@@ -28,18 +28,10 @@ def _report(num, ok, text):
     assert ok, f"criterion {num} failed: {text}"
 
 
-def _controller(kind, cfg):
-    if kind == "mpc":
-        model = linmodel.discretize(linmodel.linearize_hover(cfg.veh, cfg.env),
-                                    cfg.sim.control_dt)
-        return MpcController(model, cfg.mpc, cfg.veh, cfg.env)
-    return PidController(cfg.pid, cfg.veh, cfg.env, cfg.sim.control_dt)
-
-
 def _run(name, kind, overrides=()):
     cfg = load_config(scenario_path(name), overrides)
     start = time.monotonic()
-    log = run_closed_loop(_controller(kind, cfg), cfg.trajectory(), cfg.disturbance,
+    log = run_closed_loop(make_controller(kind, cfg), cfg.trajectory(), cfg.disturbance,
                           duration=cfg.sim.duration, control_dt=cfg.sim.control_dt,
                           substeps=cfg.sim.substeps, veh=cfg.veh, env=cfg.env,
                           seed=cfg.sim.seed)
@@ -139,16 +131,12 @@ def test_criterion_05_prediction_exactness():
     cfg = load_config(scenario_path("hover"))
     model = linmodel.discretize(linmodel.linearize_hover(cfg.veh, cfg.env), 0.02)
     n = 20
-    pred = build_prediction(model, n)
-    mpc_cfg = MpcConfig.default(cfg.veh, horizon=n)
+    ctrl = MpcController(model, MpcConfig.default(cfg.veh, horizon=n), cfg.veh, cfg.env)
     dx0 = np.zeros(12)
     dx0[0:3] = [0.4, -0.2, 0.3]
-    ref = np.zeros(12 * n)
-    h, g = build_cost(pred, mpc_cfg, dx0, ref, np.zeros(8))
-    lower = np.tile(mpc_cfg.u_min - model.u_ref, n)
-    upper = np.tile(mpc_cfg.u_max - model.u_ref, n)
-    du = solve_qp(h, g, lower, upper, mpc_cfg)
-    predicted = pred.G @ dx0 + pred.H @ du
+    g = ctrl.gradient(model.x_ref + dx0, np.zeros((n, 4)))
+    du = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
+    predicted = ctrl.pred.G @ dx0 + ctrl.pred.H @ du
     state = dx0.copy()
     worst = 0.0
     for i in range(n):
@@ -285,7 +273,7 @@ def test_criterion_12_determinism(tmp_path):
 
     def one(path):
         cfg = load_config(scenario_path("helix_disturbed"), overrides)
-        log = run_closed_loop(_controller("mpc", cfg), cfg.trajectory(),
+        log = run_closed_loop(make_controller("mpc", cfg), cfg.trajectory(),
                               cfg.disturbance, duration=cfg.sim.duration,
                               control_dt=cfg.sim.control_dt, substeps=cfg.sim.substeps,
                               veh=cfg.veh, env=cfg.env, seed=cfg.sim.seed)

@@ -197,6 +197,30 @@ class TestSnapshot:
         assert_same(cfg2, cfg)
         assert config_snapshot(cfg2) == text
 
+    @pytest.mark.parametrize("extra, overrides, rejected_key", [
+        ("", ["scenario.description=run 3 of the sweep"], None),
+        ("", ["sim.outdir=out#1", "scenario.description=C# port"], None),
+        ("\n[scenario]\ndescription = first line\n  second line\n", [], None),
+        ("\n[scenario]\ndescription =\n  after a break\n\n  after a blank\n", [], None),
+        ("", ["scenario.description=run #3 of the sweep"], "scenario.description"),
+        ("", ["sim.outdir=out #1"], "sim.outdir"),
+        ("", ["scenario.description=#3"], "scenario.description"),
+    ], ids=["plain", "hash_inside_word", "two_lines", "blank_line", "hash_after_space",
+            "outdir_hash_after_space", "leading_hash"])
+    def test_string_values_round_trip_or_are_rejected(self, tmp_path, extra, overrides,
+                                                       rejected_key):
+        path = tmp_path / "minimal.cfg"
+        path.write_text(MINIMAL + extra)
+        if rejected_key:
+            with pytest.raises(ConfigError, match=rf"override {rejected_key}: .*comment"):
+                load_config(path, overrides)
+            return
+        cfg = load_config(path, overrides)
+        (tmp_path / "snap").mkdir()
+        snap = tmp_path / "snap" / "minimal.cfg"
+        snap.write_text(config_snapshot(cfg))
+        assert_same(load_config(snap), cfg)
+
     def test_reader_accepts_the_keys_the_snapshot_writes(self, bare_cfg):
         accepted = {section: set(table) for section, table in config._TABLES.items()}
         for section, key in config._SELECTORS:

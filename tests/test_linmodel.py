@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,39 @@ class TestNumericJacobian:
     def test_vertical_sensitivity_is_thrust_over_mass(self):
         _, b = numeric_jacobian(np.zeros(12), np.ones(8), VEH, ENV, eps=0.5)
         assert np.allclose(b[5], VEH.thrust_coeff / VEH.mass, rtol=1e-9)
+
+    @given(mass=st.floats(1.0, 50.0), arm=st.floats(0.3, 2.0),
+           inertia=st.tuples(*[st.floats(0.1, 5.0)] * 3), rotor_inertia=st.floats(1e-3, 0.05),
+           thrust_coeff=st.floats(1e-5, 5e-4), torque_coeff=st.floats(1e-7, 5e-5),
+           drag=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), earth=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_analytic_over_random_vehicles(self, mass, arm, inertia, rotor_inertia,
+                                                    thrust_coeff, torque_coeff, drag, earth):
+        """The analytic model against central differences, on Mars and Earth.
+
+        ``linearize_hover`` leaves out ``linear_drag``: the velocity-diagonal
+        entries of A are 0 where the differences give -drag/mass. Those are
+        checked as that omission; every other entry of A must agree. The
+        dynamics are affine in the squared speeds at hover, so B is
+        differenced with a unit step, which leaves only rounding.
+        """
+        env = params.EARTH if earth else ENV
+        veh = dataclasses.replace(
+            VEH, mass=mass, arm_length=arm, inertia_xx=inertia[0], inertia_yy=inertia[1],
+            inertia_zz=inertia[2], rotor_inertia=rotor_inertia, thrust_coeff=thrust_coeff,
+            torque_coeff=torque_coeff, linear_drag=drag)
+        model = linearize_hover(veh, env)
+        u0 = dynamics.hover_command(veh, env)
+        a, _ = numeric_jacobian(np.zeros(12), u0, veh, env, eps=1e-6)
+        _, b = numeric_jacobian(np.zeros(12), u0, veh, env, eps=1.0)
+
+        tol_a = 1e-12 * max(1.0, np.abs(model.A).max())
+        vel = [3, 4, 5]
+        assert np.all(model.A[vel, vel] == 0.0)
+        assert np.abs(a[vel, vel] + drag / mass).max() <= tol_a
+        a[vel, vel] = 0.0
+        assert np.abs(a - model.A).max() <= tol_a
+        assert np.abs(b - model.B).max() <= 1e-8 * np.abs(model.B).max()
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import math
 
@@ -81,14 +83,39 @@ class TestPrediction:
             build_prediction(cont_model, 5)
 
 
+def _dense_cost(ctrl, x_now, refs):
+    """The cost's (Hessian, gradient) from dense weight and difference matrices.
+
+    The reference stack comes from ``_stack_reference_loop`` and the state
+    deviation is taken on the yaw branch nearest the first reference sample.
+    """
+    model, cfg, pred = ctrl.model, ctrl.cfg, ctrl.pred
+    n = cfg.horizon
+    mx = np.diag(np.tile(cfg.state_weight, n))
+    mu = np.diag(np.tile(cfg.input_weight, n))
+    mdu = np.diag(np.tile(cfg.input_rate_weight, n))
+    diff = np.eye(8 * n)
+    for i in range(1, n):
+        diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
+    h_dense = pred.H.T @ mx @ pred.H + mu + diff.T @ mdu @ diff
+    dx0 = x_now - model.x_ref
+    dx0[8] = (dynamics.wrap_angle(refs[0, 3] - model.x_ref[8])
+              - dynamics.wrap_angle(refs[0, 3] - x_now[8]))
+    err = _stack_reference_loop(refs, model.x_ref, n, model.dt) - pred.G @ dx0
+    bound = np.zeros(8 * n)
+    bound[:8] = ctrl.u_prev - model.u_ref
+    g_dense = -(pred.H.T @ mx @ err + diff.T @ mdu @ bound)
+    return h_dense, g_dense
+
+
 class TestCost:
     def test_pure_input_penalty_centers_at_reference(self, disc_model):
         cfg = MpcConfig(horizon=4, state_weight=np.zeros(12),
                         input_weight=np.ones(8), input_rate_weight=np.zeros(8),
                         u_min=np.zeros(8), u_max=np.full(8, 1e6))
-        pred = build_prediction(disc_model, 4)
-        h, g = build_cost(pred, cfg, np.ones(12), np.zeros(48), np.zeros(8))
-        du = np.linalg.solve(h, -g)
+        ctrl = MpcController(disc_model, cfg, VEH, ENV)
+        g = ctrl.gradient(np.ones(12), np.zeros((4, 4)))
+        du = np.linalg.solve(ctrl.hessian, -g)
         assert np.allclose(du, 0.0, atol=1e-12)
 
     def test_horizon_one_closed_form(self, disc_model):
@@ -97,57 +124,48 @@ class TestCost:
         cfg = MpcConfig(horizon=1, state_weight=np.full(12, 3.0),
                         input_weight=np.full(8, 2.0), input_rate_weight=np.full(8, 5.0),
                         u_min=np.zeros(8), u_max=np.full(8, 1e6))
-        pred = build_prediction(disc_model, 1)
-        du_prev = np.linspace(-1, 1, 8)
-        h, g = build_cost(pred, cfg, np.zeros(12), np.zeros(12), du_prev)
-        du = np.linalg.solve(h, -g)
+        ctrl = MpcController(disc_model, cfg, VEH, ENV)
+        ctrl.u_prev = disc_model.u_ref + np.linspace(-1, 1, 8)
+        du_prev = ctrl.u_prev - disc_model.u_ref
+        g = ctrl.gradient(np.zeros(12), np.zeros((1, 4)))
+        du = np.linalg.solve(ctrl.hessian, -g)
         assert np.allclose(du, 5.0 / (2.0 + 5.0) * du_prev, rtol=1e-12)
 
     def test_matches_dense_assembly(self, disc_model):
         n = 5
-        cfg = MpcConfig.default(VEH, horizon=n)
-        pred = build_prediction(disc_model, n)
+        ctrl = MpcController(disc_model, MpcConfig.default(VEH, horizon=n), VEH, ENV)
         rng = np.random.default_rng(3)
-        dx0 = rng.normal(0, 0.1, 12)
-        ref = rng.normal(0, 0.5, 12 * n)
-        du_prev = rng.normal(0, 10.0, 8)
-        h, g = build_cost(pred, cfg, dx0, ref, du_prev)
+        x_now = rng.normal(0, 0.1, 12)
+        refs = rng.normal(0, 0.5, (n, 4))
+        x_now[8], refs[0, 3] = 3.0, -3.0  # yaw and its first reference straddle +-pi
+        ctrl.u_prev = disc_model.u_ref + rng.normal(0, 10.0, 8)
+        h_dense, g_dense = _dense_cost(ctrl, x_now, refs)
+        assert np.allclose(ctrl.hessian, h_dense, atol=1e-12)
+        assert np.allclose(ctrl.gradient(x_now, refs), g_dense, atol=1e-12)
 
-        mx = np.diag(np.tile(cfg.state_weight, n))
-        mu = np.diag(np.tile(cfg.input_weight, n))
-        mdu = np.diag(np.tile(cfg.input_rate_weight, n))
-        diff = np.eye(8 * n)
-        for i in range(1, n):
-            diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
-        h_dense = pred.H.T @ mx @ pred.H + mu + diff.T @ mdu @ diff
-        err = ref - pred.G @ dx0
-        bound = np.zeros(8 * n)
-        bound[:8] = du_prev
-        g_dense = -(pred.H.T @ mx @ err + diff.T @ mdu @ bound)
-        assert np.allclose(h, h_dense, atol=1e-12)
-        assert np.allclose(g, g_dense, atol=1e-12)
-
-    def test_hessian_matches_dense_rate_product_bitwise(self, disc_model, mpc_cfg):
+    def test_hessian_matches_dense_rate_product_bitwise(self, horizon_ctrl):
         # the input-rate term is built as a band; it must round like D' diag(mdu) D
-        n = mpc_cfg.horizon
-        pred = build_prediction(disc_model, n)
-        h, _ = build_cost(pred, mpc_cfg, np.zeros(12), np.zeros(12 * n), np.zeros(8))
-        mx = np.tile(mpc_cfg.state_weight, n)
-        mu = np.tile(mpc_cfg.input_weight, n)
-        mdu = np.tile(mpc_cfg.input_rate_weight, n)
+        cfg, pred = horizon_ctrl.cfg, horizon_ctrl.pred
+        n = cfg.horizon
+        mx = np.tile(cfg.state_weight, n)
+        mu = np.tile(cfg.input_weight, n)
+        mdu = np.tile(cfg.input_rate_weight, n)
         diff = np.eye(8 * n)
         for i in range(1, n):
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
         dense = pred.H.T @ (mx[:, None] * pred.H) + np.diag(mu) + diff.T @ (mdu[:, None] * diff)
-        assert np.array_equal(h, 0.5 * (dense + dense.T))
+        assert np.array_equal(horizon_ctrl.hessian, 0.5 * (dense + dense.T))
 
     def test_dimension_checks(self, disc_model):
-        cfg = small_cfg(horizon=3)
-        pred = build_prediction(disc_model, 3)
-        with pytest.raises(ValueError):
-            build_cost(pred, cfg, np.zeros(11), np.zeros(36), np.zeros(8))
-        with pytest.raises(ValueError):
-            build_cost(pred, cfg, np.zeros(12), np.zeros(35), np.zeros(8))
+        ctrl = MpcController(disc_model, small_cfg(horizon=3), VEH, ENV)
+        with pytest.raises(ValueError, match="12-vector"):
+            ctrl.gradient(np.zeros(11), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="12-vector"):
+            ctrl.gradient(np.zeros(1), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="reference window"):
+            ctrl.gradient(np.zeros(12), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="reference window"):
+            ctrl.gradient(np.zeros(12), np.zeros((3, 3)))
 
 
 class TestSolveQp:
@@ -234,14 +252,14 @@ class TestSolveQp:
         inputs; the box is the shipped one shrunk by a random factor, so
         anywhere from none to most bounds end up active.
         """
-        ctrl = horizon_ctrl
+        ctrl = copy.copy(horizon_ctrl)  # its own u_prev; the Hessian is shared
         cfg, h = ctrl.cfg, ctrl.hessian
         rng = np.random.default_rng(seed)
-        dx0 = rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
-        ref = np.zeros((cfg.horizon, 12))
-        ref[:, 0:3] = rng.normal(0, 2, 3)
-        g = mpc._gradient(ctrl.pred, ctrl.state_weights, cfg.input_rate_weight, dx0,
-                          ref.ravel(), rng.normal(0, 3000, 8))
+        x_now = rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
+        refs = np.zeros((cfg.horizon, 4))
+        refs[:, 0:3] = rng.normal(0, 2, 3)
+        ctrl.u_prev = ctrl.model.u_ref + rng.normal(0, 3000, 8)
+        g = ctrl.gradient(x_now, refs)
         span = rng.uniform(0.05, 1.0)
         lo, hi = ctrl.lower * span, ctrl.upper * span
         x0 = rng.uniform(lo, hi) if rng.random() < 0.5 else None
@@ -272,7 +290,7 @@ class TestSolveQp:
 
 
 def _stack_reference_loop(refs, x_ref, horizon, dt):
-    """Per-sample reference for ``mpc._stack_reference``."""
+    """Per-sample reference for the state stack ``MpcController.gradient`` builds."""
     stack = np.zeros(12 * horizon)
     for i in range(horizon):
         base = i * 12
@@ -287,12 +305,18 @@ def _stack_reference_loop(refs, x_ref, horizon, dt):
 class TestStackReference:
     @given(seed=st.integers(0, 1000), horizon=st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
-    def test_matches_per_sample_loop(self, seed, horizon):
+    def test_matches_per_sample_loop(self, disc_model, seed, horizon):
+        """With an identity prediction (G = 0, H = I) and unit state weights
+        the gradient is minus the reference stack, so the stack is read
+        bit for bit through ``gradient``."""
         rng = np.random.default_rng(seed)
         refs = rng.normal(0, 5, (horizon, 4))
-        x_ref = rng.normal(0, 1, 12)
-        want = _stack_reference_loop(refs, x_ref, horizon, 0.02)
-        assert np.array_equal(mpc._stack_reference(refs, x_ref, horizon, 0.02), want)
+        model = dataclasses.replace(disc_model, x_ref=rng.normal(0, 1, 12))
+        ctrl = MpcController(model, small_cfg(horizon=horizon), VEH, ENV)
+        ctrl.pred = mpc.Prediction(G=np.zeros((12 * horizon, 12)), H=np.eye(12 * horizon))
+        ctrl.state_weights = np.ones(12 * horizon)
+        want = _stack_reference_loop(refs, model.x_ref, horizon, model.dt)
+        assert np.array_equal(-ctrl.gradient(rng.normal(0, 1, 12), refs), want)
 
 
 class TestMpcStep:
@@ -382,9 +406,7 @@ class TestMpcStep:
         ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
         assert len(calls) == 1
         monkeypatch.undo()
-        n = mpc_cfg.horizon
-        pred = build_prediction(disc_model, n)
-        h, _ = build_cost(pred, mpc_cfg, np.zeros(12), np.zeros(12 * n), np.zeros(8))
+        h, _ = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)
         assert np.array_equal(ctrl.hessian, h)
         assert np.array_equal(ctrl.chol[0], original(h, lower=True)[0])
 
@@ -394,39 +416,27 @@ class TestMpcStep:
         cfg = small_cfg(horizon=1)
         pred = mpc.Prediction(G=np.eye(12), H=np.full((12, 8), 1e8))
         with pytest.raises(ValueError, match="cost Hessian is not positive definite"):
-            build_cost(pred, cfg, np.zeros(12), np.zeros(12), np.zeros(8))
+            build_cost(pred, cfg)
         monkeypatch.setattr(mpc, "build_prediction", lambda model, horizon: pred)
         with pytest.raises(ValueError, match="cost Hessian is not positive definite"):
             MpcController(disc_model, cfg, VEH, ENV)
 
 
 class TestClosedLoopLinear:
-    def test_spectral_radius_below_one(self, disc_model, mpc_cfg):
+    def test_spectral_radius_below_one(self, disc_model, horizon_ctrl):
         """The unconstrained receding-horizon law, taken as a linear map on
-        (state deviation, previous input deviation), must be a contraction."""
-        n = mpc_cfg.horizon
-        pred = build_prediction(disc_model, n)
-        zero_ref = np.zeros(12 * n)
-        hess, _ = build_cost(pred, mpc_cfg, np.zeros(12), zero_ref, np.zeros(8))
-        hinv = np.linalg.inv(hess)
-
-        mx = np.tile(mpc_cfg.state_weight, n)
+        (state deviation, previous input deviation), must be a contraction.
+        The law is the controller's: its Hessian and its gradient."""
+        ctrl = copy.copy(horizon_ctrl)
+        zero_refs = np.zeros((ctrl.cfg.horizon, 4))
 
         def first_input(dx, du_prev):
-            grad = -(pred.H.T @ (mx * (zero_ref - pred.G @ dx)))
-            grad[:8] -= mpc_cfg.input_rate_weight * du_prev
-            return (hinv @ -grad)[:8]
+            ctrl.u_prev = disc_model.u_ref + du_prev
+            grad = ctrl.gradient(disc_model.x_ref + dx, zero_refs)
+            return np.linalg.solve(ctrl.hessian, -grad)[:8]
 
-        fx = np.zeros((8, 12))
-        fu = np.zeros((8, 8))
-        for j in range(12):
-            e = np.zeros(12)
-            e[j] = 1.0
-            fx[:, j] = first_input(e, np.zeros(8))
-        for j in range(8):
-            e = np.zeros(8)
-            e[j] = 1.0
-            fu[:, j] = first_input(np.zeros(12), e)
+        fx = np.column_stack([first_input(e, np.zeros(8)) for e in np.eye(12)])
+        fu = np.column_stack([first_input(np.zeros(12), e) for e in np.eye(8)])
 
         top = np.hstack([disc_model.A + disc_model.B @ fx, disc_model.B @ fu])
         bottom = np.hstack([fx, fu])
@@ -435,30 +445,24 @@ class TestClosedLoopLinear:
         assert radius < 1.0
 
     def test_converges_to_constant_reference_on_linear_plant(self, disc_model, mpc_cfg):
-        from marsquad import simulator as sim
-
         ctl = MpcController(disc_model, mpc_cfg, VEH, ENV)
         target = traj.constant_ref(0.5, -0.3, 0.8, 0.0)
-        log = sim.run_closed_loop(ctl, target, None, duration=15.0, control_dt=0.02,
-                                  substeps=1, veh=VEH, env=ENV,
-                                  plant="linear", model=disc_model)
-        final = log.states[-1]
-        assert abs(final[0] - 0.5) < 1e-3
-        assert abs(final[1] + 0.3) < 1e-3
-        assert abs(final[2] - 0.8) < 1e-3
+        x = disc_model.x_ref.copy()
+        for k in range(750):  # 15 s
+            u = ctl.command(k * disc_model.dt, x, target)
+            x = (disc_model.x_ref + disc_model.A @ (x - disc_model.x_ref)
+                 + disc_model.B @ (u - disc_model.u_ref))
+        assert abs(x[0] - 0.5) < 1e-3
+        assert abs(x[1] + 0.3) < 1e-3
+        assert abs(x[2] - 0.8) < 1e-3
 
     def test_prediction_matches_linear_plant_over_horizon(self, disc_model):
-        cfg = MpcConfig.default(VEH, horizon=20)
-        pred = build_prediction(disc_model, 20)
+        ctrl = MpcController(disc_model, MpcConfig.default(VEH, horizon=20), VEH, ENV)
         x = np.zeros(12)
         x[0:3] = [0.4, -0.2, 0.3]
-
-        stack_ref = np.zeros(12 * 20)
-        h, g = build_cost(pred, cfg, x, stack_ref, np.zeros(8))
-        lower = np.tile(cfg.u_min - disc_model.u_ref, 20)
-        upper = np.tile(cfg.u_max - disc_model.u_ref, 20)
-        du = solve_qp(h, g, lower, upper, cfg)
-        predicted = pred.G @ x + pred.H @ du
+        g = ctrl.gradient(x, np.zeros((20, 4)))
+        du = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
+        predicted = ctrl.pred.G @ x + ctrl.pred.H @ du
         state = x.copy()
         for i in range(20):
             assert np.abs(predicted[12 * i:12 * (i + 1)] - state).max() < 1e-10

@@ -328,10 +328,6 @@ class TestClosedLoop:
             run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
                             duration=1.0, control_dt=0.02, substeps=0,
                             veh=VEH, env=ENV)
-        with pytest.raises(ValueError):
-            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
-                            duration=1.0, control_dt=0.02, substeps=1,
-                            veh=VEH, env=ENV, plant="linear")
 
 
 def synthetic_log(t, pos, ref):
