@@ -83,31 +83,6 @@ class TestPrediction:
             build_prediction(cont_model, 5)
 
 
-def _dense_cost(ctrl, x_now, refs):
-    """The cost's (Hessian, gradient) from dense weight and difference matrices.
-
-    The reference stack comes from ``_stack_reference_loop`` and the state
-    deviation is taken on the yaw branch nearest the first reference sample.
-    """
-    model, cfg, pred = ctrl.model, ctrl.cfg, ctrl.pred
-    n = cfg.horizon
-    mx = np.diag(np.tile(cfg.state_weight, n))
-    mu = np.diag(np.tile(cfg.input_weight, n))
-    mdu = np.diag(np.tile(cfg.input_rate_weight, n))
-    diff = np.eye(8 * n)
-    for i in range(1, n):
-        diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
-    h_dense = pred.H.T @ mx @ pred.H + mu + diff.T @ mdu @ diff
-    dx0 = x_now - model.x_ref
-    dx0[8] = (dynamics.wrap_angle(refs[0, 3] - model.x_ref[8])
-              - dynamics.wrap_angle(refs[0, 3] - x_now[8]))
-    err = _stack_reference_loop(refs, model.x_ref, n, model.dt) - pred.G @ dx0
-    bound = np.zeros(8 * n)
-    bound[:8] = ctrl.u_prev - model.u_ref
-    g_dense = -(pred.H.T @ mx @ err + diff.T @ mdu @ bound)
-    return h_dense, g_dense
-
-
 class TestCost:
     def test_pure_input_penalty_centers_at_reference(self, disc_model):
         cfg = MpcConfig(horizon=4, state_weight=np.zeros(12),
@@ -139,7 +114,22 @@ class TestCost:
         refs = rng.normal(0, 0.5, (n, 4))
         x_now[8], refs[0, 3] = 3.0, -3.0  # yaw and its first reference straddle +-pi
         ctrl.u_prev = disc_model.u_ref + rng.normal(0, 10.0, 8)
-        h_dense, g_dense = _dense_cost(ctrl, x_now, refs)
+
+        cfg, pred, x_ref = ctrl.cfg, ctrl.pred, disc_model.x_ref
+        mx = np.diag(np.tile(cfg.state_weight, n))
+        mu = np.diag(np.tile(cfg.input_weight, n))
+        mdu = np.diag(np.tile(cfg.input_rate_weight, n))
+        diff = np.eye(8 * n)
+        for i in range(1, n):
+            diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
+        h_dense = pred.H.T @ mx @ pred.H + mu + diff.T @ mdu @ diff
+        dx0 = x_now - x_ref
+        dx0[8] = (dynamics.wrap_angle(refs[0, 3] - x_ref[8])
+                  - dynamics.wrap_angle(refs[0, 3] - x_now[8]))
+        err = _stack_reference_loop(refs, x_ref, n, disc_model.dt) - pred.G @ dx0
+        bound = np.zeros(8 * n)
+        bound[:8] = ctrl.u_prev - disc_model.u_ref
+        g_dense = -(pred.H.T @ mx @ err + diff.T @ mdu @ bound)
         assert np.allclose(ctrl.hessian, h_dense, atol=1e-12)
         assert np.allclose(ctrl.gradient(x_now, refs), g_dense, atol=1e-12)
 
