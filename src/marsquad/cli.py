@@ -200,6 +200,8 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
+    if args.verb == "sweep" and args.jobs is not None and args.jobs < 1:
+        p_sweep.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     return args.func(args)
 
 

@@ -14,8 +14,9 @@ of ``MARS``, ``VehicleParams.default()``, ``Disturbance()`` and
 parses as the type of its default, and a number must be finite. The schema
 check, the reader and ``config_snapshot`` all read these tables; where a
 section's object does not map one field to one key (``[mpc]``, ``[pid]``,
-``[disturbance]``), a ``_*_flat`` function gives its keys and a
-``_*_build`` function rebuilds the object from them.
+``[disturbance]``), a ``_*_flat`` function gives its keys, and
+``MpcConfig.default`` or a ``_*_build`` function rebuilds the object from
+them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields, replace
-
-import numpy as np
 
 from . import params as par
 from .mpc import MpcConfig
@@ -66,6 +65,8 @@ class SimSettings:
             raise ValueError("substeps must be >= 1")
         if self.transient_skip < 0:
             raise ValueError("transient_skip must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,6 @@ def _fields(obj) -> dict:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
     # a line break goes on as an indented continuation line, as a file writes it
@@ -103,24 +102,13 @@ def _fmt(v) -> str:
 
 
 def _mpc_flat(m: MpcConfig) -> dict:
-    """[mpc]: the arguments of ``MpcConfig.default``, then the scalar fields."""
+    """[mpc]: the arguments of ``MpcConfig.default`` after ``veh``."""
     w = m.state_weight
     return {"horizon": m.horizon, "position_weight": float(w[0]),
             "velocity_weight": float(w[3]), "angle_weight": float(w[6]),
             "rate_weight": float(w[9]), "input_weight": float(m.input_weight[0]),
             "input_rate_weight": float(m.input_rate_weight[0]),
-            "u_min": float(m.u_min[0]), "u_max": float(m.u_max[0]),
-            "qp_max_iter": m.qp_max_iter, "qp_tol": m.qp_tol, "constrained": m.constrained}
-
-
-# the [mpc] keys that are arguments of MpcConfig.default (the rest are fields)
-_MPC_ARGS = frozenset(inspect.signature(MpcConfig.default).parameters) - {"veh"}
-
-
-def _mpc_build(values: dict, veh: par.VehicleParams) -> MpcConfig:
-    cfg = MpcConfig.default(veh, **{k: v for k, v in values.items() if k in _MPC_ARGS})
-    return replace(cfg, **{k: np.full(par.N_ROTORS, v) if k in ("u_min", "u_max") else v
-                           for k, v in values.items() if k not in _MPC_ARGS})
+            "qp_max_iter": m.qp_max_iter, "qp_tol": m.qp_tol}
 
 
 def _pid_flat(g: PidGains) -> dict:
@@ -194,8 +182,6 @@ _TABLES = {
 }
 # keys that pick a section's base object rather than set a value
 _SELECTORS = {("environment", "profile"), ("trajectory", "type")}
-_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
-          **dict.fromkeys(("false", "no", "off", "0"), False)}
 
 
 def _read_ini(path) -> configparser.ConfigParser:
@@ -259,16 +245,13 @@ class _Reader:
         kind = type(default)
         if kind is str:
             return raw
-        if kind is bool:
-            value, what = _BOOLS.get(raw.strip().lower()), "a boolean"
-        else:
-            what = "an integer" if kind is int else "a number"
-            try:
-                value = kind(raw)
-            except ValueError:
-                value = None
-            if kind is float and value is not None and not math.isfinite(value):
-                value, what = None, "a finite number"
+        what = "an integer" if kind is int else "a number"
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = None
+        if kind is float and value is not None and not math.isfinite(value):
+            value, what = None, "a finite number"
         if value is None:
             self.problems.append(f"{section}.{key} must be {what}, got {raw!r}")
         return value
@@ -323,7 +306,7 @@ def load_config(path, overrides=()) -> ScenarioConfig:
                           f"got {profile!r}")
     veh = r.build("vehicle", lambda v: replace(_VEHICLE_DEFAULT, **v), prefix=False)
     if veh is not None:
-        mpc_cfg = r.build("mpc", lambda v: _mpc_build(v, veh))
+        mpc_cfg = r.build("mpc", lambda v: MpcConfig.default(veh, **v))
     pid_gains = r.build("pid", _pid_build)
 
     traj_type = r.choice("trajectory", "type", "constant")

@@ -20,22 +20,19 @@ from .params import N_ROTORS, EnvParams, VehicleParams
 __all__ = ["LinearModel", "linearize_hover", "discretize", "numeric_jacobian"]
 
 N_STATES = 12
-N_OUTPUTS = 4
+N_OUTPUTS = 4  # a reference sample: x, y, z, psi
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    """State-space model (x' = Ax + Bu, y = Cx) about a reference pair.
+    """State-space model (x' = Ax + Bu) about a reference pair.
 
     ``dt == 0`` marks a continuous model; after discretization ``dt`` is the
-    sampling time and A, B hold the discrete transition/input maps. The
-    output y = (x, y, z, psi) is the controlled position-and-heading vector.
+    sampling time and A, B hold the discrete transition/input maps.
     """
 
     A: np.ndarray   # 12x12
     B: np.ndarray   # 12x8
-    C: np.ndarray   # 4x12
-    D: np.ndarray   # 4x8, always zero
     x_ref: np.ndarray  # 12, linearization state
     u_ref: np.ndarray  # 8, linearization input (squared speeds)
     dt: float          # s, 0 for continuous
@@ -43,10 +40,6 @@ class LinearModel:
     def __post_init__(self):
         if self.A.shape != (N_STATES, N_STATES) or self.B.shape != (N_STATES, N_ROTORS):
             raise ValueError("A must be 12x12 and B 12x8")
-        if self.C.shape != (N_OUTPUTS, N_STATES) or self.D.shape != (N_OUTPUTS, N_ROTORS):
-            raise ValueError("C must be 4x12 and D 4x8")
-        if np.any(self.D != 0.0):
-            raise ValueError("D must be identically zero")
         if self.dt < 0:
             raise ValueError(f"dt must be >= 0, got {self.dt}")
         if self.dt == 0.0:
@@ -59,17 +52,8 @@ class LinearModel:
         return self.dt == 0.0
 
 
-def _output_matrix() -> np.ndarray:
-    c = np.zeros((N_OUTPUTS, N_STATES))
-    c[0, 0] = 1.0  # x
-    c[1, 1] = 1.0  # y
-    c[2, 2] = 1.0  # z
-    c[3, 8] = 1.0  # psi
-    return c
-
-
 def linearize_hover(veh: VehicleParams, env: EnvParams) -> LinearModel:
-    """Analytic continuous (A, B, C, D) about the hover equilibrium.
+    """Analytic continuous (A, B) about the hover equilibrium.
 
     ``veh.linear_drag`` is left out: the plant's -drag/mass velocity terms
     would put nonzero entries on A's velocity diagonal, and the exact
@@ -96,8 +80,6 @@ def linearize_hover(veh: VehicleParams, env: EnvParams) -> LinearModel:
     return LinearModel(
         A=a,
         B=b,
-        C=_output_matrix(),
-        D=np.zeros((N_OUTPUTS, N_ROTORS)),
         x_ref=np.zeros(N_STATES),
         u_ref=dynamics.hover_command(veh, env),
         dt=0.0,

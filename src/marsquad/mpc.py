@@ -51,8 +51,7 @@ class MpcConfig:
 
     ``state_weight`` / ``input_weight`` / ``input_rate_weight`` are the
     diagonals of the per-step weighting matrices. Input bounds are absolute
-    squared rotor speeds; ``constrained=False`` solves the unconstrained QP
-    and only clips the applied command.
+    squared rotor speeds.
     """
 
     horizon: int
@@ -63,7 +62,6 @@ class MpcConfig:
     u_max: np.ndarray              # (8,), rad^2/s^2
     qp_max_iter: int = 100
     qp_tol: float = 1e-9
-    constrained: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "state_weight", np.asarray(self.state_weight, dtype=float))
@@ -97,7 +95,12 @@ class MpcConfig:
                 angle_weight: float = 5.0,
                 rate_weight: float = 2.0,
                 input_weight: float = 2e-9,
-                input_rate_weight: float = 2e-8) -> "MpcConfig":
+                input_rate_weight: float = 2e-8,
+                **solver) -> "MpcConfig":
+        """These weights over ``horizon`` steps, in the box [0, max_rotor_speed^2].
+
+        ``solver`` may set ``qp_max_iter`` and ``qp_tol``.
+        """
         mx = np.array([position_weight] * 3 + [velocity_weight] * 3
                       + [angle_weight] * 3 + [rate_weight] * 3)
         return cls(
@@ -107,6 +110,7 @@ class MpcConfig:
             input_rate_weight=np.full(N_ROTORS, input_rate_weight),
             u_min=np.zeros(N_ROTORS),
             u_max=np.full(N_ROTORS, veh.max_rotor_speed ** 2),
+            **solver,
         )
 
 
@@ -332,7 +336,7 @@ class MpcController:
     Holds the prediction operators, the constant cost Hessian with its
     Cholesky factor (both from ``build_cost``), the state weights tiled
     over the horizon (``state_weights``) and the QP's input box
-    (``lower``, ``upper``, unbounded when ``cfg.constrained`` is false),
+    (``lower``, ``upper``),
     plus the per-loop memory: the last applied input ``u_prev``, the QP
     warm start ``warm_start`` and ``last_qp_iters``.
     One instance drives one closed loop.
@@ -349,12 +353,8 @@ class MpcController:
         self.pred = build_prediction(model, cfg.horizon)
         self.hessian, self.chol = build_cost(self.pred, cfg)
         self.state_weights = np.tile(cfg.state_weight, cfg.horizon)
-        if cfg.constrained:
-            self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
-            self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
-        else:
-            self.lower = np.full(N_ROTORS * cfg.horizon, -np.inf)
-            self.upper = np.full(N_ROTORS * cfg.horizon, np.inf)
+        self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
+        self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
         self.reset()
 
     def reset(self):

@@ -140,7 +140,9 @@ class Metrics:
     settling_time: float               # s, 2 percent band; inf if never settles
     steady_state_error: float          # m, worst axis over the last 10 percent
     control_effort: float              # sum |u - u_hover|^2 * dt
-    constraint_violations: int         # commands outside the box; 0 expected
+    # steps whose command, after the controller clipped it, leaves
+    # [0, max_rotor_speed^2]: 0 for every run load_config can build
+    constraint_violations: int
 
     def as_dict(self) -> dict:
         return {

@@ -221,6 +221,24 @@ class TestSnapshot:
         snap.write_text(config_snapshot(cfg))
         assert_same(load_config(snap), cfg)
 
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_reloaded_snapshot_takes_the_box_from_the_vehicle(self, tmp_path, name):
+        snap = tmp_path / f"{name}.cfg"
+        snap.write_text(config_snapshot(load_config(scenario_path(name))))
+        cfg = load_config(snap, ["vehicle.max_rotor_speed=260"])
+        assert np.all(cfg.mpc.u_min == 0.0)
+        assert np.all(cfg.mpc.u_max == 260.0 ** 2)
+
+    def test_reloaded_snapshot_flies_inside_the_vehicle_box(self, tmp_path):
+        snap = tmp_path / "step_xyz.cfg"
+        snap.write_text(config_snapshot(load_config(scenario_path("step_xyz"))))
+        cfg = load_config(snap, ["vehicle.max_rotor_speed=260", "trajectory.z=4",
+                                 "sim.duration=6"])
+        log, metrics = cli.run_scenario(cfg, "mpc", tmp_path / "out")
+        assert len(log) == 300
+        assert log.commands.max() <= 260.0 ** 2
+        assert metrics.constraint_violations == 0
+
     def test_reader_accepts_the_keys_the_snapshot_writes(self, bare_cfg):
         accepted = {section: set(table) for section, table in config._TABLES.items()}
         for section, key in config._SELECTORS:
@@ -289,6 +307,16 @@ class TestCli:
         assert rc == 2
         assert "sim.duration must be a finite number, got 'inf'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_negative_seed_rejected(self, tmp_path, minimal_cfg, capsys, monkeypatch, verb):
+        # [sim] outdir is relative, so a run would write under tmp_path
+        monkeypatch.chdir(tmp_path)
+        argv = {"validate": ["validate", "--config", str(minimal_cfg), "--set", "sim.seed=-1"],
+                "run": ["run", "--config", str(minimal_cfg), "--seed", "-1"]}[verb]
+        assert cli.main(argv) == 2
+        assert "[sim] seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_run_missing_config_no_outputs(self, tmp_path, capsys):
         out = tmp_path / "results"
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
@@ -341,6 +369,17 @@ class TestCli:
         assert rc == 0
         assert (out / "a" / "mpc" / "log.csv").is_file()
         assert (out / "b" / "mpc" / "log.csv").is_file()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, minimal_cfg, capsys, monkeypatch,
+                                          jobs):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # no pool may be made
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", str(minimal_cfg), "--jobs", jobs, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: marsquad sweep")
+        assert f"argument --jobs: must be >= 1, got {jobs}" in err
 
     def test_sweep_rejects_invalid_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marsquad import dynamics, linmodel, params
-from marsquad.linmodel import LinearModel, discretize, linearize_hover, numeric_jacobian
+from marsquad.linmodel import discretize, linearize_hover, numeric_jacobian
 
 ENV = params.MARS
 VEH = params.VehicleParams.default()
@@ -43,22 +43,9 @@ class TestContinuousModel:
         assert np.allclose(cont_model.B[11],
                            VEH.torque_coeff / VEH.inertia_zz * np.array([-1, 1, -1, 1, -1, 1, -1, 1]))
 
-    def test_output_selects_position_and_heading(self, cont_model):
-        y = cont_model.C @ cont_model.x_ref
-        assert np.allclose(y, 0.0)
-        picked = np.nonzero(cont_model.C)[1]
-        assert list(picked) == [0, 1, 2, 8]
-
     def test_a_is_nilpotent(self, cont_model):
         a4 = np.linalg.matrix_power(cont_model.A, 4)
         assert not a4.any()
-
-    def test_d_must_be_zero(self, cont_model):
-        d = np.zeros((4, 8))
-        d[0, 0] = 1.0
-        with pytest.raises(ValueError, match="D"):
-            LinearModel(cont_model.A, cont_model.B, cont_model.C, d,
-                        cont_model.x_ref, cont_model.u_ref, 0.0)
 
     def test_controllable(self, cont_model):
         blocks = [cont_model.B]

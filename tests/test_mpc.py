@@ -352,15 +352,17 @@ class TestMpcStep:
         assert np.all(u >= cfg.u_min)
         assert np.all(u <= cfg.u_max)
 
-    def test_unconstrained_mode_still_clips_output(self, disc_model):
-        cfg = MpcConfig.default(VEH, horizon=10)
-        cfg = MpcConfig(**{**cfg.__dict__, "constrained": False})
-        ctrl = MpcController(disc_model, cfg, VEH, ENV)
+    def test_box_follows_the_vehicle_and_binds(self):
+        veh = dataclasses.replace(VEH, max_rotor_speed=260.0)
+        model = linmodel.discretize(linmodel.linearize_hover(veh, ENV), 0.02)
+        ctrl = MpcController(model, MpcConfig.default(veh, horizon=10), veh, ENV)
         refs = np.zeros((10, 4))
         refs[:, 2] = 50.0  # absurd climb demand
         u = mpc_step(np.zeros(12), refs, ctrl)
-        assert np.all(u <= cfg.u_max + 1e-12)
-        assert np.all(u >= cfg.u_min - 1e-12)
+        assert np.all((u >= 0.0) & (u <= 260.0 ** 2))
+        # later inputs of the plan ride on the vehicle's ceiling
+        assert np.array_equal(ctrl.upper, np.tile(260.0 ** 2 - model.u_ref, 10))
+        assert np.any(ctrl.warm_start == ctrl.upper)
 
     def test_rejects_continuous_model(self, cont_model, mpc_cfg):
         with pytest.raises(ValueError):
