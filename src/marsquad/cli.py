@@ -149,6 +149,14 @@ def _cmd_sweep(args) -> int:
         except ConfigError as err:
             print(f"{path}: {err}", file=sys.stderr)
             return 2
+    # a run writes under <out>/<name>/, so two configs there would overwrite each other
+    dests = {}
+    for path, cfg in zip(args.configs, configs):
+        dest = Path(args.out or cfg.sim.outdir) / cfg.name
+        if dest in dests:
+            print(f"error: {dests[dest]} and {path} both write to {dest}", file=sys.stderr)
+            return 2
+        dests[dest] = path
     tasks = [(cfg, args.out) for cfg in configs]
     failures = 0
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:

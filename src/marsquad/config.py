@@ -2,21 +2,19 @@
 
 Unknown sections or keys are rejected outright so a misspelled weight name
 fails loudly instead of silently running with defaults. Every parameter the
-simulation uses is representable in the file; the snapshot writer emits the
-fully resolved configuration so a run can be reproduced from its output
+simulation uses is representable in the file, and a file need only set the
+values that differ from the defaults; the snapshot writer emits the fully
+resolved configuration so a run can be reproduced from its output
 directory alone.
 
 One table per section holds its keys, their order, their types and their
 defaults, and it is derived from the section's default object: the fields
-of ``MARS``, ``VehicleParams.default()``, ``Disturbance()`` and
-``SimSettings()``, the flattened ``MpcConfig.default`` and
-``PidGains.default()``, and each trajectory factory's signature. A value
+of ``MARS``, ``VehicleParams.default()``, ``MpcConfig.default`` (less the
+input box, which comes from the vehicle), ``PidGains()``, ``Disturbance()``
+and ``SimSettings()``, and each trajectory factory's signature. A value
 parses as the type of its default, and a number must be finite. The schema
-check, the reader and ``config_snapshot`` all read these tables; where a
-section's object does not map one field to one key (``[mpc]``, ``[pid]``,
-``[disturbance]``), a ``_*_flat`` function gives its keys, and
-``MpcConfig.default`` or a ``_*_build`` function rebuilds the object from
-them.
+check, the reader and ``config_snapshot`` all read these tables; only
+``[disturbance]``'s pulse list has its own writer and parser.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import params as par
 from .mpc import MpcConfig
-from .pid import AxisGains, PidGains
+from .pid import PidGains
 from .simulator import Disturbance, Pulse
 from .trajectories import TRAJECTORIES, RefGenerator
 
@@ -101,35 +99,6 @@ def _fmt(v) -> str:
     return str(v).replace("\n", "\n    ")
 
 
-def _mpc_flat(m: MpcConfig) -> dict:
-    """[mpc]: the arguments of ``MpcConfig.default`` after ``veh``."""
-    w = m.state_weight
-    return {"horizon": m.horizon, "position_weight": float(w[0]),
-            "velocity_weight": float(w[3]), "angle_weight": float(w[6]),
-            "rate_weight": float(w[9]), "input_weight": float(m.input_weight[0]),
-            "input_rate_weight": float(m.input_rate_weight[0]),
-            "qp_max_iter": m.qp_max_iter, "qp_tol": m.qp_tol}
-
-
-def _pid_flat(g: PidGains) -> dict:
-    """[pid]: ``<axis>_kp``, ``_ki``, ``_kd`` for each axis, then the clamps."""
-    out = {}
-    for name, v in _fields(g).items():
-        if isinstance(v, AxisGains):
-            out.update((f"{name}_{k}", x) for k, x in v._asdict().items())
-        else:
-            out[name] = v
-    return out
-
-
-def _pid_build(values: dict) -> PidGains:
-    full = {**_TABLES["pid"], **values}
-    return PidGains(**{
-        name: AxisGains(*(full[f"{name}_{k}"] for k in AxisGains._fields))
-        if isinstance(v, AxisGains) else full[name]
-        for name, v in _fields(_PID_DEFAULT).items()})
-
-
 def _dist_flat(d: Disturbance) -> dict:
     """[disturbance]: the fields, with the pulses written as one string."""
     pulses = "; ".join(" ".join(_fmt(v) for v in (p.t_start, p.t_end, *p.force, *p.torque))
@@ -159,7 +128,6 @@ def _dist_build(values: dict) -> Disturbance:
 
 _PROFILES = {"mars": par.MARS, "earth": par.EARTH}
 _VEHICLE_DEFAULT = par.VehicleParams.default()
-_PID_DEFAULT = PidGains.default()
 # each trajectory type's parameters and defaults: its factory's signature
 _TRAJ_PARAMS = {kind: {p.name: p.default for p in inspect.signature(factory).parameters.values()}
                 for kind, factory in TRAJECTORIES.items()}
@@ -169,8 +137,10 @@ _TABLES = {
     "scenario": {"description": ""},
     "environment": _fields(par.MARS),
     "vehicle": _fields(_VEHICLE_DEFAULT),
-    "mpc": _mpc_flat(MpcConfig.default(_VEHICLE_DEFAULT)),
-    "pid": _pid_flat(_PID_DEFAULT),
+    # the input box is not a key: MpcConfig.default takes it from [vehicle]
+    "mpc": {k: v for k, v in _fields(MpcConfig.default(_VEHICLE_DEFAULT)).items()
+            if k not in ("u_min", "u_max")},
+    "pid": _fields(PidGains()),
     "trajectory": {k: v for params in _TRAJ_PARAMS.values() for k, v in params.items()},
     "disturbance": _dist_flat(Disturbance()),
     "sim": _fields(SimSettings()),
@@ -307,7 +277,7 @@ def load_config(path, overrides=()) -> ScenarioConfig:
     veh = r.build("vehicle", lambda v: replace(_VEHICLE_DEFAULT, **v), prefix=False)
     if veh is not None:
         mpc_cfg = r.build("mpc", lambda v: MpcConfig.default(veh, **v))
-    pid_gains = r.build("pid", _pid_build)
+    pid_gains = r.build("pid", lambda v: PidGains(**v))
 
     traj_type = r.choice("trajectory", "type", "constant")
     traj_params = {}
@@ -364,8 +334,8 @@ def config_snapshot(cfg: ScenarioConfig) -> str:
         "scenario": {"description": cfg.description},
         "environment": _fields(cfg.env),
         "vehicle": _fields(cfg.veh),
-        "mpc": _mpc_flat(cfg.mpc),
-        "pid": _pid_flat(cfg.pid),
+        "mpc": {k: getattr(cfg.mpc, k) for k in _TABLES["mpc"]},
+        "pid": _fields(cfg.pid),
         "trajectory": {"type": cfg.traj_type, **dict(sorted(cfg.traj_params.items()))},
         "disturbance": _dist_flat(cfg.disturbance),
         "sim": _fields(cfg.sim),

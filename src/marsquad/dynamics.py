@@ -26,10 +26,6 @@ import numpy as np
 from .params import N_ROTORS, EnvParams, VehicleParams, hover_thrust
 
 __all__ = [
-    "POS",
-    "VEL",
-    "ANG",
-    "RATE",
     "Wrench",
     "AllocationSaturated",
     "AllocationInfeasible",
@@ -41,13 +37,6 @@ __all__ = [
     "state_derivative",
     "hover_command",
 ]
-
-# slices into the 12-state vector
-POS = slice(0, 3)
-VEL = slice(3, 6)
-ANG = slice(6, 9)
-RATE = slice(9, 12)
-
 
 class Wrench(NamedTuple):
     """Total thrust, body moments, and net rotor speed produced by the rotors."""

@@ -45,39 +45,40 @@ class QpMaxIterations(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MpcConfig:
     """Horizon, weights, and input box for the predictive controller.
 
-    ``state_weight`` / ``input_weight`` / ``input_rate_weight`` are the
-    diagonals of the per-step weighting matrices. Input bounds are absolute
-    squared rotor speeds.
+    The fields before the box are the ``[mpc]`` config keys. The four state
+    weights set the diagonal of the per-step state weighting matrix, each on
+    its three states (``state_weight``); ``input_weight`` and
+    ``input_rate_weight`` set every rotor's entry of the input and
+    input-rate diagonals. Input bounds are absolute squared rotor speeds.
     """
 
-    horizon: int
-    state_weight: np.ndarray       # (12,), >= 0
-    input_weight: np.ndarray       # (8,), > 0
-    input_rate_weight: np.ndarray  # (8,), >= 0
-    u_min: np.ndarray              # (8,), rad^2/s^2
-    u_max: np.ndarray              # (8,), rad^2/s^2
+    horizon: int = 60
+    position_weight: float = 10.0    # >= 0
+    velocity_weight: float = 5.0     # >= 0
+    angle_weight: float = 5.0        # >= 0
+    rate_weight: float = 2.0         # >= 0
+    input_weight: float = 2e-9       # > 0
+    input_rate_weight: float = 2e-8  # >= 0
     qp_max_iter: int = 100
     qp_tol: float = 1e-9
+    u_min: np.ndarray                # (8,), rad^2/s^2
+    u_max: np.ndarray                # (8,), rad^2/s^2
 
     def __post_init__(self):
-        object.__setattr__(self, "state_weight", np.asarray(self.state_weight, dtype=float))
-        object.__setattr__(self, "input_weight", np.asarray(self.input_weight, dtype=float))
-        object.__setattr__(self, "input_rate_weight",
-                           np.asarray(self.input_rate_weight, dtype=float))
         object.__setattr__(self, "u_min", np.asarray(self.u_min, dtype=float))
         object.__setattr__(self, "u_max", np.asarray(self.u_max, dtype=float))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.state_weight.shape != (N_STATES,) or np.any(self.state_weight < 0):
-            raise ValueError("state_weight must be a nonnegative 12-vector")
-        if self.input_weight.shape != (N_ROTORS,) or np.any(self.input_weight <= 0):
-            raise ValueError("input_weight must be a strictly positive 8-vector")
-        if self.input_rate_weight.shape != (N_ROTORS,) or np.any(self.input_rate_weight < 0):
-            raise ValueError("input_rate_weight must be a nonnegative 8-vector")
+        for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
+                     "input_rate_weight"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.input_weight <= 0:
+            raise ValueError(f"input_weight must be > 0, got {self.input_weight}")
         if self.u_min.shape != (N_ROTORS,) or self.u_max.shape != (N_ROTORS,):
             raise ValueError("u_min and u_max must be 8-vectors")
         if np.any(self.u_min >= self.u_max):
@@ -87,31 +88,17 @@ class MpcConfig:
         if self.qp_tol <= 0:
             raise ValueError("qp_tol must be > 0")
 
-    @classmethod
-    def default(cls, veh: VehicleParams,
-                horizon: int = 60,
-                position_weight: float = 10.0,
-                velocity_weight: float = 5.0,
-                angle_weight: float = 5.0,
-                rate_weight: float = 2.0,
-                input_weight: float = 2e-9,
-                input_rate_weight: float = 2e-8,
-                **solver) -> "MpcConfig":
-        """These weights over ``horizon`` steps, in the box [0, max_rotor_speed^2].
+    @property
+    def state_weight(self) -> np.ndarray:
+        """The (12,) state diagonal: position, velocity, angle, rate weights."""
+        return np.repeat(np.array([self.position_weight, self.velocity_weight,
+                                   self.angle_weight, self.rate_weight], dtype=float), 3)
 
-        ``solver`` may set ``qp_max_iter`` and ``qp_tol``.
-        """
-        mx = np.array([position_weight] * 3 + [velocity_weight] * 3
-                      + [angle_weight] * 3 + [rate_weight] * 3)
-        return cls(
-            horizon=horizon,
-            state_weight=mx,
-            input_weight=np.full(N_ROTORS, input_weight),
-            input_rate_weight=np.full(N_ROTORS, input_rate_weight),
-            u_min=np.zeros(N_ROTORS),
-            u_max=np.full(N_ROTORS, veh.max_rotor_speed ** 2),
-            **solver,
-        )
+    @classmethod
+    def default(cls, veh: VehicleParams, **keys) -> "MpcConfig":
+        """These ``[mpc]`` keys, in the box [0, max_rotor_speed^2]."""
+        return cls(u_min=np.zeros(N_ROTORS), u_max=np.full(N_ROTORS, veh.max_rotor_speed ** 2),
+                   **keys)
 
 
 @dataclass(frozen=True)
@@ -182,8 +169,8 @@ def build_cost(pred: Prediction, cfg: MpcConfig):
     """
     n = cfg.horizon
     mx = np.tile(cfg.state_weight, n)
-    mu = np.tile(cfg.input_weight, n)
-    mdu = np.tile(cfg.input_rate_weight, n)
+    mu = np.full(N_ROTORS * n, cfg.input_weight)
+    mdu = np.full(N_ROTORS * n, cfg.input_rate_weight)
 
     h = pred.H
     hessian = h.T @ (mx[:, None] * h) + np.diag(mu) + _rate_penalty(mdu)

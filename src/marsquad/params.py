@@ -119,22 +119,21 @@ class VehicleParams:
     @classmethod
     def default(cls) -> "VehicleParams":
         # Thrust coefficient calibrated from a 15.67 N coaxial-pair force
-        # measurement at 2800 rpm; torque coefficient set to a typical
-        # 0.1 * thrust_coeff * rotor_radius thrust-to-torque ratio.
-        # 1.12 m blade span gives a 0.56 m radius, which keeps the tip
-        # subsonic on Mars over the whole speed range (see README).
-        kt = 9.11e-5
-        radius = 0.56
+        # measurement at 2800 rpm. 1.12 m blade span gives a 0.56 m radius,
+        # which keeps the tip subsonic on Mars over the whole speed range
+        # (see README).
         return cls(
             mass=12.0,
             arm_length=1.3,
-            rotor_radius=radius,
+            rotor_radius=0.56,
             inertia_xx=1.2,
             inertia_yy=1.2,
             inertia_zz=2.2,
             rotor_inertia=0.02,
-            thrust_coeff=kt,
-            torque_coeff=0.1 * kt * radius,
+            thrust_coeff=9.11e-5,
+            # a typical thrust-to-torque ratio, 0.1 * thrust_coeff *
+            # rotor_radius, to five digits
+            torque_coeff=5.1016e-6,
             linear_drag=0.0,
             max_rotor_speed=rpm_to_rad_s(2800.0),
         )

@@ -10,8 +10,7 @@ rates rather than error derivatives, so setpoint steps do not kick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,52 +18,48 @@ from . import dynamics
 from .params import EnvParams, VehicleParams
 from .trajectories import RefGenerator, ref_window
 
-__all__ = ["AxisGains", "PidGains", "PidMemory", "pid_step", "PidController"]
-
-
-class AxisGains(NamedTuple):
-    kp: float
-    ki: float
-    kd: float
+__all__ = ["PidGains", "PidMemory", "pid_step", "PidController"]
 
 
 @dataclass(frozen=True)
 class PidGains:
-    """Per-axis gains plus the anti-windup and tilt safety clamps."""
+    """Per-axis gains plus the anti-windup and tilt safety clamps.
 
-    x: AxisGains
-    y: AxisGains
-    z: AxisGains
-    roll: AxisGains
-    pitch: AxisGains
-    yaw: AxisGains
+    The fields are the ``[pid]`` config keys. The defaults are hand-tuned on
+    the simultaneous step scenario: stable and settling, with the corner
+    overshoot a single gain set cannot avoid.
+    """
+
+    x_kp: float = 0.30
+    x_ki: float = 0.01
+    x_kd: float = 0.35
+    y_kp: float = 0.30
+    y_ki: float = 0.01
+    y_kd: float = 0.35
+    z_kp: float = 2.2
+    z_ki: float = 0.3
+    z_kd: float = 3.2
+    roll_kp: float = 40.0
+    roll_ki: float = 0.5
+    roll_kd: float = 12.0
+    pitch_kp: float = 40.0
+    pitch_ki: float = 0.5
+    pitch_kd: float = 12.0
+    yaw_kp: float = 20.0
+    yaw_ki: float = 0.2
+    yaw_kd: float = 10.0
     integrator_limit: float = 1.0   # clamp on each integrated error
     max_tilt: float = 0.35          # rad, ceiling on commanded roll/pitch
 
     def __post_init__(self):
-        for name in ("x", "y", "z", "roll", "pitch", "yaw"):
-            gains = getattr(self, name)
-            if any(g < 0 or not math.isfinite(g) for g in gains):
-                raise ValueError(f"gains for axis {name} must be finite and >= 0")
+        for f in fields(self)[:-2]:  # the gains, before the two clamps
+            g = getattr(self, f.name)
+            if not (g >= 0 and math.isfinite(g)):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {g}")
         if self.integrator_limit <= 0:
             raise ValueError("integrator_limit must be > 0")
         if not 0.0 < self.max_tilt <= math.pi / 4:
             raise ValueError("max_tilt must lie in (0, pi/4]")
-
-    @classmethod
-    def default(cls) -> "PidGains":
-        # hand-tuned on the simultaneous step scenario: stable and settling,
-        # with the corner overshoot a single gain set cannot avoid
-        return cls(
-            x=AxisGains(0.30, 0.01, 0.35),
-            y=AxisGains(0.30, 0.01, 0.35),
-            z=AxisGains(2.2, 0.3, 3.2),
-            roll=AxisGains(40.0, 0.5, 12.0),
-            pitch=AxisGains(40.0, 0.5, 12.0),
-            yaw=AxisGains(20.0, 0.2, 10.0),
-            integrator_limit=1.0,
-            max_tilt=0.35,
-        )
 
 
 @dataclass
@@ -111,10 +106,10 @@ def pid_step(x_now: np.ndarray, ref: np.ndarray, gains: PidGains, dt: float,
     new_int[2] = _clamp(new_int[2] + ez * dt, -lim, lim)
 
     theta_des = _clamp(
-        gains.x.kp * e_bx + gains.x.ki * new_int[0] - gains.x.kd * v_bx,
+        gains.x_kp * e_bx + gains.x_ki * new_int[0] - gains.x_kd * v_bx,
         -gains.max_tilt, gains.max_tilt)
     phi_des = _clamp(
-        -(gains.y.kp * e_by + gains.y.ki * new_int[1] - gains.y.kd * v_by),
+        -(gains.y_kp * e_by + gains.y_ki * new_int[1] - gains.y_kd * v_by),
         -gains.max_tilt, gains.max_tilt)
 
     e_phi = phi_des - s[6]
@@ -123,11 +118,11 @@ def pid_step(x_now: np.ndarray, ref: np.ndarray, gains: PidGains, dt: float,
     new_int[4] = _clamp(new_int[4] + e_theta * dt, -lim, lim)
     new_int[5] = _clamp(new_int[5] + e_psi * dt, -lim, lim)
 
-    climb_acc = gains.z.kp * ez + gains.z.ki * new_int[2] - gains.z.kd * s[5]
+    climb_acc = gains.z_kp * ez + gains.z_ki * new_int[2] - gains.z_kd * s[5]
     thrust = max(veh.mass * (env.gravity + climb_acc), 0.0)
-    roll_m = gains.roll.kp * e_phi + gains.roll.ki * new_int[3] - gains.roll.kd * s[9]
-    pitch_m = gains.pitch.kp * e_theta + gains.pitch.ki * new_int[4] - gains.pitch.kd * s[10]
-    yaw_m = gains.yaw.kp * e_psi + gains.yaw.ki * new_int[5] - gains.yaw.kd * s[11]
+    roll_m = gains.roll_kp * e_phi + gains.roll_ki * new_int[3] - gains.roll_kd * s[9]
+    pitch_m = gains.pitch_kp * e_theta + gains.pitch_ki * new_int[4] - gains.pitch_kd * s[10]
+    yaw_m = gains.yaw_kp * e_psi + gains.yaw_ki * new_int[5] - gains.yaw_kd * s[11]
 
     try:
         cmd = dynamics.allocate(np.array([thrust, roll_m, pitch_m, yaw_m]), veh)

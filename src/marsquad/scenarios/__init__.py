@@ -1,9 +1,11 @@
 """Shipped scenario files and helpers to enumerate them.
 
-Each ``*.cfg`` file in this directory is a complete, validated scenario in
-the format documented in ``marsquad.config``. They are the single source of
-truth for the acceptance runs; the thresholds each run must meet live in
-the file's ``[acceptance]`` section.
+Each ``*.cfg`` file in this directory is a validated scenario in the format
+documented in ``marsquad.config``. A file sets only what its experiment
+changes from the code defaults; a run's ``config.ini`` holds every resolved
+value. The files are the single source of truth for the acceptance runs;
+the thresholds each run must meet live in the file's ``[acceptance]``
+section.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Acceptance suite: every criterion below runs at its stated tolerance and
 prints one pass/fail line (run with ``pytest -s`` to see them inline).
 
-The closed-loop criteria read every physical parameter and threshold from
-the shipped scenario files, never from constants in this module.
+The closed-loop criteria take every physical parameter and threshold
+through ``load_config`` of a shipped scenario file: the values the file
+sets, and the code defaults for the rest. None comes from constants in
+this module.
 """
 
 import itertools

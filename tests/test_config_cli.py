@@ -10,6 +10,8 @@ import pytest
 from marsquad import cli, config, params
 from marsquad.config import (ConfigError, config_snapshot, derived_report, load_config,
                              parse_overrides)
+from marsquad.mpc import MpcConfig
+from marsquad.pid import PidGains
 from marsquad.scenarios import list_scenarios, scenario_names, scenario_path
 from marsquad.trajectories import TRAJECTORIES
 
@@ -59,6 +61,13 @@ def assert_same(a, b):
             assert_same(x, y)
     else:
         assert a == b
+
+
+def snapshot_section(cfg, section):
+    """One section of a config's snapshot, as a dict of strings."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(config_snapshot(cfg))
+    return dict(parser[section])
 
 
 class TestLoading:
@@ -154,6 +163,17 @@ class TestLoading:
         with pytest.raises(ConfigError) as exc:
             load_config(bare_cfg, extra + [f"{key}={raw}"])
         assert exc.value.problems == [f"{key} must be a finite number, got {raw!r}"]
+
+    @pytest.mark.parametrize("key, raw, problem", [
+        ("mpc.position_weight", "-1", "position_weight must be >= 0, got -1.0"),
+        ("mpc.input_weight", "0", "input_weight must be > 0, got 0.0"),
+        ("pid.yaw_kd", "-0.5", "yaw_kd must be finite and >= 0, got -0.5"),
+    ])
+    def test_bad_weight_or_gain_names_its_key(self, bare_cfg, key, raw, problem):
+        section = key.split(".")[0]
+        with pytest.raises(ConfigError) as exc:
+            load_config(bare_cfg, [f"{key}={raw}"])
+        assert exc.value.problems == [f"[{section}] {problem}"]
 
 
 class TestOverrides:
@@ -282,6 +302,30 @@ class TestShippedScenarios:
             cfg = load_config(scenario_path(name))
             assert cfg.name == name
 
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario_flies_the_default_craft_and_tuning(self, name):
+        cfg = load_config(scenario_path(name))
+        assert cfg.veh == params.VehicleParams.default()
+        assert cfg.pid == PidGains()
+        default = dataclasses.replace(cfg, mpc=MpcConfig.default(cfg.veh))
+        assert snapshot_section(cfg, "mpc") == snapshot_section(default, "mpc")
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario_sets_no_key_to_its_default(self, tmp_path, name):
+        # such a key is a second copy of its default: dropping it must change the run
+        text = config_snapshot(load_config(scenario_path(name)))
+        parser = config._read_ini(scenario_path(name))
+        for section in parser.sections():
+            for key in parser[section]:
+                if (section, key) in config._SELECTORS:
+                    continue
+                trimmed = config._read_ini(scenario_path(name))
+                trimmed.remove_option(section, key)
+                path = tmp_path / f"{name}.cfg"
+                with open(path, "w") as fh:
+                    trimmed.write(fh)
+                assert config_snapshot(load_config(path)) != text, f"{section}.{key}"
+
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             scenario_path("warp_drive")
@@ -380,6 +424,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: marsquad sweep")
         assert f"argument --jobs: must be >= 1, got {jobs}" in err
+
+    def test_sweep_rejects_two_configs_with_one_name(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # no pool may be made
+        first, second = tmp_path / "a" / "x.cfg", tmp_path / "b" / "x.cfg"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_text(MINIMAL)
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", str(first), str(second), "--jobs", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err
+        assert not out.exists()
 
     def test_sweep_rejects_invalid_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -85,8 +85,8 @@ class TestPrediction:
 
 class TestCost:
     def test_pure_input_penalty_centers_at_reference(self, disc_model):
-        cfg = MpcConfig(horizon=4, state_weight=np.zeros(12),
-                        input_weight=np.ones(8), input_rate_weight=np.zeros(8),
+        cfg = MpcConfig(horizon=4, position_weight=0.0, velocity_weight=0.0, angle_weight=0.0,
+                        rate_weight=0.0, input_weight=1.0, input_rate_weight=0.0,
                         u_min=np.zeros(8), u_max=np.full(8, 1e6))
         ctrl = MpcController(disc_model, cfg, VEH, ENV)
         g = ctrl.gradient(np.ones(12), np.zeros((4, 4)))
@@ -96,8 +96,8 @@ class TestCost:
     def test_horizon_one_closed_form(self, disc_model):
         # with a one-step window the inputs cannot affect any penalized state,
         # so the minimizer balances the input and rate penalties alone
-        cfg = MpcConfig(horizon=1, state_weight=np.full(12, 3.0),
-                        input_weight=np.full(8, 2.0), input_rate_weight=np.full(8, 5.0),
+        cfg = MpcConfig(horizon=1, position_weight=3.0, velocity_weight=3.0, angle_weight=3.0,
+                        rate_weight=3.0, input_weight=2.0, input_rate_weight=5.0,
                         u_min=np.zeros(8), u_max=np.full(8, 1e6))
         ctrl = MpcController(disc_model, cfg, VEH, ENV)
         ctrl.u_prev = disc_model.u_ref + np.linspace(-1, 1, 8)
@@ -117,8 +117,8 @@ class TestCost:
 
         cfg, pred, x_ref = ctrl.cfg, ctrl.pred, disc_model.x_ref
         mx = np.diag(np.tile(cfg.state_weight, n))
-        mu = np.diag(np.tile(cfg.input_weight, n))
-        mdu = np.diag(np.tile(cfg.input_rate_weight, n))
+        mu = np.diag(np.full(8 * n, cfg.input_weight))
+        mdu = np.diag(np.full(8 * n, cfg.input_rate_weight))
         diff = np.eye(8 * n)
         for i in range(1, n):
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
@@ -138,8 +138,8 @@ class TestCost:
         cfg, pred = horizon_ctrl.cfg, horizon_ctrl.pred
         n = cfg.horizon
         mx = np.tile(cfg.state_weight, n)
-        mu = np.tile(cfg.input_weight, n)
-        mdu = np.tile(cfg.input_rate_weight, n)
+        mu = np.full(8 * n, cfg.input_weight)
+        mdu = np.full(8 * n, cfg.input_rate_weight)
         diff = np.eye(8 * n)
         for i in range(1, n):
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
@@ -464,18 +464,15 @@ class TestClosedLoopLinear:
 class TestConfigValidation:
     def test_requires_positive_input_weight(self):
         with pytest.raises(ValueError):
-            MpcConfig(horizon=5, state_weight=np.ones(12), input_weight=np.zeros(8),
-                      input_rate_weight=np.zeros(8), u_min=np.zeros(8),
+            MpcConfig(horizon=5, input_weight=0.0, input_rate_weight=0.0, u_min=np.zeros(8),
                       u_max=np.ones(8))
 
     def test_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
-            MpcConfig(horizon=5, state_weight=np.ones(12), input_weight=np.ones(8),
-                      input_rate_weight=np.zeros(8), u_min=np.ones(8),
+            MpcConfig(horizon=5, input_weight=1.0, input_rate_weight=0.0, u_min=np.ones(8),
                       u_max=np.ones(8))
 
     def test_requires_positive_horizon(self):
         with pytest.raises(ValueError):
-            MpcConfig(horizon=0, state_weight=np.ones(12), input_weight=np.ones(8),
-                      input_rate_weight=np.zeros(8), u_min=np.zeros(8),
+            MpcConfig(horizon=0, input_weight=1.0, input_rate_weight=0.0, u_min=np.zeros(8),
                       u_max=np.ones(8))

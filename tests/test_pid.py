@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from marsquad import dynamics, params
-from marsquad.pid import AxisGains, PidController, PidGains, PidMemory, pid_step
+from marsquad.pid import PidController, PidGains, PidMemory, pid_step
 from marsquad.trajectories import constant_ref
 
 ENV = params.MARS
 VEH = params.VehicleParams.default()
 U_HOVER = dynamics.hover_command(VEH, ENV)
 
-ZERO = AxisGains(0.0, 0.0, 0.0)
-ZERO_GAINS = PidGains(x=ZERO, y=ZERO, z=ZERO, roll=ZERO, pitch=ZERO, yaw=ZERO)
+ZERO_GAINS = PidGains(**{f"{axis}_{k}": 0.0 for axis in ("x", "y", "z", "roll", "pitch", "yaw")
+                         for k in ("kp", "ki", "kd")})
 
 
 def ref(x=0.0, y=0.0, z=0.0, psi=0.0):
@@ -21,7 +23,7 @@ def ref(x=0.0, y=0.0, z=0.0, psi=0.0):
 
 class TestEquilibrium:
     def test_zero_error_gives_hover_feedforward(self):
-        cmd = pid_step(np.zeros(12), ref(), PidGains.default(), 0.02,
+        cmd = pid_step(np.zeros(12), ref(), PidGains(), 0.02,
                        PidMemory(), VEH, ENV)
         assert np.allclose(cmd, U_HOVER, rtol=1e-12)
 
@@ -35,15 +37,14 @@ class TestEquilibrium:
 
 class TestChannels:
     def test_climb_error_raises_all_rotors_equally(self):
-        gains = PidGains(x=ZERO, y=ZERO, z=AxisGains(2.0, 0.0, 0.0),
-                         roll=ZERO, pitch=ZERO, yaw=ZERO)
+        gains = dataclasses.replace(ZERO_GAINS, z_kp=2.0)
         cmd = pid_step(np.zeros(12), ref(z=0.5), gains, 0.02, PidMemory(), VEH, ENV)
         assert cmd.max() - cmd.min() < 1e-9
         assert cmd[0] > U_HOVER[0]
 
     def test_forward_step_commands_positive_pitch(self):
         mem = PidMemory()
-        cmd = pid_step(np.zeros(12), ref(x=1.0), PidGains.default(), 0.02,
+        cmd = pid_step(np.zeros(12), ref(x=1.0), PidGains(), 0.02,
                        mem, VEH, ENV)
         phi_des, theta_des = mem.last_tilt_target
         assert theta_des > 0.0
@@ -53,7 +54,7 @@ class TestChannels:
 
     def test_left_step_commands_negative_roll(self):
         mem = PidMemory()
-        pid_step(np.zeros(12), ref(y=1.0), PidGains.default(), 0.02, mem, VEH, ENV)
+        pid_step(np.zeros(12), ref(y=1.0), PidGains(), 0.02, mem, VEH, ENV)
         phi_des, _ = mem.last_tilt_target
         assert phi_des < 0.0
 
@@ -63,7 +64,7 @@ class TestChannels:
         mem = PidMemory()
         state = np.zeros(12)
         state[8] = np.pi / 2
-        pid_step(state, ref(y=1.0), PidGains.default(), 0.02, mem, VEH, ENV)
+        pid_step(state, ref(y=1.0), PidGains(), 0.02, mem, VEH, ENV)
         phi_des, theta_des = mem.last_tilt_target
         assert theta_des > 0.01
         assert abs(phi_des) < 1e-9
@@ -72,12 +73,12 @@ class TestChannels:
 class TestSafety:
     def test_tilt_target_clamped(self):
         mem = PidMemory()
-        pid_step(np.zeros(12), ref(x=100.0), PidGains.default(), 0.02, mem, VEH, ENV)
+        pid_step(np.zeros(12), ref(x=100.0), PidGains(), 0.02, mem, VEH, ENV)
         _, theta_des = mem.last_tilt_target
-        assert theta_des == pytest.approx(PidGains.default().max_tilt)
+        assert theta_des == pytest.approx(PidGains().max_tilt)
 
     def test_integrators_bounded(self):
-        gains = PidGains.default()
+        gains = PidGains()
         mem = PidMemory()
         state = np.zeros(12)
         for _ in range(5000):
@@ -85,7 +86,7 @@ class TestSafety:
         assert np.all(np.abs(mem.integrals) <= gains.integrator_limit + 1e-12)
 
     def test_saturation_freezes_integrators(self):
-        gains = PidGains.default()
+        gains = PidGains()
         mem = PidMemory()
         # an enormous climb error saturates the allocation
         cmd = pid_step(np.zeros(12), ref(z=1000.0), gains, 0.02, mem, VEH, ENV)
@@ -93,7 +94,7 @@ class TestSafety:
         assert np.allclose(mem.integrals, 0.0)
 
     def test_command_within_bounds_under_stress(self):
-        gains = PidGains.default()
+        gains = PidGains()
         mem = PidMemory()
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -108,23 +109,20 @@ class TestSafety:
 class TestGainValidation:
     def test_rejects_negative_gains(self):
         with pytest.raises(ValueError):
-            PidGains(x=AxisGains(-1.0, 0.0, 0.0), y=ZERO, z=ZERO,
-                     roll=ZERO, pitch=ZERO, yaw=ZERO)
+            dataclasses.replace(ZERO_GAINS, x_kp=-1.0)
 
     def test_rejects_bad_tilt_limit(self):
         with pytest.raises(ValueError):
-            PidGains(x=ZERO, y=ZERO, z=ZERO, roll=ZERO, pitch=ZERO, yaw=ZERO,
-                     max_tilt=1.0)
+            dataclasses.replace(ZERO_GAINS, max_tilt=1.0)
 
     def test_rejects_nonpositive_integrator_limit(self):
         with pytest.raises(ValueError):
-            PidGains(x=ZERO, y=ZERO, z=ZERO, roll=ZERO, pitch=ZERO, yaw=ZERO,
-                     integrator_limit=0.0)
+            dataclasses.replace(ZERO_GAINS, integrator_limit=0.0)
 
 
 class TestControllerSurface:
     def test_command_tracks_reference_generator(self):
-        ctl = PidController(PidGains.default(), VEH, ENV, 0.02)
+        ctl = PidController(PidGains(), VEH, ENV, 0.02)
         cmd = ctl.command(0.0, np.zeros(12), constant_ref(0, 0, 0, 0))
         assert np.allclose(cmd, U_HOVER)
         ctl.reset()
@@ -132,7 +130,7 @@ class TestControllerSurface:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            PidController(PidGains.default(), VEH, ENV, 0.0)
+            PidController(PidGains(), VEH, ENV, 0.0)
         with pytest.raises(ValueError):
-            pid_step(np.zeros(12), ref(), PidGains.default(), -0.1,
+            pid_step(np.zeros(12), ref(), PidGains(), -0.1,
                      PidMemory(), VEH, ENV)
