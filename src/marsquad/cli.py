@@ -87,12 +87,14 @@ def _cmd_run(args) -> int:
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"sim.seed={args.seed}")
+    if args.controller is not None:
+        overrides.append(f"sim.controller={args.controller}")
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2
-    controller = args.controller or cfg.sim.controller
+    controller = cfg.sim.controller
     outdir = Path(args.out) if args.out else Path(cfg.sim.outdir)
 
     results = {}
@@ -192,7 +194,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="output directory (default from [sim] outdir)")
     p_run.add_argument("--seed", type=int, help="override the run seed (as --set sim.seed=N)")
     p_run.add_argument("--controller", choices=["mpc", "pid", "both"],
-                       help="override the configured controller")
+                       help="override the configured controller (as --set sim.controller=X)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config without running")

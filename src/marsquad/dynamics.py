@@ -102,18 +102,13 @@ def mixer_matrix(veh: VehicleParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _wrench_map(veh: VehicleParams) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only mixer and rotor spin signs (the signs of its yaw row)."""
+def _mixer(veh: VehicleParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only mixer, spin signs (its yaw row's signs) and pseudo-inverse."""
     mixer = mixer_matrix(veh)
-    spin = np.sign(mixer[3])
-    mixer.flags.writeable = False
-    spin.flags.writeable = False
-    return mixer, spin
-
-
-@lru_cache(maxsize=8)
-def _mixer_pinv(veh: VehicleParams) -> np.ndarray:
-    return np.linalg.pinv(mixer_matrix(veh))
+    out = (mixer, np.sign(mixer[3]), np.linalg.pinv(mixer))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def wrench_from_rotors(omega_sq: np.ndarray, veh: VehicleParams) -> Wrench:
@@ -128,32 +123,29 @@ def wrench_from_rotors(omega_sq: np.ndarray, veh: VehicleParams) -> Wrench:
         raise ValueError(f"expected {N_ROTORS} squared rotor speeds, got shape {w.shape}")
     if np.any(w < 0):
         raise ValueError("squared rotor speeds must be >= 0")
-    mixer, spin = _wrench_map(veh)
+    mixer, spin, _ = _mixer(veh)
     # products summed per row rather than a BLAS matvec: a fused multiply-add
     # would leave a rounding residue where opposing arms cancel exactly
     thrust, roll, pitch, yaw = (mixer * w).sum(axis=1).tolist()
     return Wrench(thrust, roll, pitch, yaw, float(spin @ np.sqrt(w)))
 
 
-def allocate(target, veh: VehicleParams) -> np.ndarray:
+def allocate(target: np.ndarray, veh: VehicleParams) -> np.ndarray:
     """Minimum-norm squared-speed command realizing a target wrench.
 
-    ``target`` is a ``Wrench`` or a length-4 array (thrust, roll, pitch,
-    yaw). The unclamped pseudo-inverse solution reproduces the target
-    exactly; entries outside [0, max_rotor_speed^2] raise
-    ``AllocationSaturated`` carrying the clamped command.
+    ``target`` is a length-4 array (thrust, roll, pitch, yaw). The
+    unclamped pseudo-inverse solution reproduces the target exactly;
+    entries outside [0, max_rotor_speed^2] raise ``AllocationSaturated``
+    carrying the clamped command.
     """
-    if isinstance(target, Wrench):
-        w = np.array(target[:4], dtype=float)
-    else:
-        w = np.asarray(target, dtype=float)
-        if w.shape != (4,):
-            raise ValueError(f"expected a Wrench or 4-vector, got shape {w.shape}")
+    w = np.asarray(target, dtype=float)
+    if w.shape != (4,):
+        raise ValueError(f"expected a 4-vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("target wrench must be finite")
     if w[0] < 0:
         raise AllocationInfeasible(f"collective thrust must be >= 0, got {w[0]}")
-    omega_sq = _mixer_pinv(veh) @ w
+    omega_sq = _mixer(veh)[2] @ w
     hi = veh.max_rotor_speed ** 2
     clipped = np.clip(omega_sq, 0.0, hi)
     if np.any(clipped != omega_sq):

@@ -53,7 +53,9 @@ class MpcConfig:
     weights set the diagonal of the per-step state weighting matrix, each on
     its three states (``state_weight``); ``input_weight`` and
     ``input_rate_weight`` set every rotor's entry of the input and
-    input-rate diagonals. Input bounds are absolute squared rotor speeds.
+    input-rate diagonals. The input box ``u_min``/``u_max`` holds absolute
+    squared rotor speeds as tuples of eight floats, so configs compare and
+    hash by value.
     """
 
     horizon: int = 60
@@ -65,12 +67,15 @@ class MpcConfig:
     input_rate_weight: float = 2e-8  # >= 0
     qp_max_iter: int = 100
     qp_tol: float = 1e-9
-    u_min: np.ndarray                # (8,), rad^2/s^2
-    u_max: np.ndarray                # (8,), rad^2/s^2
+    u_min: tuple                     # 8 floats, rad^2/s^2
+    u_max: tuple                     # 8 floats, rad^2/s^2
 
     def __post_init__(self):
-        object.__setattr__(self, "u_min", np.asarray(self.u_min, dtype=float))
-        object.__setattr__(self, "u_max", np.asarray(self.u_max, dtype=float))
+        for name in ("u_min", "u_max"):
+            box = np.asarray(getattr(self, name), dtype=float)
+            if box.shape != (N_ROTORS,):
+                raise ValueError("u_min and u_max must be 8-vectors")
+            object.__setattr__(self, name, tuple(box.tolist()))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
@@ -79,9 +84,7 @@ class MpcConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.input_weight <= 0:
             raise ValueError(f"input_weight must be > 0, got {self.input_weight}")
-        if self.u_min.shape != (N_ROTORS,) or self.u_max.shape != (N_ROTORS,):
-            raise ValueError("u_min and u_max must be 8-vectors")
-        if np.any(self.u_min >= self.u_max):
+        if any(lo >= hi for lo, hi in zip(self.u_min, self.u_max)):
             raise ValueError("u_min must be elementwise below u_max")
         if self.qp_max_iter < 1:
             raise ValueError("qp_max_iter must be >= 1")
@@ -97,7 +100,7 @@ class MpcConfig:
     @classmethod
     def default(cls, veh: VehicleParams, **keys) -> "MpcConfig":
         """These ``[mpc]`` keys, in the box [0, max_rotor_speed^2]."""
-        return cls(u_min=np.zeros(N_ROTORS), u_max=np.full(N_ROTORS, veh.max_rotor_speed ** 2),
+        return cls(u_min=(0.0,) * N_ROTORS, u_max=(veh.max_rotor_speed ** 2,) * N_ROTORS,
                    **keys)
 
 
@@ -183,8 +186,7 @@ def build_cost(pred: Prediction, cfg: MpcConfig):
 
 def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
              lower: np.ndarray, upper: np.ndarray, cfg: MpcConfig,
-             x0: np.ndarray | None = None, return_info: bool = False,
-             chol: np.ndarray | None = None):
+             x0: np.ndarray | None = None, chol: np.ndarray | None = None):
     """Minimize 0.5 x'Hx + g'x over a box with projected Newton steps.
 
     Clamped coordinates (at a bound with the gradient pushing outward) are
@@ -193,9 +195,10 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     gradient's largest entry is at most ``qp_tol * max(1, max|g|)``, which
     is relative to the gradient only where ``max|g| > 1`` and an absolute
     ``qp_tol`` below that. Raises ``QpMaxIterations`` (with the best
-    iterate attached) at the iteration cap. ``chol`` may carry a
-    precomputed lower ``cho_factor`` of the full Hessian, reused whenever
-    no coordinate is clamped.
+    iterate attached) at the iteration cap. Returns ``(x, info)``, where
+    ``info`` holds ``"iterations"`` and the final ``"residual"``. ``chol``
+    may carry a precomputed lower ``cho_factor`` of the full Hessian,
+    reused whenever no coordinate is clamped.
 
     Each line-search trial costs one product with the Hessian: the
     objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
@@ -226,7 +229,6 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
 
     grad = h @ x + g
     value = 0.5 * x @ (grad + g)
-    objectives = [value]
     iters = 0
     while True:
         residual = float(np.max(np.abs(x - np.clip(x - grad, lower, upper)))) if n else 0.0
@@ -277,11 +279,8 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
             break  # no further progress possible at machine precision
 
         x, grad, value = cand, cand_grad, cand_val
-        objectives.append(value)
 
-    if return_info:
-        return x, {"iterations": iters, "residual": residual, "objectives": objectives}
-    return x
+    return x, {"iterations": iters, "residual": residual}
 
 
 def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
@@ -308,7 +307,7 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
     """
     cfg = ctrl.cfg
     du_seq, info = solve_qp(ctrl.hessian, ctrl.gradient(x_now, refs), ctrl.lower, ctrl.upper,
-                            cfg, x0=ctrl.warm_start, return_info=True, chol=ctrl.chol)
+                            cfg, x0=ctrl.warm_start, chol=ctrl.chol)
 
     u = np.clip(ctrl.model.u_ref + du_seq[:N_ROTORS], cfg.u_min, cfg.u_max)
     ctrl.u_prev = u.copy()
@@ -342,12 +341,8 @@ class MpcController:
         self.state_weights = np.tile(cfg.state_weight, cfg.horizon)
         self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
         self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
-        self.reset()
-
-    def reset(self):
-        """Forget the last input and the warm start, as after construction."""
-        self.u_prev = self.model.u_ref.copy()
-        self.warm_start = np.zeros(N_ROTORS * self.cfg.horizon)
+        self.u_prev = model.u_ref.copy()
+        self.warm_start = np.zeros(N_ROTORS * cfg.horizon)
         self.last_qp_iters = 0
 
     def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:

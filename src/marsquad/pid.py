@@ -5,12 +5,14 @@ into roll/pitch angle targets; inner loops regulate attitude and altitude
 into a wrench that the rotor mixer turns into squared-speed commands. One
 gain set serves the whole flight envelope. Derivative action uses measured
 rates rather than error derivatives, so setpoint steps do not kick.
+``PidController`` holds the loop memory and ``pid_step(x_now, ref, ctrl)``
+updates it, as ``mpc_step`` updates an ``MpcController``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from . import dynamics
 from .params import EnvParams, VehicleParams
 from .trajectories import RefGenerator, ref_window
 
-__all__ = ["PidGains", "PidMemory", "pid_step", "PidController"]
+__all__ = ["PidGains", "pid_step", "PidController"]
 
 
 @dataclass(frozen=True)
@@ -62,28 +64,19 @@ class PidGains:
             raise ValueError("max_tilt must lie in (0, pi/4]")
 
 
-@dataclass
-class PidMemory:
-    """Integrator state (x, y, z, roll, pitch, yaw order) plus debug taps."""
-
-    integrals: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    last_tilt_target: tuple = (0.0, 0.0)  # (phi_des, theta_des)
-
-
 def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
 
-def pid_step(x_now: np.ndarray, ref: np.ndarray, gains: PidGains, dt: float,
-             mem: PidMemory, veh: VehicleParams, env: EnvParams) -> np.ndarray:
+def pid_step(x_now: np.ndarray, ref: np.ndarray, ctrl: PidController) -> np.ndarray:
     """One cascade update; returns the squared-speed command.
 
     ``ref`` is one reference row, x, y, z and heading psi, as ``ref_window``
-    returns it. Saturated allocations fall back to the clamped command and
-    freeze the integrators for the step (conditional anti-windup).
+    returns it. Updates the controller's integrators and last tilt targets.
+    Saturated allocations fall back to the clamped command and freeze the
+    integrators for the step (conditional anti-windup).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    gains, dt, veh = ctrl.gains, ctrl.dt, ctrl.veh
     s = np.asarray(x_now, dtype=float)
     ref_x, ref_y, ref_z, ref_psi = ref
 
@@ -100,7 +93,7 @@ def pid_step(x_now: np.ndarray, ref: np.ndarray, gains: PidGains, dt: float,
     e_psi = dynamics.wrap_angle(ref_psi - psi)
 
     lim = gains.integrator_limit
-    new_int = mem.integrals.copy()
+    new_int = ctrl.integrals.copy()
     new_int[0] = _clamp(new_int[0] + e_bx * dt, -lim, lim)
     new_int[1] = _clamp(new_int[1] + e_by * dt, -lim, lim)
     new_int[2] = _clamp(new_int[2] + ez * dt, -lim, lim)
@@ -119,22 +112,25 @@ def pid_step(x_now: np.ndarray, ref: np.ndarray, gains: PidGains, dt: float,
     new_int[5] = _clamp(new_int[5] + e_psi * dt, -lim, lim)
 
     climb_acc = gains.z_kp * ez + gains.z_ki * new_int[2] - gains.z_kd * s[5]
-    thrust = max(veh.mass * (env.gravity + climb_acc), 0.0)
+    thrust = max(veh.mass * (ctrl.env.gravity + climb_acc), 0.0)
     roll_m = gains.roll_kp * e_phi + gains.roll_ki * new_int[3] - gains.roll_kd * s[9]
     pitch_m = gains.pitch_kp * e_theta + gains.pitch_ki * new_int[4] - gains.pitch_kd * s[10]
     yaw_m = gains.yaw_kp * e_psi + gains.yaw_ki * new_int[5] - gains.yaw_kd * s[11]
 
     try:
         cmd = dynamics.allocate(np.array([thrust, roll_m, pitch_m, yaw_m]), veh)
-        mem.integrals = new_int
+        ctrl.integrals = new_int
     except dynamics.AllocationSaturated as sat:
         cmd = sat.command  # keep old integrals: windup protection
-    mem.last_tilt_target = (phi_des, theta_des)
+    ctrl.last_tilt_target = (phi_des, theta_des)
     return cmd
 
 
 class PidController:
-    """Stateful wrapper giving the cascade the same surface as the MPC."""
+    """The cascade bound to its gains, vehicle and sampling time, with the
+    memory ``pid_step`` updates: ``integrals`` (x, y, z, roll, pitch, yaw
+    order) and ``last_tilt_target`` (phi_des, theta_des). One per closed loop.
+    """
 
     def __init__(self, gains: PidGains, veh: VehicleParams, env: EnvParams, dt: float):
         if dt <= 0:
@@ -143,12 +139,8 @@ class PidController:
         self.veh = veh
         self.env = env
         self.dt = dt
-        self.memory = PidMemory()
-        self.last_qp_iters = 0  # parity with the MPC logging surface
-
-    def reset(self):
-        self.memory = PidMemory()
+        self.integrals = np.zeros(6)
+        self.last_tilt_target = (0.0, 0.0)
 
     def command(self, t: float, x_now: np.ndarray, traj: RefGenerator) -> np.ndarray:
-        return pid_step(x_now, ref_window(traj, t, 1, self.dt)[0], self.gains, self.dt,
-                        self.memory, self.veh, self.env)
+        return pid_step(x_now, ref_window(traj, t, 1, self.dt)[0], self)

@@ -180,15 +180,15 @@ def _check_envelope(state: list, t: float):
         raise NumericalDivergence(f"pitch approached gimbal lock at t={t:.3f}")
 
 
-def rk4_step(state: np.ndarray, omega_sq: np.ndarray | dynamics.Wrench, dt: float,
+def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
              veh: VehicleParams, env: EnvParams,
              dist: Disturbance | None = None, t: float = 0.0,
              rng: np.random.Generator | None = None) -> np.ndarray:
-    """Classical RK4 step with the command and disturbance held constant.
+    """Classical RK4 step with the rotor wrench and disturbance held constant.
 
-    The command is the eight squared rotor speeds or the ``dynamics.Wrench``
-    they produce; passing the wrench saves recomputing it on every substep
-    of a held command. The disturbance is sampled once at the step start,
+    ``wrench`` is the ``dynamics.Wrench`` of the held command, as
+    ``dynamics.wrench_from_rotors`` gives it once for all the substeps of a
+    control step. The disturbance is sampled once at the step start,
     matching the piecewise-constant actuation model. Angles are re-wrapped
     afterwards and the envelope check raises ``NumericalDivergence`` on
     blow-up, as does a state with an infinite angle. The arithmetic runs on
@@ -198,10 +198,6 @@ def rk4_step(state: np.ndarray, omega_sq: np.ndarray | dynamics.Wrench, dt: floa
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     s = np.asarray(state, dtype=float).tolist()
-    if isinstance(omega_sq, dynamics.Wrench):
-        wrench = omega_sq
-    else:
-        wrench = dynamics.wrench_from_rotors(omega_sq, veh)
     if dist is not None:
         force, torque = dist.sample(t, rng)
     else:
@@ -309,7 +305,8 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
 
     Overshoot and settling are measured per axis against the final
     reference value, which reads naturally for step segments. The RMS
-    excludes the first ``transient_skip`` seconds.
+    excludes the first ``transient_skip`` seconds. Effort and box count read
+    the ``log.meta`` entries ``run_closed_loop`` writes.
     """
     if len(log) == 0:
         raise ValueError("cannot compute metrics of an empty log")
@@ -350,22 +347,11 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
     tail = max(1, int(0.1 * len(t)))
     sse = float(np.max(np.abs(pos[-tail:] - ref[-tail:])))
 
-    u_hover = log.meta.get("u_hover")
-    dt = log.meta.get("control_dt", float(t[1] - t[0]) if len(t) > 1 else 0.0)
-    if u_hover is None:
-        effort = float("nan")
-    else:
-        du = log.commands - np.asarray(u_hover)[None, :]
-        effort = float(np.sum(du * du) * dt)
-
-    u_min = log.meta.get("u_min")
-    u_max = log.meta.get("u_max")
-    if u_min is None or u_max is None:
-        violations = 0
-    else:
-        bad = (log.commands < np.asarray(u_min)[None, :]) | \
-              (log.commands > np.asarray(u_max)[None, :])
-        violations = int(np.sum(np.any(bad, axis=1)))
+    meta = log.meta
+    du = log.commands - meta["u_hover"]
+    effort = float(np.sum(du * du) * meta["control_dt"])
+    bad = (log.commands < meta["u_min"]) | (log.commands > meta["u_max"])
+    violations = int(np.sum(np.any(bad, axis=1)))
 
     return Metrics(
         rms_position_error=rms,

@@ -1,3 +1,7 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from marsquad import linmodel, mpc, params
@@ -26,3 +30,35 @@ def disc_model(cont_model):
 @pytest.fixture(scope="session")
 def mpc_cfg(veh):
     return mpc.MpcConfig.default(veh)
+
+
+def _brute_force_box_qp(h, g, lo, hi):
+    """Enumerate every lower/free/upper pattern and keep the feasible minimum."""
+    n = len(g)
+    best, best_val = None, math.inf
+    for pattern in itertools.product((0, 1, 2), repeat=n):
+        x = np.empty(n)
+        fixed = [i for i, p in enumerate(pattern) if p]
+        free = [i for i, p in enumerate(pattern) if not p]
+        for i in fixed:
+            x[i] = lo[i] if pattern[i] == 1 else hi[i]
+        if free:
+            rhs = -g[free]
+            if fixed:
+                rhs = rhs - h[np.ix_(free, fixed)] @ x[fixed]
+            try:
+                x[free] = np.linalg.solve(h[np.ix_(free, free)], rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(x[free] < lo[free] - 1e-12) or np.any(x[free] > hi[free] + 1e-12):
+                continue
+        val = 0.5 * x @ h @ x + g @ x
+        if val < best_val:
+            best_val, best = val, x.copy()
+    return best
+
+
+@pytest.fixture(scope="session")
+def box_qp_oracle():
+    """Brute-force minimizer of 0.5 x'Hx + g'x over a small box: ``f(h, g, lo, hi)``."""
+    return _brute_force_box_qp

@@ -7,8 +7,6 @@ sets, and the code defaults for the rest. None comes from constants in
 this module.
 """
 
-import itertools
-import math
 import time
 
 import numpy as np
@@ -137,7 +135,7 @@ def test_criterion_05_prediction_exactness():
     dx0 = np.zeros(12)
     dx0[0:3] = [0.4, -0.2, 0.3]
     g = ctrl.gradient(model.x_ref + dx0, np.zeros((n, 4)))
-    du = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
+    du, _ = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
     predicted = ctrl.pred.G @ dx0 + ctrl.pred.H @ du
     state = dx0.copy()
     worst = 0.0
@@ -149,30 +147,8 @@ def test_criterion_05_prediction_exactness():
                    f"worst |dx| {worst:.2e} (tol 1e-10)")
 
 
-def _brute_force_box_qp(h, g, lo, hi):
-    n = len(g)
-    best, best_val = None, math.inf
-    for pattern in itertools.product((0, 1, 2), repeat=n):
-        x = np.empty(n)
-        fixed = [i for i, p in enumerate(pattern) if p]
-        free = [i for i, p in enumerate(pattern) if not p]
-        for i in fixed:
-            x[i] = lo[i] if pattern[i] == 1 else hi[i]
-        if free:
-            rhs = -g[free]
-            if fixed:
-                rhs = rhs - h[np.ix_(free, fixed)] @ x[fixed]
-            x[free] = np.linalg.solve(h[np.ix_(free, free)], rhs)
-            if np.any(x[free] < lo[free] - 1e-12) or np.any(x[free] > hi[free] + 1e-12):
-                continue
-        val = 0.5 * x @ h @ x + g @ x
-        if val < best_val:
-            best_val, best = val, x.copy()
-    return best
-
-
 def test_criterion_06_qp_against_brute_force(hover_runs, step_run, helix_run,
-                                             square_runs, disturbed_run):
+                                             square_runs, disturbed_run, box_qp_oracle):
     cfg = MpcConfig.default(params.VehicleParams.default())
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -182,8 +158,8 @@ def test_criterion_06_qp_against_brute_force(hover_runs, step_run, helix_run,
         g = rng.normal(0, 2, 5)
         lo = rng.uniform(-2, -0.1, 5)
         hi = rng.uniform(0.1, 2, 5)
-        x = solve_qp(h, g, lo, hi, cfg)
-        xb = _brute_force_box_qp(h, g, lo, hi)
+        x, _ = solve_qp(h, g, lo, hi, cfg)
+        xb = box_qp_oracle(h, g, lo, hi)
         worst = max(worst, float(np.abs(x - xb).max()))
     violations = {name: m.constraint_violations for name, m in _ALL_RUN_METRICS.items()}
     total = sum(violations.values())
@@ -252,13 +228,14 @@ def test_criterion_11_integrator_order():
     cmd[[2, 3]] -= 120.0
     cmd[[0, 2, 4, 6]] += 60.0
     cmd[[1, 3, 5, 7]] -= 60.0
+    wrench = dynamics.wrench_from_rotors(cmd, veh)
     x0 = dynamics.make_state(vx=0.2, vy=-0.1, vz=0.05, phi=0.05, theta=-0.03,
                              phi_dot=0.08, theta_dot=-0.06, psi_dot=0.04)
 
     def integrate(dt, total=5.0):
         s = x0.copy()
         for _ in range(round(total / dt)):
-            s = sim.rk4_step(s, cmd, dt, veh, env)
+            s = sim.rk4_step(s, wrench, dt, veh, env)
         return s
 
     ref = integrate(0.05 / 16)

@@ -63,13 +63,6 @@ def assert_same(a, b):
         assert a == b
 
 
-def snapshot_section(cfg, section):
-    """One section of a config's snapshot, as a dict of strings."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(config_snapshot(cfg))
-    return dict(parser[section])
-
-
 class TestLoading:
     def test_minimal_config_uses_defaults(self, minimal_cfg):
         cfg = load_config(minimal_cfg)
@@ -217,6 +210,12 @@ class TestSnapshot:
         assert_same(cfg2, cfg)
         assert config_snapshot(cfg2) == text
 
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_loaded_configs_compare_by_value(self, name):
+        a, b = load_config(scenario_path(name)), load_config(scenario_path(name))
+        assert a == b
+        assert a != dataclasses.replace(a, mpc=MpcConfig.default(a.veh, horizon=7))
+
     @pytest.mark.parametrize("extra, overrides, rejected_key", [
         ("", ["scenario.description=run 3 of the sweep"], None),
         ("", ["sim.outdir=out#1", "scenario.description=C# port"], None),
@@ -246,8 +245,8 @@ class TestSnapshot:
         snap = tmp_path / f"{name}.cfg"
         snap.write_text(config_snapshot(load_config(scenario_path(name))))
         cfg = load_config(snap, ["vehicle.max_rotor_speed=260"])
-        assert np.all(cfg.mpc.u_min == 0.0)
-        assert np.all(cfg.mpc.u_max == 260.0 ** 2)
+        assert cfg.mpc.u_min == (0.0,) * 8
+        assert cfg.mpc.u_max == (260.0 ** 2,) * 8
 
     def test_reloaded_snapshot_flies_inside_the_vehicle_box(self, tmp_path):
         snap = tmp_path / "step_xyz.cfg"
@@ -307,8 +306,7 @@ class TestShippedScenarios:
         cfg = load_config(scenario_path(name))
         assert cfg.veh == params.VehicleParams.default()
         assert cfg.pid == PidGains()
-        default = dataclasses.replace(cfg, mpc=MpcConfig.default(cfg.veh))
-        assert snapshot_section(cfg, "mpc") == snapshot_section(default, "mpc")
+        assert cfg.mpc == MpcConfig.default(cfg.veh)
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_scenario_sets_no_key_to_its_default(self, tmp_path, name):
@@ -388,6 +386,22 @@ class TestCli:
         text = capsys.readouterr().out
         assert "mpc" in text and "pid" in text
         assert (out / "minimal" / "pid" / "log.csv").is_file()
+
+    def test_controller_flag_is_recorded_in_snapshot(self, tmp_path):
+        path = tmp_path / "either.cfg"
+        path.write_text(MINIMAL.replace("controller = mpc", "controller = both"))
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--controller", "mpc", "--set", "sim.duration=0.1"]) == 0
+        assert [p.name for p in (out / "either").iterdir()] == ["mpc"]
+        snap = out / "either" / "mpc" / "config.ini"
+        assert "controller = mpc\n" in snap.read_text()
+        # the snapshot alone reproduces the run: one controller, the same log
+        again = tmp_path / "again"
+        assert cli.main(["run", "--config", str(snap), "--out", str(again)]) == 0
+        assert [p.name for p in (again / "config").iterdir()] == ["mpc"]
+        assert ((again / "config" / "mpc" / "log.csv").read_bytes()
+                == (out / "either" / "mpc" / "log.csv").read_bytes())
 
     def test_seed_override_changes_snapshot(self, tmp_path, minimal_cfg):
         out = tmp_path / "results"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marsquad import dynamics, linmodel, params
-from marsquad.dynamics import (AllocationInfeasible, AllocationSaturated, Wrench, allocate,
+from marsquad.dynamics import (AllocationInfeasible, AllocationSaturated, allocate,
                                hover_command, make_state, mixer_matrix,
                                state_derivative, wrap_angle, wrench_from_rotors)
 
@@ -152,11 +152,6 @@ class TestAllocate:
     def test_rejects_negative_thrust(self):
         with pytest.raises(AllocationInfeasible):
             allocate(np.array([-1.0, 0, 0, 0]), VEH)
-
-    def test_accepts_wrench_objects(self):
-        mg = VEH.mass * ENV.gravity
-        cmd = allocate(Wrench(mg, 0.0, 0.0, 0.0, 0.0), VEH)
-        assert np.allclose(cmd, mg / (8 * VEH.thrust_coeff))
 
     @given(w=feasible_wrenches())
     @settings(max_examples=200)

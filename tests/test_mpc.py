@@ -15,32 +15,6 @@ ENV = params.MARS
 VEH = params.VehicleParams.default()
 
 
-def brute_force_box_qp(h, g, lo, hi):
-    """Enumerate every lower/free/upper pattern and keep the feasible minimum."""
-    n = len(g)
-    best, best_val = None, math.inf
-    for pattern in itertools.product((0, 1, 2), repeat=n):
-        x = np.empty(n)
-        fixed = [i for i, p in enumerate(pattern) if p]
-        free = [i for i, p in enumerate(pattern) if not p]
-        for i in fixed:
-            x[i] = lo[i] if pattern[i] == 1 else hi[i]
-        if free:
-            rhs = -g[free]
-            if fixed:
-                rhs = rhs - h[np.ix_(free, fixed)] @ x[fixed]
-            try:
-                x[free] = np.linalg.solve(h[np.ix_(free, free)], rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(x[free] < lo[free] - 1e-12) or np.any(x[free] > hi[free] + 1e-12):
-                continue
-        val = 0.5 * x @ h @ x + g @ x
-        if val < best_val:
-            best_val, best = val, x.copy()
-    return best
-
-
 def small_cfg(horizon=1, **kw):
     return MpcConfig.default(VEH, horizon=horizon, **kw)
 
@@ -163,15 +137,15 @@ class TestSolveQp:
 
     def test_unconstrained_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        x = solve_qp(np.eye(3), -v, np.full(3, -10.0), np.full(3, 10.0), self.CFG)
+        x, _ = solve_qp(np.eye(3), -v, np.full(3, -10.0), np.full(3, 10.0), self.CFG)
         assert np.allclose(x, v, atol=1e-9)
 
     def test_all_bounds_active(self):
         n = 4
-        x = solve_qp(np.eye(n), -2 * np.ones(n), np.zeros(n), np.ones(n), self.CFG)
+        x, _ = solve_qp(np.eye(n), -2 * np.ones(n), np.zeros(n), np.ones(n), self.CFG)
         assert np.allclose(x, 1.0)
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, box_qp_oracle):
         rng = np.random.default_rng(11)
         cfg = self.CFG
         for _ in range(100):
@@ -180,8 +154,8 @@ class TestSolveQp:
             g = rng.normal(0, 2, 5)
             lo = rng.uniform(-2, -0.1, 5)
             hi = rng.uniform(0.1, 2, 5)
-            x = solve_qp(h, g, lo, hi, cfg)
-            xb = brute_force_box_qp(h, g, lo, hi)
+            x, _ = solve_qp(h, g, lo, hi, cfg)
+            xb = box_qp_oracle(h, g, lo, hi)
             assert np.abs(x - xb).max() < 1e-8
 
     def test_objective_monotone(self):
@@ -190,14 +164,24 @@ class TestSolveQp:
         h = a @ a.T + 0.1 * np.eye(20)
         g = rng.normal(0, 5, 20)
         lo, hi = np.full(20, -0.5), np.full(20, 0.5)
-        _, info = solve_qp(h, g, lo, hi, self.CFG, return_info=True)
-        obj = info["objectives"]
+        # the start point, then iterate k as the best iterate of a solve
+        # capped at k iterations, up to the first solve that returns
+        iterates = [np.zeros(20)]
+        for k in itertools.count(1):
+            try:
+                x, _ = solve_qp(h, g, lo, hi, dataclasses.replace(self.CFG, qp_max_iter=k))
+            except QpMaxIterations as cap:
+                iterates.append(cap.solution)
+            else:
+                iterates.append(x)
+                break
+        assert len(iterates) > 2
+        obj = [0.5 * x @ (h @ x + g + g) for x in iterates]
         assert all(b <= a + 1e-12 for a, b in zip(obj, obj[1:]))
 
     def test_kkt_residual_reported(self):
         x, info = solve_qp(np.eye(2), np.array([1.0, -1.0]),
-                           np.full(2, -5.0), np.full(2, 5.0), self.CFG,
-                           return_info=True)
+                           np.full(2, -5.0), np.full(2, 5.0), self.CFG)
         assert info["residual"] <= self.CFG.qp_tol * max(1.0, 1.0)
 
     def test_max_iterations_raises_with_best_iterate(self):
@@ -254,7 +238,7 @@ class TestSolveQp:
         lo, hi = ctrl.lower * span, ctrl.upper * span
         x0 = rng.uniform(lo, hi) if rng.random() < 0.5 else None
         chol = ctrl.chol if rng.random() < 0.5 else None
-        x = solve_qp(h, g, lo, hi, cfg, x0=x0, chol=chol)
+        x, _ = solve_qp(h, g, lo, hi, cfg, x0=x0, chol=chol)
 
         assert x.shape == (8 * cfg.horizon,)
         assert np.all(lo <= x) and np.all(x <= hi)
@@ -267,15 +251,15 @@ class TestSolveQp:
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
-    def test_random_problems_against_oracle(self, seed):
+    def test_random_problems_against_oracle(self, box_qp_oracle, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(0, 1, (4, 4))
         h = a @ a.T + 0.3 * np.eye(4)
         g = rng.normal(0, 3, 4)
         lo = rng.uniform(-3, -0.1, 4)
         hi = rng.uniform(0.1, 3, 4)
-        x = solve_qp(h, g, lo, hi, self.CFG)
-        xb = brute_force_box_qp(h, g, lo, hi)
+        x, _ = solve_qp(h, g, lo, hi, self.CFG)
+        xb = box_qp_oracle(h, g, lo, hi)
         assert np.abs(x - xb).max() < 1e-8
 
 
@@ -368,7 +352,7 @@ class TestMpcStep:
         with pytest.raises(ValueError):
             MpcController(cont_model, mpc_cfg, VEH, ENV)
 
-    def test_step_updates_controller_memory_and_reset_restores_it(self, disc_model):
+    def test_step_updates_controller_memory(self, disc_model):
         cfg = MpcConfig.default(VEH, horizon=10)
         ctrl = MpcController(disc_model, cfg, VEH, ENV)
         refs = np.zeros((10, 4))
@@ -376,11 +360,12 @@ class TestMpcStep:
         u = mpc_step(np.zeros(12), refs, ctrl)
         assert np.array_equal(ctrl.u_prev, u)
         assert ctrl.warm_start.any()
-        ctrl.reset()
+        # a fresh controller starts from hover with no warm start
         fresh = MpcController(disc_model, cfg, VEH, ENV)
-        assert np.array_equal(ctrl.u_prev, fresh.u_prev)
-        assert np.array_equal(ctrl.warm_start, fresh.warm_start)
-        assert ctrl.last_qp_iters == fresh.last_qp_iters == 0
+        assert np.array_equal(fresh.u_prev, disc_model.u_ref)
+        assert not np.array_equal(ctrl.u_prev, fresh.u_prev)
+        assert not fresh.warm_start.any()
+        assert fresh.last_qp_iters == 0 < ctrl.last_qp_iters
 
     def test_constructor_factors_the_hessian_once(self, disc_model, mpc_cfg, monkeypatch):
         calls = []
@@ -453,7 +438,7 @@ class TestClosedLoopLinear:
         x = np.zeros(12)
         x[0:3] = [0.4, -0.2, 0.3]
         g = ctrl.gradient(x, np.zeros((20, 4)))
-        du = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
+        du, _ = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
         predicted = ctrl.pred.G @ x + ctrl.pred.H @ du
         state = x.copy()
         for i in range(20):
@@ -476,3 +461,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MpcConfig(horizon=0, input_weight=1.0, input_rate_weight=0.0, u_min=np.zeros(8),
                       u_max=np.ones(8))
+
+    def test_compares_and_hashes_by_value(self):
+        a, b = MpcConfig.default(VEH), MpcConfig.default(VEH)
+        assert a == b and hash(a) == hash(b)
+        assert a.u_max == (VEH.max_rotor_speed ** 2,) * 8
+        assert a != MpcConfig.default(dataclasses.replace(VEH, max_rotor_speed=260.0))

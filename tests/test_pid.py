@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marsquad import dynamics, params
-from marsquad.pid import PidController, PidGains, PidMemory, pid_step
+from marsquad.pid import PidController, PidGains, pid_step
 from marsquad.trajectories import constant_ref
 
 ENV = params.MARS
@@ -21,87 +21,85 @@ def ref(x=0.0, y=0.0, z=0.0, psi=0.0):
     return np.array([x, y, z, psi])
 
 
+def ctl(gains=PidGains()):
+    """A fresh controller at the 0.02 s step every test here runs."""
+    return PidController(gains, VEH, ENV, 0.02)
+
+
 class TestEquilibrium:
     def test_zero_error_gives_hover_feedforward(self):
-        cmd = pid_step(np.zeros(12), ref(), PidGains(), 0.02,
-                       PidMemory(), VEH, ENV)
+        cmd = pid_step(np.zeros(12), ref(), ctl())
         assert np.allclose(cmd, U_HOVER, rtol=1e-12)
 
     @given(state=st.lists(st.floats(-0.5, 0.5), min_size=12, max_size=12))
     @settings(max_examples=50)
     def test_zero_gains_always_feedforward(self, state):
-        cmd = pid_step(np.array(state), ref(1.0, -2.0, 3.0), ZERO_GAINS, 0.02,
-                       PidMemory(), VEH, ENV)
+        cmd = pid_step(np.array(state), ref(1.0, -2.0, 3.0), ctl(ZERO_GAINS))
         assert np.allclose(cmd, U_HOVER, rtol=1e-12)
 
 
 class TestChannels:
     def test_climb_error_raises_all_rotors_equally(self):
         gains = dataclasses.replace(ZERO_GAINS, z_kp=2.0)
-        cmd = pid_step(np.zeros(12), ref(z=0.5), gains, 0.02, PidMemory(), VEH, ENV)
+        cmd = pid_step(np.zeros(12), ref(z=0.5), ctl(gains))
         assert cmd.max() - cmd.min() < 1e-9
         assert cmd[0] > U_HOVER[0]
 
     def test_forward_step_commands_positive_pitch(self):
-        mem = PidMemory()
-        cmd = pid_step(np.zeros(12), ref(x=1.0), PidGains(), 0.02,
-                       mem, VEH, ENV)
-        phi_des, theta_des = mem.last_tilt_target
+        c = ctl()
+        cmd = pid_step(np.zeros(12), ref(x=1.0), c)
+        phi_des, theta_des = c.last_tilt_target
         assert theta_des > 0.0
         assert phi_des == pytest.approx(0.0, abs=1e-12)
         # positive pitch demand spins up the rear pair, slows the front pair
         assert cmd[4] + cmd[5] > cmd[0] + cmd[1]
 
     def test_left_step_commands_negative_roll(self):
-        mem = PidMemory()
-        pid_step(np.zeros(12), ref(y=1.0), PidGains(), 0.02, mem, VEH, ENV)
-        phi_des, _ = mem.last_tilt_target
+        c = ctl()
+        pid_step(np.zeros(12), ref(y=1.0), c)
+        phi_des, _ = c.last_tilt_target
         assert phi_des < 0.0
 
     def test_heading_rotation_swaps_axes(self):
         """With the nose pointing along +y, an error in world +y is a body
         forward error and must command pitch, not roll."""
-        mem = PidMemory()
+        c = ctl()
         state = np.zeros(12)
         state[8] = np.pi / 2
-        pid_step(state, ref(y=1.0), PidGains(), 0.02, mem, VEH, ENV)
-        phi_des, theta_des = mem.last_tilt_target
+        pid_step(state, ref(y=1.0), c)
+        phi_des, theta_des = c.last_tilt_target
         assert theta_des > 0.01
         assert abs(phi_des) < 1e-9
 
 
 class TestSafety:
     def test_tilt_target_clamped(self):
-        mem = PidMemory()
-        pid_step(np.zeros(12), ref(x=100.0), PidGains(), 0.02, mem, VEH, ENV)
-        _, theta_des = mem.last_tilt_target
+        c = ctl()
+        pid_step(np.zeros(12), ref(x=100.0), c)
+        _, theta_des = c.last_tilt_target
         assert theta_des == pytest.approx(PidGains().max_tilt)
 
     def test_integrators_bounded(self):
-        gains = PidGains()
-        mem = PidMemory()
+        c = ctl()
         state = np.zeros(12)
         for _ in range(5000):
-            pid_step(state, ref(x=50.0, y=-50.0, z=50.0), gains, 0.02, mem, VEH, ENV)
-        assert np.all(np.abs(mem.integrals) <= gains.integrator_limit + 1e-12)
+            pid_step(state, ref(x=50.0, y=-50.0, z=50.0), c)
+        assert np.all(np.abs(c.integrals) <= c.gains.integrator_limit + 1e-12)
 
     def test_saturation_freezes_integrators(self):
-        gains = PidGains()
-        mem = PidMemory()
+        c = ctl()
         # an enormous climb error saturates the allocation
-        cmd = pid_step(np.zeros(12), ref(z=1000.0), gains, 0.02, mem, VEH, ENV)
+        cmd = pid_step(np.zeros(12), ref(z=1000.0), c)
         assert np.all(cmd <= VEH.max_rotor_speed**2 + 1e-9)
-        assert np.allclose(mem.integrals, 0.0)
+        assert np.allclose(c.integrals, 0.0)
 
     def test_command_within_bounds_under_stress(self):
-        gains = PidGains()
-        mem = PidMemory()
+        c = ctl()
         rng = np.random.default_rng(0)
         for _ in range(200):
             state = rng.normal(0, 1.0, 12)
             state[6:8] = rng.normal(0, 0.3, 2)
-            cmd = pid_step(state, ref(*rng.normal(0, 5.0, 3)), gains, 0.02,
-                           mem, VEH, ENV)
+            cmd = pid_step(state, ref(*rng.normal(0, 5.0, 3)), c)
             assert np.all(cmd >= -1e-9)
             assert np.all(cmd <= VEH.max_rotor_speed**2 + 1e-9)
 
@@ -122,15 +120,12 @@ class TestGainValidation:
 
 class TestControllerSurface:
     def test_command_tracks_reference_generator(self):
-        ctl = PidController(PidGains(), VEH, ENV, 0.02)
-        cmd = ctl.command(0.0, np.zeros(12), constant_ref(0, 0, 0, 0))
+        c = ctl()
+        cmd = c.command(0.0, np.zeros(12), constant_ref(0, 0, 0, 0))
         assert np.allclose(cmd, U_HOVER)
-        ctl.reset()
-        assert np.allclose(ctl.memory.integrals, 0.0)
+        assert np.allclose(c.integrals, 0.0)
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            PidController(PidGains(), VEH, ENV, 0.0)
-        with pytest.raises(ValueError):
-            pid_step(np.zeros(12), ref(), PidGains(), -0.1,
-                     PidMemory(), VEH, ENV)
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                PidController(PidGains(), VEH, ENV, dt)
