@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import golden
 from marsquad import linmodel, mpc, params
 
 
@@ -30,6 +32,15 @@ def disc_model(cont_model):
 @pytest.fixture(scope="session")
 def mpc_cfg(veh):
     return mpc.MpcConfig.default(veh)
+
+
+@pytest.fixture(scope="session")
+def shipped_run():
+    """``run(name, kind)``: ``golden.run``, each shipped run once per session.
+
+    The acceptance criteria and the golden-output gate read the same runs.
+    """
+    return functools.cache(golden.run)
 
 
 def _brute_force_box_qp(h, g, lo, hi):

@@ -17,7 +17,7 @@ from marsquad.cli import make_controller
 from marsquad.config import load_config
 from marsquad.mpc import MpcConfig, MpcController, solve_qp
 from marsquad.scenarios import scenario_path
-from marsquad.simulator import compute_metrics, run_closed_loop, write_csv
+from marsquad.simulator import run_closed_loop, write_csv
 
 # metrics of every closed-loop run executed here, for the global box check
 _ALL_RUN_METRICS = {}
@@ -28,42 +28,35 @@ def _report(num, ok, text):
     assert ok, f"criterion {num} failed: {text}"
 
 
-def _run(name, kind, overrides=()):
-    cfg = load_config(scenario_path(name), overrides)
-    start = time.monotonic()
-    log = run_closed_loop(make_controller(kind, cfg), cfg.trajectory(), cfg.disturbance,
-                          duration=cfg.sim.duration, control_dt=cfg.sim.control_dt,
-                          substeps=cfg.sim.substeps, veh=cfg.veh, env=cfg.env,
-                          seed=cfg.sim.seed)
-    elapsed = time.monotonic() - start
-    metrics = compute_metrics(log, transient_skip=cfg.sim.transient_skip)
-    _ALL_RUN_METRICS[f"{name}/{kind}"] = metrics
-    return cfg, log, metrics, elapsed
+def _run(shipped_run, name, kind):
+    out = shipped_run(name, kind)
+    _ALL_RUN_METRICS[f"{name}/{kind}"] = out[2]
+    return out
 
 
 @pytest.fixture(scope="module")
-def hover_runs():
-    return {kind: _run("hover", kind) for kind in ("mpc", "pid")}
+def hover_runs(shipped_run):
+    return {kind: _run(shipped_run, "hover", kind) for kind in ("mpc", "pid")}
 
 
 @pytest.fixture(scope="module")
-def step_run():
-    return _run("step_xyz", "mpc")
+def step_run(shipped_run):
+    return _run(shipped_run, "step_xyz", "mpc")
 
 
 @pytest.fixture(scope="module")
-def helix_run():
-    return _run("helix", "mpc")
+def helix_run(shipped_run):
+    return _run(shipped_run, "helix", "mpc")
 
 
 @pytest.fixture(scope="module")
-def square_runs():
-    return {kind: _run("square_corners", kind) for kind in ("mpc", "pid")}
+def square_runs(shipped_run):
+    return {kind: _run(shipped_run, "square_corners", kind) for kind in ("mpc", "pid")}
 
 
 @pytest.fixture(scope="module")
-def disturbed_run():
-    return _run("helix_disturbed", "mpc")
+def disturbed_run(shipped_run):
+    return _run(shipped_run, "helix_disturbed", "mpc")
 
 
 def test_criterion_01_linearization_matches_finite_differences():
