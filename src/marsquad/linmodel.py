@@ -2,10 +2,14 @@
 
 The continuous model comes from small-angle simplification of the nonlinear
 equations about the hover equilibrium: positions integrate velocities,
-horizontal accelerations couple to pitch/roll through gravity, vertical and
-angular accelerations are linear in the squared rotor speeds. The resulting
-A is nilpotent (A^4 = 0), so the zero-order-hold matrix exponential is an
-exact four-term polynomial.
+horizontal accelerations couple to pitch/roll through gravity, linear drag
+damps the velocities, vertical and angular accelerations are linear in the
+squared rotor speeds. The zero-order hold is one matrix exponential of the
+augmented block [[A, B], [0, 0]].
+
+The rotors enter only through the four rows of the mixer, and each row
+drives its own states (``CHANNELS``), so A is block diagonal on those
+state sets and B's rows in a set are multiples of one mixer row.
 """
 
 from __future__ import annotations
@@ -13,14 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import dynamics
 from .params import N_ROTORS, EnvParams, VehicleParams
 
-__all__ = ["LinearModel", "linearize_hover", "discretize", "numeric_jacobian"]
+__all__ = ["CHANNELS", "LinearModel", "linearize_hover", "discretize", "numeric_jacobian"]
 
 N_STATES = 12
 N_OUTPUTS = 4  # a reference sample: x, y, z, psi
+# the states each wrench channel drives, in the mixer's row order:
+# thrust (z, vz), roll (y, vy, phi, phi_dot), pitch (x, vx, theta, theta_dot)
+# and yaw (psi, psi_dot)
+CHANNELS = ((2, 5), (1, 4, 6, 9), (0, 3, 7, 10), (8, 11))
 
 
 @dataclass(frozen=True)
@@ -42,10 +51,6 @@ class LinearModel:
             raise ValueError("A must be 12x12 and B 12x8")
         if self.dt < 0:
             raise ValueError(f"dt must be >= 0, got {self.dt}")
-        if self.dt == 0.0:
-            a4 = np.linalg.matrix_power(self.A, 4)
-            if np.any(a4 != 0.0):
-                raise ValueError("continuous A must satisfy A^4 = 0")
 
     @property
     def continuous(self) -> bool:
@@ -53,17 +58,13 @@ class LinearModel:
 
 
 def linearize_hover(veh: VehicleParams, env: EnvParams) -> LinearModel:
-    """Analytic continuous (A, B) about the hover equilibrium.
-
-    ``veh.linear_drag`` is left out: the plant's -drag/mass velocity terms
-    would put nonzero entries on A's velocity diagonal, and the exact
-    discretization relies on A^4 = 0, which they break.
-    """
+    """Analytic continuous (A, B) about the hover equilibrium."""
     g = env.gravity
     a = np.zeros((N_STATES, N_STATES))
     a[0, 3] = 1.0
     a[1, 4] = 1.0
     a[2, 5] = 1.0
+    a[[3, 4, 5], [3, 4, 5]] = -veh.linear_drag / veh.mass
     a[3, 7] = g      # x acceleration from pitch
     a[4, 6] = -g     # y acceleration from roll
     a[6, 9] = 1.0
@@ -89,22 +90,19 @@ def linearize_hover(veh: VehicleParams, env: EnvParams) -> LinearModel:
 def discretize(model: LinearModel, ts: float) -> LinearModel:
     """Exact zero-order-hold discretization at sampling time ``ts``.
 
-    Because A^4 = 0 the exponential series terminates:
-        Ad = I + A ts + (A ts)^2/2 + (A ts)^3/6
-        Bd = (I ts + A ts^2/2 + A^2 ts^3/6 + A^3 ts^4/24) B
+    Both maps come from one exponential of the augmented block:
+        expm([[A, B], [0, 0]] ts) = [[Ad, Bd], [0, I]]
     """
     if ts <= 0:
         raise ValueError(f"sampling time must be > 0, got {ts}")
     if not model.continuous:
         raise ValueError("model is already discrete")
-    a = model.A
-    eye = np.eye(N_STATES)
-    a2 = a @ a
-    a3 = a2 @ a
-    ad = eye + a * ts + a2 * (ts**2 / 2.0) + a3 * (ts**3 / 6.0)
-    integral = eye * ts + a * (ts**2 / 2.0) + a2 * (ts**3 / 6.0) + a3 * (ts**4 / 24.0)
-    bd = integral @ model.B
-    return replace(model, A=ad, B=bd, dt=ts)
+    n = N_STATES
+    block = np.zeros((n + N_ROTORS, n + N_ROTORS))
+    block[:n, :n] = model.A
+    block[:n, n:] = model.B
+    e = expm(block * ts)
+    return replace(model, A=e[:n, :n], B=e[:n, n:], dt=ts)
 
 
 def numeric_jacobian(x0: np.ndarray, u0: np.ndarray, veh: VehicleParams,

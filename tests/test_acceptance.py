@@ -176,6 +176,24 @@ def test_criterion_07_step_response(step_run):
                    f"(max {acc['steady_state_error_max'] * 100:g}), wall {elapsed:.1f} s")
 
 
+def test_criterion_07_holds_with_linear_drag():
+    """The step response on a vehicle with drag, which the MPC's model includes."""
+    cfg = load_config(scenario_path("step_xyz"), ["vehicle.linear_drag=0.5"])
+    log = run_closed_loop(make_controller("mpc", cfg), cfg.trajectory(), cfg.disturbance,
+                          duration=cfg.sim.duration, control_dt=cfg.sim.control_dt,
+                          substeps=cfg.sim.substeps, veh=cfg.veh, env=cfg.env,
+                          seed=cfg.sim.seed)
+    metrics = sim.compute_metrics(log, transient_skip=cfg.sim.transient_skip)
+    acc = cfg.acceptance
+    overshoot = max(metrics.max_overshoot_pct)
+    ok = (metrics.settling_time <= acc["settling_time_max"]
+          and overshoot <= acc["overshoot_pct_max"]
+          and metrics.steady_state_error <= acc["steady_state_error_max"])
+    _report(7, ok, f"+1 m xyz step with linear_drag 0.5: settle {metrics.settling_time:.2f} s, "
+                   f"overshoot {overshoot:.2f}%, steady-state "
+                   f"{metrics.steady_state_error * 100:.3f} cm")
+
+
 def test_criterion_08_helix_tracking(helix_run):
     cfg, log, metrics, elapsed = helix_run
     limit = cfg.acceptance["rms_error_max"]
