@@ -1,15 +1,19 @@
 """Condensed linear model predictive controller with a box-constrained QP.
 
-Each control step stacks the predicted state deviations over the horizon,
-condenses the quadratic tracking cost onto the input sequence, solves the
-resulting box-constrained QP with a projected-Newton method, and applies
-the first input block. The decision variable is the deviation of the eight
-squared rotor speeds from the hover command, so the model stays affine in
-the input.
-
-The condensed cost 0.5 U'PU + q'U has one path: ``build_cost`` builds the
-constant Hessian P and its factor, called once by the ``MpcController``
-constructor, and ``MpcController.gradient`` assembles q at each step.
+Each control step condenses the quadratic tracking cost over the horizon
+onto the input sequence U, the deviations of the eight squared rotor
+speeds from hover, solves the box-constrained QP by projected Newton, and
+applies the first input. The prediction is split into the four wrench
+channels of ``linmodel.CHANNELS``: a channel's states see the rotors only
+through the scalar m_c . du, m_c the unit direction of its mixer row, so
+each has its own single-input operators (``build_prediction``). The split
+rests on two conditions. The input and input-rate weights are the same
+for every rotor, so the Hessian of 0.5 U'PU + q'U is P = kron(T, I_8) +
+sum_c kron(Q_c, m_c m_c'), T the scalar input band and Q_c a channel's
+tracking block (``build_cost``, once per controller). The mixer's rows
+are orthogonal for every ``VehicleParams``, so in the coordinates
+(m_c . du, null-space part) P is block diagonal and only the input box
+couples the channels. ``MpcController.gradient`` assembles q per step.
 """
 
 from __future__ import annotations
@@ -20,20 +24,12 @@ import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 
 from .dynamics import wrap_angle
-from .linmodel import N_OUTPUTS, N_STATES, LinearModel
+from .linmodel import CHANNELS, N_OUTPUTS, N_STATES, LinearModel
 from .params import N_ROTORS, EnvParams, VehicleParams
 from .trajectories import ref_window
 
-__all__ = [
-    "MpcConfig",
-    "Prediction",
-    "QpMaxIterations",
-    "build_prediction",
-    "build_cost",
-    "solve_qp",
-    "mpc_step",
-    "MpcController",
-]
+__all__ = ["MpcConfig", "Channel", "QpMaxIterations", "build_prediction", "build_cost",
+           "solve_qp", "mpc_step", "MpcController"]
 
 
 class QpMaxIterations(RuntimeError):
@@ -105,79 +101,68 @@ class MpcConfig:
 
 
 @dataclass(frozen=True)
-class Prediction:
-    """Stacked prediction operators over the horizon.
+class Channel:
+    """One channel's condensed prediction: X = G dx0[states] + H V.
 
-    The state window runs from the current step to horizon-1:
-        X_stack = G dx0 + H U_stack
-    G stacks I, Ad, Ad^2, ...; H is strictly block lower triangular with
-    block (i, j) = Ad^(i-j-1) Bd for i > j.
+    X stacks the channel's states from the current step to horizon-1 and
+    V its scalar inputs v_k = direction . du_k. With its discrete (Ac, bc),
+    G stacks I, Ac, Ac^2, ... and H has block (i, j) = Ac^(i-j-1) bc, i > j.
     """
 
-    G: np.ndarray      # (12N, 12)
-    H: np.ndarray      # (12N, 8N)
+    states: np.ndarray     # (s,) indices into the 12-state
+    direction: np.ndarray  # (8,) unit mixer row
+    G: np.ndarray          # (N s, s)
+    H: np.ndarray          # (N s, N)
 
 
-def build_prediction(model: LinearModel, horizon: int) -> Prediction:
-    """Assemble the stacked G, H operators for a discrete model."""
+def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
+    """The four channels' condensed operators, in the mixer's row order.
+
+    Raises ``ValueError`` unless the model decouples on ``CHANNELS``: A
+    block diagonal on their state sets, and each channel's rows of B
+    multiples of one direction.
+    """
     if model.continuous:
         raise ValueError("prediction needs a discretized model")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    n, m = N_STATES, N_ROTORS
-    ad, bd = model.A, model.B
-
-    powers = [np.eye(n)]
-    for _ in range(horizon - 1):
-        powers.append(powers[-1] @ ad)
-
-    g = np.vstack(powers)
-    h = np.zeros((n * horizon, m * horizon))
-    # block (i, j) = Ad^(i-j-1) Bd, i > j
-    prods = [bd]
-    for _ in range(horizon - 2):
-        prods.append(ad @ prods[-1])
-    for i in range(1, horizon):
-        for j in range(i):
-            h[i * n:(i + 1) * n, j * m:(j + 1) * m] = prods[i - j - 1]
-
-    return Prediction(G=g, H=h)
-
-
-def _rate_penalty(mdu: np.ndarray) -> np.ndarray:
-    """The input-rate Hessian term D' diag(mdu) D, built as its band.
-
-    D maps an input sequence to its step-to-step differences (identity on
-    the diagonal, minus identity one block below), so the product has
-    ``mdu[k] + mdu[k + 8]`` on the diagonal (``mdu[k]`` in the last block)
-    and ``-mdu[k + 8]`` one block off it: the same sums the dense product
-    rounds to.
-    """
-    m, size = N_ROTORS, mdu.shape[0]
-    out = np.zeros((size, size))
-    diag = np.arange(size)
-    out[diag, diag] = mdu
-    out[diag[:-m], diag[:-m]] += mdu[m:]
-    out[diag[:-m], diag[m:]] = -mdu[m:]
-    out[diag[m:], diag[:-m]] = -mdu[m:]
-    return out
+    lag = np.maximum(np.subtract.outer(np.arange(horizon), np.arange(horizon)), 0)
+    channels = []
+    for states in map(np.array, CHANNELS):
+        rows = model.B[states]
+        direction = rows[np.argmax(np.linalg.norm(rows, axis=1))]
+        direction = direction / np.linalg.norm(direction)
+        b = rows @ direction
+        if (np.delete(model.A[states], states, axis=1).any()
+                or np.abs(rows - np.outer(b, direction)).max() > 1e-12 * np.abs(rows).max()):
+            raise ValueError(f"model does not decouple on the channel states {states.tolist()}")
+        powers = [np.eye(len(states))]
+        for _ in range(horizon - 1):
+            powers.append(powers[-1] @ model.A[np.ix_(states, states)])
+        g = np.vstack(powers)
+        # response[k] = Ac^(k-1) bc, the k-th sample after a unit input; 0 at k = 0
+        response = np.vstack([np.zeros(len(states)), (g @ b).reshape(horizon, -1)[:-1]])
+        h = response[lag].transpose(0, 2, 1).reshape(-1, horizon)
+        channels.append(Channel(states, direction, g, h))
+    return tuple(channels)
 
 
-def build_cost(pred: Prediction, cfg: MpcConfig):
-    """The constant Hessian P of the condensed cost 0.5 U'PU + q'U, factored.
+def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig):
+    """The constant Hessian P of the condensed cost, factored.
 
-    P sums the state-tracking term H' diag(mx) H, the input penalty and the
-    input-rate band. Returns ``(P, cho_factor(P, lower=True))``; raises
-    ``ValueError`` if P is not positive definite.
+    P = kron(T, I_8) + sum_c kron(H_c' W_c H_c, m_c m_c'), with T the N x N
+    input and input-rate band. Returns ``(P, cho_factor(P, lower=True))``;
+    raises ``ValueError`` if P is not positive definite.
     """
     n = cfg.horizon
-    mx = np.tile(cfg.state_weight, n)
-    mu = np.full(N_ROTORS * n, cfg.input_weight)
-    mdu = np.full(N_ROTORS * n, cfg.input_rate_weight)
-
-    h = pred.H
-    hessian = h.T @ (mx[:, None] * h) + np.diag(mu) + _rate_penalty(mdu)
-    hessian = 0.5 * (hessian + hessian.T)
+    eye = np.eye(n)
+    diff = eye - np.eye(n, k=-1)  # input sequence to its step-to-step differences
+    hessian = np.kron(cfg.input_weight * eye + cfg.input_rate_weight * (diff.T @ diff),
+                      np.eye(N_ROTORS))
+    for c in channels:
+        weights = np.tile(cfg.state_weight[c.states], n)
+        q = c.H.T @ (weights[:, None] * c.H)
+        hessian += np.kron(0.5 * (q + q.T), np.outer(c.direction, c.direction))
     try:
         return hessian, cho_factor(hessian, lower=True)
     except np.linalg.LinAlgError:
@@ -249,7 +234,8 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
             factor = chol
         else:
             try:
-                factor = cho_factor(h[np.ix_(free, free)], lower=True)
+                # a fresh symmetric copy: factored in place as its Fortran-order transpose
+                factor = cho_factor(h[np.ix_(free, free)].T, lower=True, overwrite_a=True)
             except np.linalg.LinAlgError:
                 raise ValueError("QP Hessian is not positive definite") from None
         # Newton target on the free block with clamped coordinates fixed
@@ -299,11 +285,9 @@ def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
 def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.ndarray:
     """One receding-horizon update: solve the QP, apply the first input.
 
-    ``refs`` is the (N, 4) window of (x, y, z, psi) references. The QP is
-    the controller's constant Hessian and its factor with the gradient
-    ``ctrl.gradient`` assembles; updates the controller's last input, warm
-    start and QP iteration count, and returns the absolute squared-speed
-    command, always inside the input box.
+    ``refs`` is the (N, 4) window of (x, y, z, psi) references. Updates the
+    controller's last input, warm start and QP iteration count, and returns
+    the absolute squared-speed command, always inside the input box.
     """
     cfg = ctrl.cfg
     du_seq, info = solve_qp(ctrl.hessian, ctrl.gradient(x_now, refs), ctrl.lower, ctrl.upper,
@@ -319,65 +303,79 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
 class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
-    Holds the prediction operators, the constant cost Hessian with its
-    Cholesky factor (both from ``build_cost``), the state weights tiled
-    over the horizon (``state_weights``) and the QP's input box
-    (``lower``, ``upper``),
-    plus the per-loop memory: the last applied input ``u_prev``, the QP
-    warm start ``warm_start`` and ``last_qp_iters``.
-    One instance drives one closed loop.
+    Holds the ``channels`` with their input ``directions`` as rows, the
+    constant Hessian and its factor, the input box (``lower``, ``upper``)
+    and the per-loop memory: the last applied input ``u_prev``, the QP
+    warm start and ``last_qp_iters``. One instance drives one closed loop.
     """
 
     def __init__(self, model: LinearModel, cfg: MpcConfig, veh: VehicleParams,
                  env: EnvParams):
-        if model.continuous:
-            raise ValueError("MpcController needs a discretized model")
         self.model = model
         self.cfg = cfg
-        self.veh = veh
-        self.env = env
-        self.pred = build_prediction(model, cfg.horizon)
-        self.hessian, self.chol = build_cost(self.pred, cfg)
-        self.state_weights = np.tile(cfg.state_weight, cfg.horizon)
+        self.channels = build_prediction(model, cfg.horizon)
+        self.directions = np.array([c.direction for c in self.channels])
+        self.hessian, self.chol = build_cost(self.channels, cfg)
         self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
         self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
         self.u_prev = model.u_ref.copy()
         self.warm_start = np.zeros(N_ROTORS * cfg.horizon)
         self.last_qp_iters = 0
 
-    def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:
-        """Linear term q of the condensed cost 0.5 U'PU + q'U at one step.
+    def predict(self, dx0: np.ndarray, du: np.ndarray) -> np.ndarray:
+        """The (N, 12) predicted deviations, current step to horizon-1.
 
-        ``refs``, the (N, 4) window of (x, y, z, psi) references, becomes a
-        12N state stack: velocity references are forward differences of the
-        positions, so a moving reference is tracked without a built-in lag,
-        and roll, pitch and the angular rates target hover. The deviation of
-        the 12-state ``x_now`` takes yaw on the wrapped branch nearest the
-        first reference sample; the input-rate penalty enters only through
-        ``u_prev``, at the first input block.
+        ``du`` is the stacked 8N input deviation, as ``solve_qp`` returns it.
+        """
+        horizon = self.cfg.horizon
+        dx0 = np.asarray(dx0, dtype=float)
+        inputs = np.reshape(du, (horizon, N_ROTORS)) @ self.directions.T
+        out = np.empty((horizon, N_STATES))
+        for ch, v in zip(self.channels, inputs.T):
+            out[:, ch.states] = (ch.G @ dx0[ch.states] + ch.H @ v).reshape(horizon, -1)
+        return out
+
+    def reference_stack(self, refs: np.ndarray) -> np.ndarray:
+        """The (N, 12) state deviations tracked for an (N, 4) (x, y, z, psi) window.
+
+        Velocity references are forward differences of the positions, so a
+        moving reference is tracked without a built-in lag; roll, pitch and
+        the angular rates target hover.
         """
         model, horizon = self.model, self.cfg.horizon
         refs = np.asarray(refs, dtype=float)
         if refs.shape != (horizon, N_OUTPUTS):
             raise ValueError(f"expected a ({horizon}, 4) reference window, got {refs.shape}")
-        x_now = np.asarray(x_now, dtype=float)
-        if x_now.shape != (N_STATES,):
-            raise ValueError(f"x_now must be a 12-vector, got shape {x_now.shape}")
-
-        x_ref = model.x_ref
-        dx0 = x_now - x_ref
-        dx0[8] = wrap_angle(refs[0, 3] - x_ref[8]) - wrap_angle(refs[0, 3] - x_now[8])
-
         stack = np.zeros((horizon, N_STATES))
-        stack[:, 0:3] = refs[:, 0:3] - x_ref[0:3]
+        stack[:, 0:3] = refs[:, 0:3] - model.x_ref[0:3]
         if horizon > 1:
             vel = (refs[1:, 0:3] - refs[:-1, 0:3]) / model.dt
             stack[:-1, 3:6] = vel
             stack[-1, 3:6] = vel[-1]  # the last sample keeps the last difference
-        stack[:, 8] = wrap_angle(refs[:, 3] - x_ref[8])
+        stack[:, 8] = wrap_angle(refs[:, 3] - model.x_ref[8])
+        return stack
 
-        gradient = -(self.pred.H.T @ (self.state_weights * (stack.ravel() - self.pred.G @ dx0)))
-        gradient[:N_ROTORS] -= self.cfg.input_rate_weight * (self.u_prev - model.u_ref)
+    def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:
+        """Linear term q of the condensed cost 0.5 U'PU + q'U at one step.
+
+        Each channel's part comes from its columns of the weighted error
+        ``reference_stack`` less free response, and one (N, 4) @ (4, 8)
+        product maps the four onto the rotors. Yaw in the deviation of
+        ``x_now`` takes the wrapped branch nearest the first reference; the
+        input-rate penalty enters only through ``u_prev``.
+        """
+        model, cfg = self.model, self.cfg
+        x_now = np.asarray(x_now, dtype=float)
+        if x_now.shape != (N_STATES,):
+            raise ValueError(f"x_now must be a 12-vector, got shape {x_now.shape}")
+        stack = self.reference_stack(refs)
+        dx0 = x_now - model.x_ref
+        dx0[8] = wrap_angle(refs[0, 3] - model.x_ref[8]) - wrap_angle(refs[0, 3] - x_now[8])
+        error = cfg.state_weight * (stack - self.predict(dx0, np.zeros(N_ROTORS * cfg.horizon)))
+        per_channel = np.column_stack([-(ch.H.T @ error[:, ch.states].ravel())
+                                       for ch in self.channels])
+        gradient = (per_channel @ self.directions).ravel()
+        gradient[:N_ROTORS] -= cfg.input_rate_weight * (self.u_prev - model.u_ref)
         return gradient
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:

@@ -73,9 +73,12 @@ def _floats(row: str) -> list[float]:
 
 def environment() -> dict:
     """The interpreter, numpy, scipy and BLAS the outputs come from."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    def blas(lib):
+        info = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{info['name']} {info['version']}"
+
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}"}
+            "scipy": scipy.__version__, "numpy_blas": blas(np), "scipy_blas": blas(scipy)}
 
 
 def flatten(fingerprint: dict) -> dict:

@@ -129,11 +129,11 @@ def test_criterion_05_prediction_exactness():
     dx0[0:3] = [0.4, -0.2, 0.3]
     g = ctrl.gradient(model.x_ref + dx0, np.zeros((n, 4)))
     du, _ = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
-    predicted = ctrl.pred.G @ dx0 + ctrl.pred.H @ du
+    predicted = ctrl.predict(dx0, du)
     state = dx0.copy()
     worst = 0.0
     for i in range(n):
-        worst = max(worst, float(np.abs(predicted[12 * i:12 * (i + 1)] - state).max()))
+        worst = max(worst, float(np.abs(predicted[i] - state).max()))
         state = model.A @ state + model.B @ du[8 * i:8 * (i + 1)]
     ok = worst < 1e-10
     _report(5, ok, f"N=20, Ts=0.02 prediction vs linear plant: "

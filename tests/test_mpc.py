@@ -25,19 +25,41 @@ def horizon_ctrl(disc_model, mpc_cfg):
     return MpcController(disc_model, mpc_cfg, VEH, ENV)
 
 
+def dense_prediction(model, horizon):
+    """Reference full-model operators, block by block: X = G dx0 + H U.
+
+    X stacks the 12-state from the current step to horizon-1; block (i, j)
+    of H is A^(i-j-1) B for i > j.
+    """
+    power = [np.linalg.matrix_power(model.A, k) for k in range(horizon)]
+    h = np.zeros((12 * horizon, 8 * horizon))
+    for i in range(1, horizon):
+        for j in range(i):
+            h[12 * i:12 * (i + 1), 8 * j:8 * (j + 1)] = power[i - j - 1] @ model.B
+    return np.vstack(power), h
+
+
+def recursion(model, dx0, du):
+    """The (N, 12) states of x' = A x + B u from ``dx0`` under the 8N inputs ``du``."""
+    out = [dx0]
+    for u in du.reshape(-1, 8)[:-1]:
+        out.append(model.A @ out[-1] + model.B @ u)
+    return np.array(out)
+
+
 class TestPrediction:
     def test_horizon_one(self, disc_model):
-        p = build_prediction(disc_model, 1)
-        assert np.array_equal(p.G, np.eye(12))
-        assert not p.H.any()
+        ctrl = MpcController(disc_model, small_cfg(horizon=1), VEH, ENV)
+        dx0 = np.linspace(-1.0, 1.0, 12)
+        assert np.array_equal(ctrl.predict(dx0, np.full(8, 100.0)), dx0[None])
 
     def test_horizon_two(self, disc_model):
-        p = build_prediction(disc_model, 2)
-        assert np.allclose(p.G[:12], np.eye(12))
-        assert np.allclose(p.G[12:], disc_model.A)
-        assert not p.H[:12].any()
-        assert np.allclose(p.H[12:, :8], disc_model.B)
-        assert not p.H[12:, 8:].any()
+        ctrl = MpcController(disc_model, small_cfg(horizon=2), VEH, ENV)
+        dx0 = np.linspace(-1.0, 1.0, 12)
+        du = np.arange(16.0) * 100.0
+        x = ctrl.predict(dx0, du)
+        assert np.array_equal(x[0], dx0)
+        assert np.allclose(x[1], disc_model.A @ dx0 + disc_model.B @ du[:8], rtol=0, atol=1e-14)
 
     @given(n=st.integers(1, 12), seed=st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
@@ -45,16 +67,52 @@ class TestPrediction:
         rng = np.random.default_rng(seed)
         dx0 = rng.normal(0, 0.2, 12)
         du = rng.normal(0, 100.0, 8 * n)
-        p = build_prediction(disc_model, n)
-        stacked = p.G @ dx0 + p.H @ du
-        x = dx0.copy()
-        for i in range(n):
-            assert np.allclose(stacked[12 * i:12 * (i + 1)], x, atol=1e-12)
-            x = disc_model.A @ x + disc_model.B @ du[8 * i:8 * (i + 1)]
+        ctrl = MpcController(disc_model, small_cfg(horizon=n), VEH, ENV)
+        assert np.allclose(ctrl.predict(dx0, du), recursion(disc_model, dx0, du),
+                           rtol=0, atol=1e-12)
+
+    @given(mass=st.floats(1.0, 50.0), arm=st.floats(0.3, 2.0),
+           inertia=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+           thrust_coeff=st.floats(1e-5, 5e-4), torque_coeff=st.floats(1e-7, 5e-5),
+           drag=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), seed=st.integers(0, 100))
+    @settings(max_examples=40, deadline=None)
+    def test_channels_over_random_vehicles(self, mass, arm, inertia, thrust_coeff,
+                                           torque_coeff, drag, seed):
+        """On any vehicle the mixer's rows are orthogonal, the model splits
+        into the four channels, and their prediction is the A/B recursion."""
+        veh = dataclasses.replace(
+            VEH, mass=mass, arm_length=arm, inertia_xx=inertia[0], inertia_yy=inertia[1],
+            inertia_zz=inertia[2], thrust_coeff=thrust_coeff, torque_coeff=torque_coeff,
+            linear_drag=drag)
+        mixer = dynamics.mixer_matrix(veh)
+        gram = mixer @ mixer.T
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-15 * np.abs(gram).max()
+
+        model = linmodel.discretize(linmodel.linearize_hover(veh, ENV), 0.02)
+        ctrl = MpcController(model, MpcConfig.default(veh, horizon=15), veh, ENV)
+        assert np.allclose(ctrl.directions, mixer / np.linalg.norm(mixer, axis=1)[:, None],
+                           rtol=0, atol=1e-15)
+        rng = np.random.default_rng(seed)
+        dx0 = rng.normal(0, 0.2, 12)
+        du = rng.normal(0, 0.01, 8 * 15) * veh.max_rotor_speed ** 2
+        want = recursion(model, dx0, du)
+        got = ctrl.predict(dx0, du)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_rejects_continuous_model(self, cont_model):
         with pytest.raises(ValueError):
             build_prediction(cont_model, 5)
+
+    @pytest.mark.parametrize("coupling", ["A", "B"])
+    def test_rejects_model_that_does_not_decouple(self, disc_model, coupling):
+        a, b = disc_model.A.copy(), disc_model.B.copy()
+        if coupling == "A":
+            a[0, 2] = 0.01  # x driven by z: pitch and thrust channels couple
+        else:
+            b[5] += b[9]    # vertical acceleration from the roll moment
+        model = dataclasses.replace(disc_model, A=a, B=b)
+        with pytest.raises(ValueError, match="does not decouple"):
+            build_prediction(model, 5)
 
 
 class TestCost:
@@ -89,36 +147,40 @@ class TestCost:
         x_now[8], refs[0, 3] = 3.0, -3.0  # yaw and its first reference straddle +-pi
         ctrl.u_prev = disc_model.u_ref + rng.normal(0, 10.0, 8)
 
-        cfg, pred, x_ref = ctrl.cfg, ctrl.pred, disc_model.x_ref
+        cfg, x_ref = ctrl.cfg, disc_model.x_ref
+        g, h = dense_prediction(disc_model, n)
         mx = np.diag(np.tile(cfg.state_weight, n))
         mu = np.diag(np.full(8 * n, cfg.input_weight))
         mdu = np.diag(np.full(8 * n, cfg.input_rate_weight))
         diff = np.eye(8 * n)
         for i in range(1, n):
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
-        h_dense = pred.H.T @ mx @ pred.H + mu + diff.T @ mdu @ diff
+        h_dense = h.T @ mx @ h + mu + diff.T @ mdu @ diff
         dx0 = x_now - x_ref
         dx0[8] = (dynamics.wrap_angle(refs[0, 3] - x_ref[8])
                   - dynamics.wrap_angle(refs[0, 3] - x_now[8]))
-        err = _stack_reference_loop(refs, x_ref, n, disc_model.dt) - pred.G @ dx0
+        err = _stack_reference_loop(refs, x_ref, n, disc_model.dt) - g @ dx0
         bound = np.zeros(8 * n)
         bound[:8] = ctrl.u_prev - disc_model.u_ref
-        g_dense = -(pred.H.T @ mx @ err + diff.T @ mdu @ bound)
+        g_dense = -(h.T @ mx @ err + diff.T @ mdu @ bound)
         assert np.allclose(ctrl.hessian, h_dense, atol=1e-12)
         assert np.allclose(ctrl.gradient(x_now, refs), g_dense, atol=1e-12)
 
-    def test_hessian_matches_dense_rate_product_bitwise(self, horizon_ctrl):
-        # the input-rate term is built as a band; it must round like D' diag(mdu) D
-        cfg, pred = horizon_ctrl.cfg, horizon_ctrl.pred
+    def test_hessian_matches_dense_products(self, horizon_ctrl):
+        """The channel assembly against H' diag(mx) H + diag(mu) + D' diag(mdu) D
+        at the shipped horizon, to 1e-14 of the largest entry."""
+        cfg = horizon_ctrl.cfg
         n = cfg.horizon
+        _, h = dense_prediction(horizon_ctrl.model, n)
         mx = np.tile(cfg.state_weight, n)
         mu = np.full(8 * n, cfg.input_weight)
         mdu = np.full(8 * n, cfg.input_rate_weight)
         diff = np.eye(8 * n)
         for i in range(1, n):
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
-        dense = pred.H.T @ (mx[:, None] * pred.H) + np.diag(mu) + diff.T @ (mdu[:, None] * diff)
-        assert np.array_equal(horizon_ctrl.hessian, 0.5 * (dense + dense.T))
+        dense = h.T @ (mx[:, None] * h) + np.diag(mu) + diff.T @ (mdu[:, None] * diff)
+        scale = np.abs(dense).max()
+        assert np.abs(horizon_ctrl.hessian - dense).max() <= 1e-14 * scale
 
     def test_dimension_checks(self, disc_model):
         ctrl = MpcController(disc_model, small_cfg(horizon=3), VEH, ENV)
@@ -280,17 +342,13 @@ class TestStackReference:
     @given(seed=st.integers(0, 1000), horizon=st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
     def test_matches_per_sample_loop(self, disc_model, seed, horizon):
-        """With an identity prediction (G = 0, H = I) and unit state weights
-        the gradient is minus the reference stack, so the stack is read
-        bit for bit through ``gradient``."""
+        """The stack ``gradient`` tracks, against a per-sample loop, bit for bit."""
         rng = np.random.default_rng(seed)
         refs = rng.normal(0, 5, (horizon, 4))
         model = dataclasses.replace(disc_model, x_ref=rng.normal(0, 1, 12))
         ctrl = MpcController(model, small_cfg(horizon=horizon), VEH, ENV)
-        ctrl.pred = mpc.Prediction(G=np.zeros((12 * horizon, 12)), H=np.eye(12 * horizon))
-        ctrl.state_weights = np.ones(12 * horizon)
         want = _stack_reference_loop(refs, model.x_ref, horizon, model.dt)
-        assert np.array_equal(-ctrl.gradient(rng.normal(0, 1, 12), refs), want)
+        assert np.array_equal(ctrl.reference_stack(refs).ravel(), want)
 
 
 class TestMpcStep:
@@ -389,9 +447,11 @@ class TestMpcStep:
 
     def test_indefinite_hessian_rejected_by_build_cost_and_constructor(
             self, disc_model, monkeypatch):
-        # identical huge input columns: the input weights are lost to rounding
-        cfg = small_cfg(horizon=1)
-        pred = mpc.Prediction(G=np.eye(12), H=np.full((12, 8), 1e8))
+        # one channel with identical huge responses: the input weights are lost
+        # to rounding and P is a multiple of a matrix of ones
+        cfg = small_cfg(horizon=2)
+        pred = (mpc.Channel(states=np.array([2, 5]), direction=np.full(8, 8 ** -0.5),
+                            G=np.eye(2), H=np.full((4, 2), 1e8)),)
         with pytest.raises(ValueError, match="cost Hessian is not positive definite"):
             build_cost(pred, cfg)
         monkeypatch.setattr(mpc, "build_prediction", lambda model, horizon: pred)
@@ -439,11 +499,7 @@ class TestClosedLoopLinear:
         x[0:3] = [0.4, -0.2, 0.3]
         g = ctrl.gradient(x, np.zeros((20, 4)))
         du, _ = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
-        predicted = ctrl.pred.G @ x + ctrl.pred.H @ du
-        state = x.copy()
-        for i in range(20):
-            assert np.abs(predicted[12 * i:12 * (i + 1)] - state).max() < 1e-10
-            state = disc_model.A @ state + disc_model.B @ du[8 * i:8 * (i + 1)]
+        assert np.abs(ctrl.predict(x, du) - recursion(disc_model, x, du)).max() < 1e-10
 
 
 class TestConfigValidation:
