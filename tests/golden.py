@@ -34,9 +34,9 @@ RTOL = 1e-9
 ATOL = 1e-12
 
 
-def run(name: str, kind: str):
+def run(name: str, kind: str, overrides=()):
     """One shipped scenario's closed loop: ``(cfg, log, metrics, wall seconds)``."""
-    cfg = load_config(scenario_path(name))
+    cfg = load_config(scenario_path(name), overrides)
     start = time.monotonic()
     log = run_closed_loop(make_controller(kind, cfg), cfg.trajectory(), cfg.disturbance,
                           duration=cfg.sim.duration, control_dt=cfg.sim.control_dt,

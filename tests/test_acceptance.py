@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import golden
 from marsquad import dynamics, linmodel, mpc, params, simulator as sim
 from marsquad.cli import make_controller
 from marsquad.config import load_config
@@ -178,12 +179,7 @@ def test_criterion_07_step_response(step_run):
 
 def test_criterion_07_holds_with_linear_drag():
     """The step response on a vehicle with drag, which the MPC's model includes."""
-    cfg = load_config(scenario_path("step_xyz"), ["vehicle.linear_drag=0.5"])
-    log = run_closed_loop(make_controller("mpc", cfg), cfg.trajectory(), cfg.disturbance,
-                          duration=cfg.sim.duration, control_dt=cfg.sim.control_dt,
-                          substeps=cfg.sim.substeps, veh=cfg.veh, env=cfg.env,
-                          seed=cfg.sim.seed)
-    metrics = sim.compute_metrics(log, transient_skip=cfg.sim.transient_skip)
+    cfg, _, metrics, _ = golden.run("step_xyz", "mpc", ["vehicle.linear_drag=0.5"])
     acc = cfg.acceptance
     overshoot = max(metrics.max_overshoot_pct)
     ok = (metrics.settling_time <= acc["settling_time_max"]
