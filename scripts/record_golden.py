@@ -35,8 +35,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         outdir = args.out or Path(tmp)
         for run in golden.RUNS:
-            cfg, log, metrics, _ = golden.run(*run.split("/"))
-            golden.write_artifacts(cfg, log, metrics, outdir / run)
+            _, log, _, _ = golden.run(*run.split("/"), outdir)
             runs[run] = golden.record(outdir / run)
             print(f"{run}: {len(log)} steps")
     manifest = {"environment": golden.environment(), "runs": runs}

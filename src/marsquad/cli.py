@@ -69,6 +69,10 @@ def run_scenario(cfg: ScenarioConfig, kind: str, outdir: Path):
     return log, metrics
 
 
+def _outdir(out: str | None, cfg: ScenarioConfig) -> Path:
+    return Path(out or cfg.sim.outdir)
+
+
 def _print_metrics(name: str, metrics):
     d = metrics.as_dict()
     print(f"  [{name}]")
@@ -95,7 +99,7 @@ def _cmd_run(args) -> int:
         print(err, file=sys.stderr)
         return 2
     controller = cfg.sim.controller
-    outdir = Path(args.out) if args.out else Path(cfg.sim.outdir)
+    outdir = _outdir(args.out, cfg)
 
     results = {}
     for kind in _KINDS[controller]:
@@ -132,12 +136,12 @@ def _cmd_validate(args) -> int:
 
 
 def _sweep_worker(task):
-    cfg, out = task
-    outdir = Path(out) if out else Path(cfg.sim.outdir)
-    summary = {}
-    for kind in _KINDS[cfg.sim.controller]:
-        _, metrics = run_scenario(cfg, kind, outdir)
-        summary[kind] = metrics.as_dict()
+    cfg, outdir = task
+    try:
+        summary = {kind: run_scenario(cfg, kind, outdir)[1].as_dict()
+                   for kind in _KINDS[cfg.sim.controller]}
+    except Exception as err:  # worker errors must not kill the pool
+        return None, f"{type(err).__name__}: {err}"
     return cfg.name, summary
 
 
@@ -152,17 +156,17 @@ def _cmd_sweep(args) -> int:
             print(f"{path}: {err}", file=sys.stderr)
             return 2
     # a run writes under <out>/<name>/, so two configs there would overwrite each other
+    tasks = [(cfg, _outdir(args.out, cfg)) for cfg in configs]
     dests = {}
-    for path, cfg in zip(args.configs, configs):
-        dest = Path(args.out or cfg.sim.outdir) / cfg.name
+    for path, (cfg, outdir) in zip(args.configs, tasks):
+        dest = outdir / cfg.name
         if dest in dests:
             print(f"error: {dests[dest]} and {path} both write to {dest}", file=sys.stderr)
             return 2
         dests[dest] = path
-    tasks = [(cfg, args.out) for cfg in configs]
     failures = 0
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for path, result in zip(args.configs, pool.map(_sweep_worker_safe, tasks)):
+        for path, result in zip(args.configs, pool.map(_sweep_worker, tasks)):
             name, payload = result
             if name is None:
                 print(f"error: {path}: {payload}", file=sys.stderr)
@@ -171,13 +175,6 @@ def _cmd_sweep(args) -> int:
                 rms = {k: v["rms_position_error"] for k, v in payload.items()}
                 print(f"{name}: " + ", ".join(f"{k} rms={v:.4g} m" for k, v in rms.items()))
     return 1 if failures else 0
-
-
-def _sweep_worker_safe(task):
-    try:
-        return _sweep_worker(task)
-    except Exception as err:  # worker errors must not kill the pool
-        return None, f"{type(err).__name__}: {err}"
 
 
 def main(argv=None) -> int:

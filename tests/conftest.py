@@ -35,12 +35,19 @@ def mpc_cfg(veh):
 
 
 @pytest.fixture(scope="session")
-def shipped_run():
-    """``run(name, kind)``: ``golden.run``, each shipped run once per session.
+def shipped_dir(tmp_path_factory):
+    """The session directory the shipped runs write to, as ``marsquad sweep`` lays it out."""
+    return tmp_path_factory.mktemp("shipped")
 
-    The acceptance criteria and the golden-output gate read the same runs.
+
+@pytest.fixture(scope="session")
+def shipped_run(shipped_dir):
+    """``run(name, kind)``: ``golden.run`` into ``shipped_dir``, once per session.
+
+    The acceptance criteria read each shipped run's results, and the
+    golden-output gate the files it wrote.
     """
-    return functools.cache(golden.run)
+    return functools.cache(functools.partial(golden.run, outdir=shipped_dir))
 
 
 def _brute_force_box_qp(h, g, lo, hi):

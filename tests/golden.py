@@ -5,8 +5,8 @@
 fingerprint: every ``metrics.json`` value, the final logged state and
 every 50th log row as the 17-digit CSV line. It also names the
 Python, numpy, scipy and BLAS versions it was recorded with.
-``test_golden.py`` re-runs the ten runs and gates the fingerprint;
-``scripts/record_golden.py`` re-records the manifest.
+``test_golden.py`` gates the fingerprint of the files the session's
+shipped runs wrote; ``scripts/record_golden.py`` re-records the manifest.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from marsquad.cli import make_controller
-from marsquad.config import config_snapshot, load_config
+from marsquad.cli import run_scenario
+from marsquad.config import load_config
 from marsquad.scenarios import scenario_names, scenario_path
-from marsquad.simulator import compute_metrics, run_closed_loop, write_csv, write_metrics
 
 MANIFEST = Path(__file__).resolve().parent / "golden_manifest.json"
 RUNS = tuple(f"{name}/{kind}" for name in scenario_names() for kind in ("mpc", "pid"))
@@ -34,24 +33,16 @@ RTOL = 1e-9
 ATOL = 1e-12
 
 
-def run(name: str, kind: str, overrides=()):
-    """One shipped scenario's closed loop: ``(cfg, log, metrics, wall seconds)``."""
+def run(name: str, kind: str, outdir: Path, overrides=()):
+    """One shipped scenario's ``run_scenario``: ``(cfg, log, metrics, wall seconds)``.
+
+    The run writes its three files under ``outdir/<name>/<kind>``; the wall
+    time covers the closed loop, the metrics and the writes.
+    """
     cfg = load_config(scenario_path(name), overrides)
     start = time.monotonic()
-    log = run_closed_loop(make_controller(kind, cfg), cfg.trajectory(), cfg.disturbance,
-                          duration=cfg.sim.duration, control_dt=cfg.sim.control_dt,
-                          substeps=cfg.sim.substeps, veh=cfg.veh, env=cfg.env,
-                          seed=cfg.sim.seed)
-    elapsed = time.monotonic() - start
-    return cfg, log, compute_metrics(log, transient_skip=cfg.sim.transient_skip), elapsed
-
-
-def write_artifacts(cfg, log, metrics, dest: Path) -> None:
-    """The three files ``marsquad run`` writes for one run."""
-    dest.mkdir(parents=True, exist_ok=True)
-    write_csv(log, dest / "log.csv")
-    write_metrics(metrics, dest / "metrics.json")
-    (dest / "config.ini").write_text(config_snapshot(cfg))
+    log, metrics = run_scenario(cfg, kind, outdir)
+    return cfg, log, metrics, time.monotonic() - start
 
 
 def record(dest: Path) -> dict:

@@ -4,60 +4,24 @@ prints one pass/fail line (run with ``pytest -s`` to see them inline).
 The closed-loop criteria take every physical parameter and threshold
 through ``load_config`` of a shipped scenario file: the values the file
 sets, and the code defaults for the rest. None comes from constants in
-this module.
+this module. The shipped runs come from the session fixture
+``shipped_run`` (``conftest.py``), which makes each one once.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 import golden
-from marsquad import dynamics, linmodel, mpc, params, simulator as sim
-from marsquad.cli import make_controller
+from marsquad import dynamics, linmodel, params, simulator as sim
 from marsquad.config import load_config
 from marsquad.mpc import MpcConfig, MpcController, solve_qp
 from marsquad.scenarios import scenario_path
-from marsquad.simulator import run_closed_loop, write_csv
-
-# metrics of every closed-loop run executed here, for the global box check
-_ALL_RUN_METRICS = {}
 
 
 def _report(num, ok, text):
     print(f"\n[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {text}")
     assert ok, f"criterion {num} failed: {text}"
-
-
-def _run(shipped_run, name, kind):
-    out = shipped_run(name, kind)
-    _ALL_RUN_METRICS[f"{name}/{kind}"] = out[2]
-    return out
-
-
-@pytest.fixture(scope="module")
-def hover_runs(shipped_run):
-    return {kind: _run(shipped_run, "hover", kind) for kind in ("mpc", "pid")}
-
-
-@pytest.fixture(scope="module")
-def step_run(shipped_run):
-    return _run(shipped_run, "step_xyz", "mpc")
-
-
-@pytest.fixture(scope="module")
-def helix_run(shipped_run):
-    return _run(shipped_run, "helix", "mpc")
-
-
-@pytest.fixture(scope="module")
-def square_runs(shipped_run):
-    return {kind: _run(shipped_run, "square_corners", kind) for kind in ("mpc", "pid")}
-
-
-@pytest.fixture(scope="module")
-def disturbed_run(shipped_run):
-    return _run(shipped_run, "helix_disturbed", "mpc")
 
 
 def test_criterion_01_linearization_matches_finite_differences():
@@ -93,12 +57,10 @@ def test_criterion_02_allocation_round_trip():
                    f"A A+ vs I: {identity_err:.2e} (tol 1e-12)")
 
 
-def test_criterion_03_hover_equilibrium(hover_runs):
-    cfg = hover_runs["mpc"][0]
-    tol = cfg.acceptance["max_position_deviation"]
-    devs = {}
-    for kind, (_, log, _, _) in hover_runs.items():
-        devs[kind] = float(np.abs(log.states[:, 0:3]).max())
+def test_criterion_03_hover_equilibrium(shipped_run):
+    runs = {kind: shipped_run("hover", kind) for kind in ("mpc", "pid")}
+    tol = runs["mpc"][0].acceptance["max_position_deviation"]
+    devs = {kind: float(np.abs(run[1].states[:, 0:3]).max()) for kind, run in runs.items()}
     ok = all(d < tol for d in devs.values())
     _report(3, ok, f"10 s hover deviation: mpc {devs['mpc']:.2e} m, "
                    f"pid {devs['pid']:.2e} m (tol {tol:g})")
@@ -141,8 +103,7 @@ def test_criterion_05_prediction_exactness():
                    f"worst |dx| {worst:.2e} (tol 1e-10)")
 
 
-def test_criterion_06_qp_against_brute_force(hover_runs, step_run, helix_run,
-                                             square_runs, disturbed_run, box_qp_oracle):
+def test_criterion_06_qp_against_brute_force(shipped_run, box_qp_oracle):
     cfg = MpcConfig.default(params.VehicleParams.default())
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -155,15 +116,16 @@ def test_criterion_06_qp_against_brute_force(hover_runs, step_run, helix_run,
         x, _ = solve_qp(h, g, lo, hi, cfg)
         xb = box_qp_oracle(h, g, lo, hi)
         worst = max(worst, float(np.abs(x - xb).max()))
-    violations = {name: m.constraint_violations for name, m in _ALL_RUN_METRICS.items()}
+    violations = {run: shipped_run(*run.split("/"))[2].constraint_violations
+                  for run in golden.RUNS}
     total = sum(violations.values())
     ok = worst < 1e-8 and total == 0
     _report(6, ok, f"500 random box QPs: worst |dx| {worst:.2e} (tol 1e-8); "
-                   f"box violations across {len(violations)} acceptance runs: {total}")
+                   f"box violations across {len(violations)} shipped runs: {total}")
 
 
-def test_criterion_07_step_response(step_run):
-    cfg, log, metrics, elapsed = step_run
+def test_criterion_07_step_response(shipped_run):
+    cfg, _, metrics, elapsed = shipped_run("step_xyz", "mpc")
     acc = cfg.acceptance
     overshoot = max(metrics.max_overshoot_pct)
     ok = (metrics.settling_time <= acc["settling_time_max"]
@@ -177,9 +139,9 @@ def test_criterion_07_step_response(step_run):
                    f"(max {acc['steady_state_error_max'] * 100:g}), wall {elapsed:.1f} s")
 
 
-def test_criterion_07_holds_with_linear_drag():
+def test_criterion_07_holds_with_linear_drag(tmp_path):
     """The step response on a vehicle with drag, which the MPC's model includes."""
-    cfg, _, metrics, _ = golden.run("step_xyz", "mpc", ["vehicle.linear_drag=0.5"])
+    cfg, _, metrics, _ = golden.run("step_xyz", "mpc", tmp_path, ["vehicle.linear_drag=0.5"])
     acc = cfg.acceptance
     overshoot = max(metrics.max_overshoot_pct)
     ok = (metrics.settling_time <= acc["settling_time_max"]
@@ -190,8 +152,8 @@ def test_criterion_07_holds_with_linear_drag():
                    f"{metrics.steady_state_error * 100:.3f} cm")
 
 
-def test_criterion_08_helix_tracking(helix_run):
-    cfg, log, metrics, elapsed = helix_run
+def test_criterion_08_helix_tracking(shipped_run):
+    cfg, _, metrics, elapsed = shipped_run("helix", "mpc")
     limit = cfg.acceptance["rms_error_max"]
     ok = metrics.rms_position_error <= limit and elapsed < 60.0
     _report(8, ok, f"helix (r=1, 0.02 pi rad/s, 0.1 m/s climb): RMS after "
@@ -200,7 +162,8 @@ def test_criterion_08_helix_tracking(helix_run):
                    f"wall {elapsed:.1f} s")
 
 
-def test_criterion_09_square_corner_comparison(square_runs):
+def test_criterion_09_square_corner_comparison(shipped_run):
+    square_runs = {kind: shipped_run("square_corners", kind) for kind in ("mpc", "pid")}
     cfg = square_runs["mpc"][0]
     side = cfg.traj_params["side"]
     over = {k: sim.corner_overshoot(run[1], side) for k, run in square_runs.items()}
@@ -211,8 +174,8 @@ def test_criterion_09_square_corner_comparison(square_runs):
                    f"pid {effort['pid']:.3g}")
 
 
-def test_criterion_10_disturbance_rejection(disturbed_run):
-    cfg, log, metrics, _ = disturbed_run
+def test_criterion_10_disturbance_rejection(shipped_run):
+    cfg, log, metrics, _ = shipped_run("helix_disturbed", "mpc")
     pulse = cfg.disturbance.pulses[0]
     deadline = pulse.t_end + cfg.acceptance["recovery_time_max"]
     radius = cfg.acceptance["recovery_radius"]
@@ -257,17 +220,12 @@ def test_criterion_11_integrator_order():
 def test_criterion_12_determinism(tmp_path):
     overrides = ["sim.duration=6.0", "disturbance.noise_force=0.05"]
 
-    def one(path):
-        cfg = load_config(scenario_path("helix_disturbed"), overrides)
-        log = run_closed_loop(make_controller("mpc", cfg), cfg.trajectory(),
-                              cfg.disturbance, duration=cfg.sim.duration,
-                              control_dt=cfg.sim.control_dt, substeps=cfg.sim.substeps,
-                              veh=cfg.veh, env=cfg.env, seed=cfg.sim.seed)
-        write_csv(log, path)
-        return path.read_bytes()
+    def one(outdir):
+        golden.run("helix_disturbed", "mpc", outdir, overrides)
+        return (outdir / "helix_disturbed" / "mpc" / "log.csv").read_bytes()
 
-    a = one(tmp_path / "a.csv")
-    b = one(tmp_path / "b.csv")
+    a = one(tmp_path / "a")
+    b = one(tmp_path / "b")
     ok = a == b
     _report(12, ok, f"two noisy runs, same config and seed: CSV logs "
                     f"{'byte-identical' if ok else 'differ'} ({len(a)} bytes)")
