@@ -358,11 +358,11 @@ class MpcController:
     def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:
         """Linear term q of the condensed cost 0.5 U'PU + q'U at one step.
 
-        Each channel's part comes from its columns of the weighted error
-        ``reference_stack`` less free response, and one (N, 4) @ (4, 8)
-        product maps the four onto the rotors. Yaw in the deviation of
-        ``x_now`` takes the wrapped branch nearest the first reference; the
-        input-rate penalty enters only through ``u_prev``.
+        Each channel's part comes from its weighted error: its columns of
+        ``reference_stack`` less its free response ``G dx0[states]``. One
+        (N, 4) @ (4, 8) product maps the four onto the rotors. Yaw in the
+        deviation of ``x_now`` takes the wrapped branch nearest the first
+        reference; the input-rate penalty enters only through ``u_prev``.
         """
         model, cfg = self.model, self.cfg
         x_now = np.asarray(x_now, dtype=float)
@@ -371,10 +371,12 @@ class MpcController:
         stack = self.reference_stack(refs)
         dx0 = x_now - model.x_ref
         dx0[8] = wrap_angle(refs[0, 3] - model.x_ref[8]) - wrap_angle(refs[0, 3] - x_now[8])
-        error = cfg.state_weight * (stack - self.predict(dx0, np.zeros(N_ROTORS * cfg.horizon)))
-        per_channel = np.column_stack([-(ch.H.T @ error[:, ch.states].ravel())
-                                       for ch in self.channels])
-        gradient = (per_channel @ self.directions).ravel()
+        weight = cfg.state_weight
+        parts = []
+        for ch in self.channels:
+            free = (ch.G @ dx0[ch.states]).reshape(cfg.horizon, -1)
+            parts.append(-(ch.H.T @ (weight[ch.states] * (stack[:, ch.states] - free)).ravel()))
+        gradient = (np.column_stack(parts) @ self.directions).ravel()
         gradient[:N_ROTORS] -= cfg.input_rate_weight * (self.u_prev - model.u_ref)
         return gradient
 
