@@ -376,19 +376,14 @@ def corner_overshoot(log: SimLog, side: float) -> float:
     return float(excursion.max())
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_csv(log: SimLog, path) -> None:
     """Write the run log with a fixed header, one row per control step."""
-    rows = [",".join(CSV_COLUMNS)]
-    for k in range(len(log)):
-        vals = [log.t[k], *log.states[k], *log.refs[k], *log.commands[k],
-                *log.wrenches[k]]
-        rows.append(",".join(_fmt(v) for v in vals) + f",{int(log.qp_iters[k])}")
+    row = "%.17g," * (len(CSV_COLUMNS) - 1) + "%d\n"
+    table = np.column_stack([log.t, log.states, log.refs, log.commands, log.wrenches,
+                             log.qp_iters])
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(row % tuple(r) for r in table.tolist())
 
 
 def write_metrics(metrics: Metrics, path) -> None:
