@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,8 +80,8 @@ class Disturbance:
     """Scheduled pulses plus optional seeded white noise per channel group."""
 
     pulses: tuple = ()
-    noise_force: float = 0.0   # N std per axis, ground frame
-    noise_torque: float = 0.0  # N m std per axis, body frame
+    noise_force: float = 0.0   # N std per axis over one control step, ground frame
+    noise_torque: float = 0.0  # N m std per axis over one control step, body frame
 
     def __post_init__(self):
         if self.noise_force < 0 or self.noise_torque < 0:
@@ -231,8 +231,10 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
 
     The command's wrench is computed once per step, logged, and held over
     the substeps. The logged reference is sampled for the whole run in one
-    ``ref_window`` call at the control-step times. ``x0``, the start state
-    (hover at the origin by default), must be a finite 12-vector.
+    ``ref_window`` call at the control-step times. Noise is drawn once per
+    substep at ``sqrt(substeps)`` times its std, so its effect does not
+    depend on ``substeps``. ``x0``, the start state (hover at the origin by
+    default), must be a finite 12-vector.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration}")
@@ -267,6 +269,10 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
         "control_dt": control_dt,
     }
 
+    if dist is not None and dist.has_noise:
+        scale = math.sqrt(substeps)
+        dist = replace(dist, noise_force=dist.noise_force * scale,
+                       noise_torque=dist.noise_torque * scale)
     sub_dt = control_dt / substeps
     for k in range(n_steps):
         t = k * control_dt

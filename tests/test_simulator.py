@@ -273,6 +273,23 @@ class TestClosedLoop:
         delta = np.abs(final_state(10) - final_state(20)).max()
         assert delta < 1e-8
 
+    def test_noise_power_does_not_depend_on_substeps(self):
+        # force noise alone, seen in the velocity after one control step
+        sigma, dt = 0.5, 0.02
+        dist = Disturbance(noise_force=sigma)
+
+        def velocity_variance(substeps):
+            v = [run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), dist,
+                                 duration=2 * dt, control_dt=dt, substeps=substeps,
+                                 veh=VEH, env=ENV, seed=seed).states[1, 3:6]
+                 for seed in range(1000)]
+            return float(np.var(v))
+
+        coarse, fine = velocity_variance(5), velocity_variance(20)
+        want = (sigma * dt / VEH.mass) ** 2
+        assert abs(coarse / fine - 1) < 0.2
+        assert abs(coarse / want - 1) < 0.2 and abs(fine / want - 1) < 0.2
+
     @pytest.mark.parametrize("traj", [helix_ref(), square_ref(side=2.0, edge_duration=0.3)])
     def test_reference_rows_equal_per_step_samples(self, traj):
         log = run_closed_loop(_HoverController(), traj, None, duration=1.0,
