@@ -14,11 +14,22 @@ tracking block (``build_cost``, once per controller). The mixer's rows
 are orthogonal for every ``VehicleParams``, so in the coordinates
 (m_c . du, null-space part) P is block diagonal and only the input box
 couples the channels. ``MpcController.gradient`` assembles q per step.
+
+On a step where the box does not bind, the QP's optimum is the
+unconstrained one, -P^-1 q: a fixed linear law, the inactive region of
+explicit MPC (Bemporad, Morari, Dua and Pistikopoulos, 2002). In channel
+coordinates it takes four N x N inverses of the channel blocks T + Q_c
+and T^-1 e_0 for the null space, all formed once per controller. So
+``mpc_step`` keeps the warm start if it already meets ``solve_qp``'s
+stopping test, else takes the unconstrained optimum if it lies inside
+the box, and calls ``solve_qp`` only when neither holds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
@@ -87,11 +98,16 @@ class MpcConfig:
         if self.qp_tol <= 0:
             raise ValueError("qp_tol must be > 0")
 
-    @property
+    @cached_property
     def state_weight(self) -> np.ndarray:
-        """The (12,) state diagonal: position, velocity, angle, rate weights."""
-        return np.repeat(np.array([self.position_weight, self.velocity_weight,
-                                   self.angle_weight, self.rate_weight], dtype=float), 3)
+        """The (12,) state diagonal: position, velocity, angle, rate weights.
+
+        Built on first use and kept (read-only), as the config is frozen.
+        """
+        weight = np.repeat(np.array([self.position_weight, self.velocity_weight,
+                                     self.angle_weight, self.rate_weight], dtype=float), 3)
+        weight.flags.writeable = False
+        return weight
 
     @classmethod
     def default(cls, veh: VehicleParams, **keys) -> "MpcConfig":
@@ -136,9 +152,10 @@ def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
         if (np.delete(model.A[states], states, axis=1).any()
                 or np.abs(rows - np.outer(b, direction)).max() > 1e-12 * np.abs(rows).max()):
             raise ValueError(f"model does not decouple on the channel states {states.tolist()}")
+        a = model.A[np.ix_(states, states)]
         powers = [np.eye(len(states))]
         for _ in range(horizon - 1):
-            powers.append(powers[-1] @ model.A[np.ix_(states, states)])
+            powers.append(powers[-1] @ a)
         g = np.vstack(powers)
         # response[k] = Ac^(k-1) bc, the k-th sample after a unit input; 0 at k = 0
         response = np.vstack([np.zeros(len(states)), (g @ b).reshape(horizon, -1)[:-1]])
@@ -148,23 +165,26 @@ def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
 
 
 def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig):
-    """The constant Hessian P of the condensed cost, factored.
+    """The constant Hessian P of the condensed cost, factored, and its channel form.
 
-    P = kron(T, I_8) + sum_c kron(H_c' W_c H_c, m_c m_c'), with T the N x N
-    input and input-rate band. Returns ``(P, cho_factor(P, lower=True))``;
-    raises ``ValueError`` if P is not positive definite.
+    P = kron(T, I_8) + sum_c kron(Q_c, m_c m_c'), with T the N x N input
+    and input-rate band and Q_c = H_c' W_c H_c a channel's tracking block.
+    Returns ``(P, cho_factor(P, lower=True), T, Q)``, Q the (channels, N, N)
+    stack of the Q_c; raises ``ValueError`` if P is not positive definite.
     """
     n = cfg.horizon
     eye = np.eye(n)
     diff = eye - np.eye(n, k=-1)  # input sequence to its step-to-step differences
-    hessian = np.kron(cfg.input_weight * eye + cfg.input_rate_weight * (diff.T @ diff),
-                      np.eye(N_ROTORS))
-    for c in channels:
+    band = cfg.input_weight * eye + cfg.input_rate_weight * (diff.T @ diff)
+    hessian = np.kron(band, np.eye(N_ROTORS))
+    blocks = np.empty((len(channels), n, n))
+    for block, c in zip(blocks, channels):
         weights = np.tile(cfg.state_weight[c.states], n)
         q = c.H.T @ (weights[:, None] * c.H)
-        hessian += np.kron(0.5 * (q + q.T), np.outer(c.direction, c.direction))
+        block[:] = 0.5 * (q + q.T)
+        hessian += np.kron(block, np.outer(c.direction, c.direction))
     try:
-        return hessian, cho_factor(hessian, lower=True)
+        return hessian, cho_factor(hessian, lower=True), band, blocks
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
 
@@ -181,7 +201,14 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     is relative to the gradient only where ``max|g| > 1`` and an absolute
     ``qp_tol`` below that. Raises ``QpMaxIterations`` (with the best
     iterate attached) at the iteration cap. Returns ``(x, info)``, where
-    ``info`` holds ``"iterations"`` and the final ``"residual"``. ``chol``
+    ``info`` holds ``"iterations"``, the final ``"residual"`` and the
+    ``"status"`` that ended the solve: ``"converged"`` (residual within the
+    tolerance), ``"no_descent"`` (the Newton step is not a descent
+    direction), ``"line_search_stalled"`` (no Armijo decrease in 40
+    halvings) or ``"all_clamped"`` (no free coordinate). The last three
+    leave the residual above the tolerance. The middle two come from
+    rounding, as on badly conditioned Hessians; the last never happens,
+    since a clamped coordinate adds exactly 0 to the residual. ``chol``
     may carry a precomputed lower ``cho_factor`` of the full Hessian,
     reused whenever no coordinate is clamped.
 
@@ -215,6 +242,7 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     grad = h @ x + g
     value = 0.5 * x @ (grad + g)
     iters = 0
+    status = "converged"
     while True:
         residual = float(np.max(np.abs(x - np.clip(x - grad, lower, upper)))) if n else 0.0
         if residual <= tol:
@@ -227,6 +255,7 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
         at_upper = (x >= upper) & (grad < 0)
         free = ~(at_lower | at_upper)
         if not np.any(free):
+            status = "all_clamped"
             break
 
         all_free = bool(np.all(free))
@@ -249,7 +278,8 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
 
         descent = step_dir @ grad
         if descent >= 0:
-            break  # already optimal on the free block up to rounding
+            status = "no_descent"  # already optimal on the free block up to rounding
+            break
 
         step = 1.0
         accepted = False
@@ -262,11 +292,12 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
                 break
             step *= 0.5
         if not accepted:
-            break  # no further progress possible at machine precision
+            status = "line_search_stalled"  # no progress possible at machine precision
+            break
 
         x, grad, value = cand, cand_grad, cand_val
 
-    return x, {"iterations": iters, "residual": residual}
+    return x, {"iterations": iters, "residual": residual, "status": status}
 
 
 def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
@@ -285,18 +316,48 @@ def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
 def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.ndarray:
     """One receding-horizon update: solve the QP, apply the first input.
 
-    ``refs`` is the (N, 4) window of (x, y, z, psi) references. Updates the
-    controller's last input, warm start and QP iteration count, and returns
-    the absolute squared-speed command, always inside the input box.
+    ``refs`` is the (N, 4) window of (x, y, z, psi) references. The QP's
+    solution is the first of:
+
+    1. the warm start, if its projected-gradient residual is within
+       ``solve_qp``'s tolerance (0 iterations, status ``"warm_start"``);
+    2. the unconstrained optimum -P^-1 q, if it lies inside the input box
+       (1 iteration, ``"unconstrained"``);
+    3. ``solve_qp`` from the warm start (its iterations and status).
+
+    The first two are answers ``solve_qp`` would accept from the same warm
+    start (its own stopping test; the unique minimizer, up to rounding) at
+    a fraction of its cost. The warm start's gradient and the optimum come
+    from the Hessian's channel form, not from the dense P. Updates the
+    controller's last input, warm start, QP iteration count and status,
+    and returns the absolute squared-speed command, always inside the
+    input box. Raises ``ValueError`` for a wrongly shaped or non-finite
+    state or reference window.
     """
-    cfg = ctrl.cfg
-    du_seq, info = solve_qp(ctrl.hessian, ctrl.gradient(x_now, refs), ctrl.lower, ctrl.upper,
-                            cfg, x0=ctrl.warm_start, chol=ctrl.chol)
+    cfg, lower, upper = ctrl.cfg, ctrl.lower, ctrl.upper
+    g, parts = ctrl.gradient_parts(x_now, refs)
+    scale = float(np.max(np.abs(g)))
+    if not math.isfinite(scale):
+        raise ValueError("QP gradient must be finite")
+    tol = cfg.qp_tol * max(1.0, scale)  # solve_qp's
+    warm = ctrl.warm_start
+    grad = ctrl.hessian_product(warm) + g
+    if float(np.max(np.abs(warm - np.clip(warm - grad, lower, upper)))) <= tol:
+        du_seq, iters, status = warm, 0, "warm_start"
+    else:
+        du_seq = ctrl.unconstrained(parts)
+        if np.all(lower <= du_seq) and np.all(du_seq <= upper):
+            iters, status = 1, "unconstrained"
+        else:
+            du_seq, info = solve_qp(ctrl.hessian, g, lower, upper, cfg, x0=warm,
+                                    chol=ctrl.chol)
+            iters, status = info["iterations"], info["status"]
 
     u = np.clip(ctrl.model.u_ref + du_seq[:N_ROTORS], cfg.u_min, cfg.u_max)
     ctrl.u_prev = u.copy()
     ctrl.warm_start = np.concatenate([du_seq[N_ROTORS:], du_seq[-N_ROTORS:]])
-    ctrl.last_qp_iters = info["iterations"]
+    ctrl.last_qp_iters = iters
+    ctrl.last_qp_status = status
     return u
 
 
@@ -304,9 +365,12 @@ class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
     Holds the ``channels`` with their input ``directions`` as rows, the
-    constant Hessian and its factor, the input box (``lower``, ``upper``)
-    and the per-loop memory: the last applied input ``u_prev``, the QP
-    warm start and ``last_qp_iters``. One instance drives one closed loop.
+    constant Hessian and its factor, its channel form (the input band
+    ``band``, the tracking ``blocks`` Q_c, the inverses of the channel
+    blocks T + Q_c and T^-1 e_0), the input box (``lower``, ``upper``) and
+    the per-loop memory: the last applied input ``u_prev``, the QP warm
+    start, ``last_qp_iters`` and ``last_qp_status``. One instance drives
+    one closed loop.
     """
 
     def __init__(self, model: LinearModel, cfg: MpcConfig, veh: VehicleParams,
@@ -315,12 +379,15 @@ class MpcController:
         self.cfg = cfg
         self.channels = build_prediction(model, cfg.horizon)
         self.directions = np.array([c.direction for c in self.channels])
-        self.hessian, self.chol = build_cost(self.channels, cfg)
+        self.hessian, self.chol, self.band, self.blocks = build_cost(self.channels, cfg)
+        self.block_inverses = np.linalg.inv(self.band + self.blocks)
+        self.band_inverse_e0 = np.linalg.solve(self.band, np.eye(cfg.horizon)[:, 0])
         self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
         self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
         self.u_prev = model.u_ref.copy()
         self.warm_start = np.zeros(N_ROTORS * cfg.horizon)
         self.last_qp_iters = 0
+        self.last_qp_status = None
 
     def predict(self, dx0: np.ndarray, du: np.ndarray) -> np.ndarray:
         """The (N, 12) predicted deviations, current step to horizon-1.
@@ -346,6 +413,8 @@ class MpcController:
         refs = np.asarray(refs, dtype=float)
         if refs.shape != (horizon, N_OUTPUTS):
             raise ValueError(f"expected a ({horizon}, 4) reference window, got {refs.shape}")
+        if not np.isfinite(refs).all():
+            raise ValueError("reference window must be finite")
         stack = np.zeros((horizon, N_STATES))
         stack[:, 0:3] = refs[:, 0:3] - model.x_ref[0:3]
         if horizon > 1:
@@ -356,7 +425,11 @@ class MpcController:
         return stack
 
     def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:
-        """Linear term q of the condensed cost 0.5 U'PU + q'U at one step.
+        """Linear term q of the condensed cost 0.5 U'PU + q'U at one step."""
+        return self.gradient_parts(x_now, refs)[0]
+
+    def gradient_parts(self, x_now: np.ndarray, refs: np.ndarray):
+        """``(q, parts)``: the linear term q and its (N, 4) channel parts.
 
         Each channel's part comes from its weighted error: its columns of
         ``reference_stack`` less its free response ``G dx0[states]``. One
@@ -368,6 +441,8 @@ class MpcController:
         x_now = np.asarray(x_now, dtype=float)
         if x_now.shape != (N_STATES,):
             raise ValueError(f"x_now must be a 12-vector, got shape {x_now.shape}")
+        if not np.isfinite(x_now).all():
+            raise ValueError(f"x_now must be finite, got {x_now}")
         stack = self.reference_stack(refs)
         dx0 = x_now - model.x_ref
         dx0[8] = wrap_angle(refs[0, 3] - model.x_ref[8]) - wrap_angle(refs[0, 3] - x_now[8])
@@ -376,9 +451,32 @@ class MpcController:
         for ch in self.channels:
             free = (ch.G @ dx0[ch.states]).reshape(cfg.horizon, -1)
             parts.append(-(ch.H.T @ (weight[ch.states] * (stack[:, ch.states] - free)).ravel()))
-        gradient = (np.column_stack(parts) @ self.directions).ravel()
+        parts = np.column_stack(parts)
+        gradient = (parts @ self.directions).ravel()
         gradient[:N_ROTORS] -= cfg.input_rate_weight * (self.u_prev - model.u_ref)
-        return gradient
+        return gradient, parts
+
+    def hessian_product(self, du: np.ndarray) -> np.ndarray:
+        """P du from the channel form: T W + sum_c (Q_c (W m_c)) m_c', W = du as (N, 8)."""
+        w = np.reshape(du, (self.cfg.horizon, N_ROTORS))
+        along = (self.blocks @ (w @ self.directions.T).T[:, :, None])[:, :, 0]
+        return (self.band @ w + along.T @ self.directions).ravel()
+
+    def unconstrained(self, parts: np.ndarray) -> np.ndarray:
+        """The unconstrained optimum -P^-1 q of the cost whose q has these parts.
+
+        Along m_c it is (T + Q_c)^-1 (r (m_c . du_prev) e_0 - part_c); in
+        the mixer's null space r T^-1 e_0 times du_prev's null-space part,
+        with r the input-rate weight and du_prev = u_prev - u_ref.
+        """
+        rate = self.cfg.input_rate_weight
+        du_prev = self.u_prev - self.model.u_ref
+        along = self.directions @ du_prev
+        rhs = -parts.T
+        rhs[:, 0] += rate * along
+        channel = (self.block_inverses @ rhs[:, :, None])[:, :, 0]
+        null = du_prev - along @ self.directions
+        return (channel.T @ self.directions + np.outer(rate * self.band_inverse_e0, null)).ravel()
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:
         refs = ref_window(traj, t, self.cfg.horizon, self.model.dt)

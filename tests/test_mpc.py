@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from marsquad import dynamics, linmodel, mpc, params, trajectories as traj
+from marsquad import config, dynamics, linmodel, mpc, params, simulator, trajectories as traj
 from marsquad.mpc import (MpcConfig, MpcController, QpMaxIterations, build_cost,
                           build_prediction, mpc_step, solve_qp)
+from marsquad.scenarios import scenario_path
 
 ENV = params.MARS
 VEH = params.VehicleParams.default()
@@ -279,6 +280,44 @@ class TestSolveQp:
         with pytest.raises(ValueError, match="finite"):
             solve_qp(np.eye(3), g, np.full(3, -10.0), np.full(3, 10.0), self.CFG)
 
+    def test_status_converged(self):
+        _, info = solve_qp(np.eye(3), -np.ones(3), np.full(3, -10.0), np.full(3, 10.0), self.CFG)
+        assert info["status"] == "converged"
+        assert info["iterations"] == 1 and info["residual"] <= self.CFG.qp_tol
+
+    def test_fully_clamped_start_converges_without_iterating(self):
+        """Every coordinate at a bound with the gradient pushing outward adds
+        exactly 0 to the projected residual, so the solve stops as converged
+        before its all-clamped exit can be reached."""
+        x0 = np.array([-1.0, 1.0, -1.0])
+        x, info = solve_qp(np.eye(3), np.array([3.0, -3.0, 5.0]), -np.ones(3), np.ones(3),
+                           self.CFG, x0=x0)
+        assert np.array_equal(x, x0)
+        assert info == {"iterations": 0, "residual": 0.0, "status": "converged"}
+
+    @pytest.mark.parametrize("status", ["no_descent", "line_search_stalled"])
+    def test_rounding_exits_report_their_status(self, status):
+        """With condition number 1e14, rounding ends some solves above the
+        tolerance; each such exit names itself, and only converged exits
+        are within the tolerance."""
+        seen = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+            h = q @ np.diag(np.logspace(0, 14, 5)) @ q.T
+            h = 0.5 * (h + h.T)
+            g = rng.normal(0, 1e3, 5)
+            lo, hi = rng.uniform(-2, -0.1, 5), rng.uniform(0.1, 2, 5)
+            try:
+                x, info = solve_qp(h, g, lo, hi, self.CFG)
+            except QpMaxIterations:
+                continue
+            tol = self.CFG.qp_tol * np.abs(g).max()
+            assert (info["residual"] <= tol) == (info["status"] == "converged")
+            assert np.all((lo <= x) & (x <= hi))
+            seen += info["status"] == status
+        assert seen > 0
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_kkt_on_horizon_sized_boxes(self, horizon_ctrl, seed):
@@ -441,7 +480,7 @@ class TestMpcStep:
         ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
         assert len(calls) == 1
         monkeypatch.undo()
-        h, _ = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)
+        h = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)[0]
         assert np.array_equal(ctrl.hessian, h)
         assert np.array_equal(ctrl.chol[0], original(h, lower=True)[0])
 
@@ -457,6 +496,144 @@ class TestMpcStep:
         monkeypatch.setattr(mpc, "build_prediction", lambda model, horizon: pred)
         with pytest.raises(ValueError, match="cost Hessian is not positive definite"):
             MpcController(disc_model, cfg, VEH, ENV)
+
+
+def _solve_every_step(x_now, refs, ctrl):
+    """The reference step: ``solve_qp`` from the warm start on every step, no explicit path."""
+    cfg = ctrl.cfg
+    du, info = solve_qp(ctrl.hessian, ctrl.gradient(x_now, refs), ctrl.lower, ctrl.upper, cfg,
+                        x0=ctrl.warm_start, chol=ctrl.chol)
+    u = np.clip(ctrl.model.u_ref + du[:8], cfg.u_min, cfg.u_max)
+    ctrl.u_prev = u.copy()
+    ctrl.warm_start = np.concatenate([du[8:], du[-8:]])
+    ctrl.last_qp_iters = info["iterations"]
+    return u
+
+
+class _Stepper(MpcController):
+    """An ``MpcController`` whose ``command`` runs ``step`` and records the statuses."""
+
+    def __init__(self, step, *args):
+        super().__init__(*args)
+        self.step = step
+        self.statuses = []
+
+    def command(self, t, x_now, trajectory):
+        u = self.step(x_now, traj.ref_window(trajectory, t, self.cfg.horizon, self.model.dt), self)
+        self.statuses.append(self.last_qp_status)
+        return u
+
+
+def _climb_hop(t):
+    """A 50 m climb demand for 1 s, then back to the ground: the box binds, then releases."""
+    t = np.asarray(t, dtype=float)
+    ref = np.zeros((t.size, 4))
+    ref[:, 2] = np.where(t < 1.0, 50.0, 0.0)
+    return ref
+
+
+def _path_case(path):
+    """A fresh controller, state and window whose step takes ``path``."""
+    veh = VEH if path == "unconstrained" else dataclasses.replace(VEH, max_rotor_speed=260.0)
+    model = linmodel.discretize(linmodel.linearize_hover(veh, ENV), 0.02)
+    refs = np.zeros((10, 4))
+    refs[:, 2] = 1.0 if path == "unconstrained" else 50.0
+    return MpcController(model, MpcConfig.default(veh, horizon=10), veh, ENV), np.zeros(12), refs
+
+
+class TestExplicitStep:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_channel_form_matches_dense_hessian(self, horizon_ctrl, seed):
+        """The unconstrained optimum and P w from the channel form against
+        the dense P, for random states, references, warm starts and a last
+        input with a null-space part."""
+        ctrl = copy.copy(horizon_ctrl)  # its own u_prev; the operators are shared
+        n = ctrl.cfg.horizon
+        rng = np.random.default_rng(seed)
+        x_now = rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
+        refs = rng.normal(0, 2, (n, 4))
+        du_prev = rng.normal(0, 3000, 8)
+        null = du_prev - ctrl.directions.T @ (ctrl.directions @ du_prev)
+        assert np.abs(null).max() > 100.0
+        ctrl.u_prev = ctrl.model.u_ref + du_prev
+        g, parts = ctrl.gradient_parts(x_now, refs)
+        dense = np.linalg.solve(ctrl.hessian, -g)
+        assert np.abs(ctrl.unconstrained(parts) - dense).max() <= 1e-12 * np.abs(dense).max()
+        w = rng.normal(0, 3000, 8 * n)
+        product = ctrl.hessian @ w
+        assert np.abs(ctrl.hessian_product(w) - product).max() <= 1e-12 * np.abs(product).max()
+
+    def test_each_path_reports_itself(self, horizon_ctrl):
+        ctrl = copy.copy(horizon_ctrl)
+        refs = np.zeros((ctrl.cfg.horizon, 4))
+        mpc_step(np.zeros(12), refs, ctrl)  # at hover the zero warm start is optimal
+        assert (ctrl.last_qp_iters, ctrl.last_qp_status) == (0, "warm_start")
+        x = np.zeros(12)
+        x[0] = 0.5
+        mpc_step(x, refs, ctrl)
+        assert (ctrl.last_qp_iters, ctrl.last_qp_status) == (1, "unconstrained")
+        ctrl, x, refs = _path_case("converged")
+        mpc_step(x, refs, ctrl)
+        assert ctrl.last_qp_status == "converged" and ctrl.last_qp_iters > 1
+        assert np.any(ctrl.warm_start == ctrl.upper)
+
+    @pytest.mark.parametrize("path", ["unconstrained", "converged"])
+    @pytest.mark.parametrize("bad", ["nan state", "inf yaw", "nan ref", "inf ref", "short state",
+                                     "short window", "narrow window"])
+    def test_rejects_bad_inputs_on_both_paths(self, path, bad):
+        ctrl, x, refs = _path_case(path)
+        probe = copy.copy(ctrl)
+        mpc_step(x, refs, probe)
+        assert probe.last_qp_status == path
+        if bad == "nan state":
+            x[3] = math.nan
+        elif bad == "inf yaw":
+            x[8] = math.inf
+        elif bad == "nan ref":
+            refs[4, 1] = math.nan
+        elif bad == "inf ref":
+            refs[0, 0] = math.inf
+        elif bad == "short state":
+            x = x[:11]
+        elif bad == "short window":
+            refs = refs[:-1]
+        else:
+            refs = refs[:, :3]
+        before = (ctrl.u_prev.copy(), ctrl.warm_start.copy())
+        with pytest.raises(ValueError):
+            mpc_step(x, refs, ctrl)
+        assert np.array_equal(ctrl.u_prev, before[0])
+        assert np.array_equal(ctrl.warm_start, before[1])
+        assert (ctrl.last_qp_iters, ctrl.last_qp_status) == (0, None)
+
+    @pytest.mark.parametrize("case", ["square_corners", "box binds"])
+    def test_closed_loop_matches_solving_every_step(self, case):
+        """200 closed-loop steps on the nonlinear plant: the same commands to
+        1e-9 and the same QP iteration counts as ``solve_qp`` on every step."""
+        sc = config.load_config(scenario_path("square_corners"))
+        if case == "square_corners":
+            veh, cfg, trajectory = sc.veh, sc.mpc, sc.trajectory()
+        else:  # the vehicle of test_box_follows_the_vehicle_and_binds
+            veh = dataclasses.replace(sc.veh, max_rotor_speed=260.0)
+            cfg, trajectory = MpcConfig.default(veh, horizon=10), _climb_hop
+        dt = sc.sim.control_dt
+        model = linmodel.discretize(linmodel.linearize_hover(veh, sc.env), dt)
+        runs = []
+        for step in (mpc_step, _solve_every_step):
+            ctrl = _Stepper(step, model, cfg, veh, sc.env)
+            log = simulator.run_closed_loop(ctrl, trajectory, sc.disturbance, duration=200 * dt,
+                                            control_dt=dt, substeps=sc.sim.substeps, veh=veh,
+                                            env=sc.env, seed=sc.sim.seed)
+            runs.append((log, ctrl.statuses))
+        (new, statuses), (old, _) = runs
+        assert len(new.commands) == 200
+        assert np.abs(new.commands - old.commands).max() <= 1e-9 * np.abs(old.commands).max()
+        assert np.array_equal(new.qp_iters, old.qp_iters)
+        paths = set(statuses)
+        assert "unconstrained" in paths
+        if case == "box binds":
+            assert "converged" in paths
 
 
 class TestClosedLoopLinear:
