@@ -23,6 +23,14 @@ and T^-1 e_0 for the null space, all formed once per controller. So
 ``mpc_step`` keeps the warm start if it already meets ``solve_qp``'s
 stopping test, else takes the unconstrained optimum if it lies inside
 the box, and calls ``solve_qp`` only when neither holds.
+
+On those box-active steps ``solve_qp`` takes each Newton step from P^-1,
+which the same channel inverses give in closed form
+(``MpcController.hessian_inverse``, assembled on the first such step):
+with the clamped coordinates C held fixed, the step needs only the
+k x k Schur complement (P^-1)_CC, k = |C|, not a refactor of the free
+block of P. This is the Schur-complement active-set update of QPSchur
+(Bartlett and Biegler, 2006).
 """
 
 from __future__ import annotations
@@ -165,12 +173,13 @@ def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
 
 
 def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig):
-    """The constant Hessian P of the condensed cost, factored, and its channel form.
+    """The constant Hessian P of the condensed cost and its channel form.
 
     P = kron(T, I_8) + sum_c kron(Q_c, m_c m_c'), with T the N x N input
     and input-rate band and Q_c = H_c' W_c H_c a channel's tracking block.
-    Returns ``(P, cho_factor(P, lower=True), T, Q)``, Q the (channels, N, N)
-    stack of the Q_c; raises ``ValueError`` if P is not positive definite.
+    Returns ``(P, T, Q)``, Q the (channels, N, N) stack of the Q_c; raises
+    ``ValueError`` if P is not positive definite (one ``cho_factor``, whose
+    factor is not kept).
     """
     n = cfg.horizon
     eye = np.eye(n)
@@ -184,14 +193,15 @@ def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig):
         block[:] = 0.5 * (q + q.T)
         hessian += np.kron(block, np.outer(c.direction, c.direction))
     try:
-        return hessian, cho_factor(hessian, lower=True), band, blocks
+        cho_factor(hessian, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
+    return hessian, band, blocks
 
 
 def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
              lower: np.ndarray, upper: np.ndarray, cfg: MpcConfig,
-             x0: np.ndarray | None = None, chol: np.ndarray | None = None):
+             x0: np.ndarray | None = None, inverse: np.ndarray | None = None):
     """Minimize 0.5 x'Hx + g'x over a box with projected Newton steps.
 
     Clamped coordinates (at a bound with the gradient pushing outward) are
@@ -208,9 +218,17 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     halvings) or ``"all_clamped"`` (no free coordinate). The last three
     leave the residual above the tolerance. The middle two come from
     rounding, as on badly conditioned Hessians; the last never happens,
-    since a clamped coordinate adds exactly 0 to the residual. ``chol``
-    may carry a precomputed lower ``cho_factor`` of the full Hessian,
-    reused whenever no coordinate is clamped.
+    since a clamped coordinate adds exactly 0 to the residual.
+
+    Without ``inverse`` each Newton step factors the free block H_FF
+    afresh. ``inverse`` may carry H^-1 (finite, (n, n)); then no block of
+    H is factored. With z = H^-1 g, formed once per solve, and the clamped
+    set C, k = |C|, the minimizer of the cost with x_C held fixed is
+    -z + (H^-1)_:C lam, where the k x k Schur complement S = (H^-1)_CC
+    gives S lam = x_C + z_C (QPSchur, Bartlett and Biegler, 2006). A step
+    costs one gather of k rows of H^-1 (its k columns, by symmetry), a
+    Cholesky factor of S (at most n^3/3 at k = n, the cost of the widest
+    refactor) and one k x n product; with nothing clamped it is -z.
 
     Each line-search trial costs one product with the Hessian: the
     objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
@@ -229,6 +247,13 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
         raise ValueError("lower bound exceeds upper bound")
     if not np.isfinite(g).all():
         raise ValueError("QP gradient must be finite")
+    if inverse is not None:
+        inverse = np.asarray(inverse, dtype=float)
+        if inverse.shape != (n, n):
+            raise ValueError(f"inverse shape {inverse.shape} does not match gradient length {n}")
+        if not np.isfinite(inverse).all():
+            raise ValueError("QP Hessian inverse must be finite")
+        z = inverse @ g  # the unconstrained optimum is -z
 
     if x0 is None:
         x = np.zeros(n)
@@ -258,21 +283,28 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
             status = "all_clamped"
             break
 
-        all_free = bool(np.all(free))
-        if all_free and chol is not None:
-            factor = chol
-        else:
+        # Newton target on the free block with clamped coordinates fixed
+        clamped = ~free
+        if inverse is None:
             try:
                 # a fresh symmetric copy: factored in place as its Fortran-order transpose
                 factor = cho_factor(h[np.ix_(free, free)].T, lower=True, overwrite_a=True)
             except np.linalg.LinAlgError:
                 raise ValueError("QP Hessian is not positive definite") from None
-        # Newton target on the free block with clamped coordinates fixed
-        clamped = ~free
-        rhs = g[free].copy()
-        if np.any(clamped):
-            rhs += h[np.ix_(free, clamped)] @ x[clamped]
-        target_free = -_cho_solve(factor, rhs)
+            rhs = g[free].copy()
+            if np.any(clamped):
+                rhs += h[np.ix_(free, clamped)] @ x[clamped]
+            target_free = -_cho_solve(factor, rhs)
+        elif np.any(clamped):
+            rows = inverse[clamped]  # H^-1 is symmetric: its clamped columns, as contiguous rows
+            try:
+                factor = cho_factor(rows[:, clamped].T, lower=True, overwrite_a=True)
+            except np.linalg.LinAlgError:
+                raise ValueError("QP Hessian inverse is not positive definite") from None
+            lam = _cho_solve(factor, x[clamped] + z[clamped])
+            target_free = (lam @ rows - z)[free]
+        else:
+            target_free = -z
         step_dir = np.zeros(n)
         step_dir[free] = target_free - x[free]
 
@@ -350,7 +382,7 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
             iters, status = 1, "unconstrained"
         else:
             du_seq, info = solve_qp(ctrl.hessian, g, lower, upper, cfg, x0=warm,
-                                    chol=ctrl.chol)
+                                    inverse=ctrl.hessian_inverse)
             iters, status = info["iterations"], info["status"]
 
     u = np.clip(ctrl.model.u_ref + du_seq[:N_ROTORS], cfg.u_min, cfg.u_max)
@@ -365,12 +397,13 @@ class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
     Holds the ``channels`` with their input ``directions`` as rows, the
-    constant Hessian and its factor, its channel form (the input band
-    ``band``, the tracking ``blocks`` Q_c, the inverses of the channel
-    blocks T + Q_c and T^-1 e_0), the input box (``lower``, ``upper``) and
-    the per-loop memory: the last applied input ``u_prev``, the QP warm
-    start, ``last_qp_iters`` and ``last_qp_status``. One instance drives
-    one closed loop.
+    constant Hessian, its channel form (the input band ``band``, the
+    tracking ``blocks`` Q_c, the inverses of the channel blocks T + Q_c
+    and T^-1 e_0), its inverse ``hessian_inverse`` once a box-active step
+    has needed it, the input box (``lower``, ``upper``) and the per-loop
+    memory: the last applied input ``u_prev``, the QP warm start,
+    ``last_qp_iters`` and ``last_qp_status``. One instance drives one
+    closed loop.
     """
 
     def __init__(self, model: LinearModel, cfg: MpcConfig, veh: VehicleParams,
@@ -379,7 +412,7 @@ class MpcController:
         self.cfg = cfg
         self.channels = build_prediction(model, cfg.horizon)
         self.directions = np.array([c.direction for c in self.channels])
-        self.hessian, self.chol, self.band, self.blocks = build_cost(self.channels, cfg)
+        self.hessian, self.band, self.blocks = build_cost(self.channels, cfg)
         self.block_inverses = np.linalg.inv(self.band + self.blocks)
         self.band_inverse_e0 = np.linalg.solve(self.band, np.eye(cfg.horizon)[:, 0])
         self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
@@ -477,6 +510,26 @@ class MpcController:
         channel = (self.block_inverses @ rhs[:, :, None])[:, :, 0]
         null = du_prev - along @ self.directions
         return (channel.T @ self.directions + np.outer(rate * self.band_inverse_e0, null)).ravel()
+
+    @cached_property
+    def hessian_inverse(self) -> np.ndarray:
+        """P^-1 from the channel form, built on first use and kept (read-only).
+
+        P^-1 = kron(T^-1, I_8) + sum_c kron((T + Q_c)^-1 - T^-1, m_c m_c'):
+        along m_c the channel block's inverse, in the mixer's null space
+        T^-1. One (N^2, 4) @ (4, 64) product gives the sum, laid out as
+        (N, N, 8, 8); one transpose gives the 8N x 8N matrix.
+        """
+        horizon, count = self.cfg.horizon, len(self.channels)
+        band_inverse = np.linalg.inv(self.band)
+        outers = (self.directions[:, :, None] * self.directions[:, None, :]).reshape(count, -1)
+        excess = (self.block_inverses - band_inverse).reshape(count, -1)
+        inverse = (excess.T @ outers).reshape(horizon, horizon, N_ROTORS, N_ROTORS)
+        rotors = np.arange(N_ROTORS)
+        inverse[:, :, rotors, rotors] += band_inverse[:, :, None]
+        inverse = inverse.transpose(0, 2, 1, 3).reshape(horizon * N_ROTORS, -1)
+        inverse.flags.writeable = False
+        return inverse
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:
         refs = ref_window(traj, t, self.cfg.horizon, self.model.dt)

@@ -22,7 +22,7 @@ def small_cfg(horizon=1, **kw):
 
 @pytest.fixture(scope="module")
 def horizon_ctrl(disc_model, mpc_cfg):
-    """Controller with the shipped horizon: its Hessian, factor and box."""
+    """Controller with the shipped horizon: its Hessian, its inverse and box."""
     return MpcController(disc_model, mpc_cfg, VEH, ENV)
 
 
@@ -99,6 +99,8 @@ class TestPrediction:
         want = recursion(model, dx0, du)
         got = ctrl.predict(dx0, du)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        identity = ctrl.hessian_inverse @ ctrl.hessian
+        assert np.abs(identity - np.eye(8 * 15)).max() <= 1e-12
 
     def test_rejects_continuous_model(self, cont_model):
         with pytest.raises(ValueError):
@@ -195,6 +197,27 @@ class TestCost:
             ctrl.gradient(np.zeros(12), np.zeros((3, 3)))
 
 
+def _horizon_box_qp(horizon_ctrl, seed):
+    """``(g, lo, hi, x0, rng)``: a 480-variable QP on the shipped Hessian.
+
+    Gradients come from random states, position references and last
+    inputs; the box is the shipped one shrunk by a random factor, so
+    anywhere from none to most bounds end up active. ``x0`` is a point in
+    the box or, half the time, None.
+    """
+    ctrl = copy.copy(horizon_ctrl)  # its own u_prev; the Hessian is shared
+    rng = np.random.default_rng(seed)
+    x_now = rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
+    refs = np.zeros((ctrl.cfg.horizon, 4))
+    refs[:, 0:3] = rng.normal(0, 2, 3)
+    ctrl.u_prev = ctrl.model.u_ref + rng.normal(0, 3000, 8)
+    g = ctrl.gradient(x_now, refs)
+    span = rng.uniform(0.05, 1.0)
+    lo, hi = ctrl.lower * span, ctrl.upper * span
+    x0 = rng.uniform(lo, hi) if rng.random() < 0.5 else None
+    return g, lo, hi, x0, rng
+
+
 class TestSolveQp:
     CFG = MpcConfig.default(VEH)
 
@@ -209,6 +232,7 @@ class TestSolveQp:
         assert np.allclose(x, 1.0)
 
     def test_matches_brute_force(self, box_qp_oracle):
+        """Refactoring, and with H^-1 given the Schur step, against brute force."""
         rng = np.random.default_rng(11)
         cfg = self.CFG
         for _ in range(100):
@@ -217,9 +241,10 @@ class TestSolveQp:
             g = rng.normal(0, 2, 5)
             lo = rng.uniform(-2, -0.1, 5)
             hi = rng.uniform(0.1, 2, 5)
-            x, _ = solve_qp(h, g, lo, hi, cfg)
             xb = box_qp_oracle(h, g, lo, hi)
-            assert np.abs(x - xb).max() < 1e-8
+            for inverse in (None, np.linalg.inv(h)):
+                x, _ = solve_qp(h, g, lo, hi, cfg, inverse=inverse)
+                assert np.abs(x - xb).max() < 1e-8
 
     def test_objective_monotone(self):
         rng = np.random.default_rng(5)
@@ -321,25 +346,12 @@ class TestSolveQp:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_kkt_on_horizon_sized_boxes(self, horizon_ctrl, seed):
-        """KKT conditions on 480-variable QPs with the shipped Hessian.
-
-        Gradients come from random states, position references and last
-        inputs; the box is the shipped one shrunk by a random factor, so
-        anywhere from none to most bounds end up active.
-        """
-        ctrl = copy.copy(horizon_ctrl)  # its own u_prev; the Hessian is shared
-        cfg, h = ctrl.cfg, ctrl.hessian
-        rng = np.random.default_rng(seed)
-        x_now = rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
-        refs = np.zeros((cfg.horizon, 4))
-        refs[:, 0:3] = rng.normal(0, 2, 3)
-        ctrl.u_prev = ctrl.model.u_ref + rng.normal(0, 3000, 8)
-        g = ctrl.gradient(x_now, refs)
-        span = rng.uniform(0.05, 1.0)
-        lo, hi = ctrl.lower * span, ctrl.upper * span
-        x0 = rng.uniform(lo, hi) if rng.random() < 0.5 else None
-        chol = ctrl.chol if rng.random() < 0.5 else None
-        x, _ = solve_qp(h, g, lo, hi, cfg, x0=x0, chol=chol)
+        """KKT conditions on 480-variable QPs with the shipped Hessian,
+        refactoring or, half the time, from its inverse."""
+        cfg, h = horizon_ctrl.cfg, horizon_ctrl.hessian
+        g, lo, hi, x0, rng = _horizon_box_qp(horizon_ctrl, seed)
+        inverse = horizon_ctrl.hessian_inverse if rng.random() < 0.5 else None
+        x, _ = solve_qp(h, g, lo, hi, cfg, x0=x0, inverse=inverse)
 
         assert x.shape == (8 * cfg.horizon,)
         assert np.all(lo <= x) and np.all(x <= hi)
@@ -349,6 +361,33 @@ class TestSolveQp:
         assert np.all(np.abs(grad[free]) <= tol)
         assert np.all(grad[x == lo] >= -tol)
         assert np.all(grad[x == hi] <= tol)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_schur_step_matches_refactoring(self, horizon_ctrl, seed):
+        """On the KKT property's 480-variable boxes, Newton steps from the
+        Schur complement of P^-1 take the refactoring path's decisions: the
+        same iteration count and status, and x to 1e-9 relative."""
+        cfg, h = horizon_ctrl.cfg, horizon_ctrl.hessian
+        g, lo, hi, x0, _ = _horizon_box_qp(horizon_ctrl, seed)
+        want, want_info = solve_qp(h, g, lo, hi, cfg, x0=x0)
+        got, info = solve_qp(h, g, lo, hi, cfg, x0=x0, inverse=horizon_ctrl.hessian_inverse)
+        assert (info["iterations"], info["status"]) == (want_info["iterations"],
+                                                        want_info["status"])
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bad", ["not square", "wrong size", "nan", "inf"])
+    def test_rejects_a_bad_inverse(self, bad):
+        inverse = np.eye(3)
+        if bad == "not square":
+            inverse = np.ones((3, 2))
+        elif bad == "wrong size":
+            inverse = np.eye(4)
+        else:
+            inverse[1, 2] = math.nan if bad == "nan" else math.inf
+        with pytest.raises(ValueError, match="inverse"):
+            solve_qp(np.eye(3), np.ones(3), np.full(3, -10.0), np.full(3, 10.0), self.CFG,
+                     inverse=inverse)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -482,7 +521,15 @@ class TestMpcStep:
         monkeypatch.undo()
         h = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)[0]
         assert np.array_equal(ctrl.hessian, h)
-        assert np.array_equal(ctrl.chol[0], original(h, lower=True)[0])
+        # the factor is only the positive-definiteness check; P^-1 is built on demand
+        assert "hessian_inverse" not in vars(ctrl)
+        inverse = ctrl.hessian_inverse
+        assert np.abs(inverse @ h - np.eye(len(h))).max() <= 1e-12
+        assert ctrl.hessian_inverse is inverse and len(calls) == 1
+
+    def test_hessian_inverse_is_read_only(self, horizon_ctrl):
+        with pytest.raises(ValueError, match="read-only"):
+            horizon_ctrl.hessian_inverse[0, 0] = 0.0
 
     def test_indefinite_hessian_rejected_by_build_cost_and_constructor(
             self, disc_model, monkeypatch):
@@ -499,10 +546,13 @@ class TestMpcStep:
 
 
 def _solve_every_step(x_now, refs, ctrl):
-    """The reference step: ``solve_qp`` from the warm start on every step, no explicit path."""
+    """The reference step: ``solve_qp`` from the warm start on every step, no explicit path.
+
+    No ``inverse``: every Newton step refactors, so the Schur step is checked against it.
+    """
     cfg = ctrl.cfg
     du, info = solve_qp(ctrl.hessian, ctrl.gradient(x_now, refs), ctrl.lower, ctrl.upper, cfg,
-                        x0=ctrl.warm_start, chol=ctrl.chol)
+                        x0=ctrl.warm_start)
     u = np.clip(ctrl.model.u_ref + du[:8], cfg.u_min, cfg.u_max)
     ctrl.u_prev = u.copy()
     ctrl.warm_start = np.concatenate([du[8:], du[-8:]])
@@ -607,16 +657,20 @@ class TestExplicitStep:
         assert np.array_equal(ctrl.warm_start, before[1])
         assert (ctrl.last_qp_iters, ctrl.last_qp_status) == (0, None)
 
-    @pytest.mark.parametrize("case", ["square_corners", "box binds"])
+    @pytest.mark.parametrize("case", ["square_corners", "box binds", "climbing hop"])
     def test_closed_loop_matches_solving_every_step(self, case):
         """200 closed-loop steps on the nonlinear plant: the same commands to
-        1e-9 and the same QP iteration counts as ``solve_qp`` on every step."""
-        sc = config.load_config(scenario_path("square_corners"))
-        if case == "square_corners":
-            veh, cfg, trajectory = sc.veh, sc.mpc, sc.trajectory()
-        else:  # the vehicle of test_box_follows_the_vehicle_and_binds
+        1e-9 and the same QP iteration counts as refactoring ``solve_qp`` on
+        every step. The box-active steps of ``mpc_step`` take the Schur path;
+        a loop where the box never binds never builds ``hessian_inverse``."""
+        scenario = "step_xyz" if case == "climbing hop" else "square_corners"
+        sc = config.load_config(scenario_path(scenario))
+        veh, cfg, trajectory = sc.veh, sc.mpc, sc.trajectory()
+        if case == "box binds":  # the vehicle of test_box_follows_the_vehicle_and_binds
             veh = dataclasses.replace(sc.veh, max_rotor_speed=260.0)
             cfg, trajectory = MpcConfig.default(veh, horizon=10), _climb_hop
+        elif case == "climbing hop":  # N = 60, a 5 m hop 60 degrees up, as in mpc_box
+            trajectory = traj.constant_ref(1.25 * 2 ** 0.5, 1.25 * 2 ** 0.5, 2.5 * 3 ** 0.5)
         dt = sc.sim.control_dt
         model = linmodel.discretize(linmodel.linearize_hover(veh, sc.env), dt)
         runs = []
@@ -626,13 +680,15 @@ class TestExplicitStep:
                                             control_dt=dt, substeps=sc.sim.substeps, veh=veh,
                                             env=sc.env, seed=sc.sim.seed)
             runs.append((log, ctrl.statuses))
+            fallback = not {"warm_start", "unconstrained"}.issuperset(ctrl.statuses)
+            assert ("hessian_inverse" in vars(ctrl)) == (step is mpc_step and fallback)
         (new, statuses), (old, _) = runs
         assert len(new.commands) == 200
         assert np.abs(new.commands - old.commands).max() <= 1e-9 * np.abs(old.commands).max()
         assert np.array_equal(new.qp_iters, old.qp_iters)
         paths = set(statuses)
         assert "unconstrained" in paths
-        if case == "box binds":
+        if case != "square_corners":
             assert "converged" in paths
 
 
