@@ -6,28 +6,27 @@ speeds from hover, solves the box-constrained QP by projected Newton, and
 applies the first input. The prediction is split into the four wrench
 channels of ``linmodel.CHANNELS``: a channel's states see the rotors only
 through the scalar m_c . du, m_c the unit direction of its mixer row, so
-each has its own single-input operators (``build_prediction``). The split
-rests on two conditions. The input and input-rate weights are the same
-for every rotor, so the Hessian of 0.5 U'PU + q'U is P = kron(T, I_8) +
-sum_c kron(Q_c, m_c m_c'), T the scalar input band and Q_c a channel's
-tracking block (``build_cost``, once per controller). The mixer's rows
-are orthogonal for every ``VehicleParams``, so in the coordinates
-(m_c . du, null-space part) P is block diagonal and only the input box
-couples the channels. ``MpcController.gradient`` assembles q per step.
+each has its own single-input operators (``build_prediction``). The
+mixer's rows are orthogonal for every ``VehicleParams`` (checked there),
+so the m_c and an orthonormal basis of the mixer's null space are the
+rows of an orthogonal rotor basis E. The input and input-rate weights are
+the same for every rotor, so along each row of E the Hessian of
+0.5 U'PU + q'U is one N x N block: T + Q_c along m_c, T the scalar input
+band and Q_c a channel's tracking block, and T in the null space
+(``build_cost``, once per controller). Only the input box couples the
+rows. Products with P and P^-1 read the blocks and their inverses; the
+dense P and P^-1 are built only for ``solve_qp``.
 
 On a step where the box does not bind, the QP's optimum is the
 unconstrained one, -P^-1 q: a fixed linear law, the inactive region of
-explicit MPC (Bemporad, Morari, Dua and Pistikopoulos, 2002). In channel
-coordinates it takes four N x N inverses of the channel blocks T + Q_c
-and T^-1 e_0 for the null space, all formed once per controller. So
+explicit MPC (Bemporad, Morari, Dua and Pistikopoulos, 2002). So
 ``mpc_step`` keeps the warm start if it already meets ``solve_qp``'s
 stopping test, else takes the unconstrained optimum if it lies inside
 the box, and calls ``solve_qp`` only when neither holds.
 
-On those box-active steps ``solve_qp`` takes each Newton step from P^-1,
-which the same channel inverses give in closed form
-(``MpcController.hessian_inverse``, assembled on the first such step):
-with the clamped coordinates C held fixed, the step needs only the
+On those box-active steps ``solve_qp`` takes each Newton step from the
+dense P^-1 (``MpcController.hessian_inverse``, built on the first such
+step): with the clamped coordinates C held fixed, the step needs only the
 k x k Schur complement (P^-1)_CC, k = |C|, not a refactor of the free
 block of P. This is the Schur-complement active-set update of QPSchur
 (Bartlett and Biegler, 2006).
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
+from scipy.linalg import cho_factor, null_space, solve_triangular
 
 from .dynamics import wrap_angle
 from .linmodel import CHANNELS, N_OUTPUTS, N_STATES, LinearModel
@@ -143,8 +142,8 @@ def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
     """The four channels' condensed operators, in the mixer's row order.
 
     Raises ``ValueError`` unless the model decouples on ``CHANNELS``: A
-    block diagonal on their state sets, and each channel's rows of B
-    multiples of one direction.
+    block diagonal on their state sets, each channel's rows of B
+    multiples of one direction, and the four directions orthonormal.
     """
     if model.continuous:
         raise ValueError("prediction needs a discretized model")
@@ -169,34 +168,42 @@ def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
         response = np.vstack([np.zeros(len(states)), (g @ b).reshape(horizon, -1)[:-1]])
         h = response[lag].transpose(0, 2, 1).reshape(-1, horizon)
         channels.append(Channel(states, direction, g, h))
+    directions = np.array([c.direction for c in channels])
+    if np.abs(directions @ directions.T - np.eye(len(channels))).max() > 1e-12:
+        raise ValueError("model does not decouple: the channel directions are not orthonormal")
     return tuple(channels)
 
 
 def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig):
-    """The constant Hessian P of the condensed cost and its channel form.
+    """The constant Hessian P of the condensed cost as a rotor basis and blocks.
 
-    P = kron(T, I_8) + sum_c kron(Q_c, m_c m_c'), with T the N x N input
-    and input-rate band and Q_c = H_c' W_c H_c a channel's tracking block.
-    Returns ``(P, T, Q)``, Q the (channels, N, N) stack of the Q_c; raises
-    ``ValueError`` if P is not positive definite (one ``cho_factor``, whose
-    factor is not kept).
+    Returns ``(basis, blocks)``. The 8 x 8 ``basis`` E has orthonormal
+    rows: the channels' directions m_c, then an orthonormal basis of the
+    mixer's null space. ``blocks`` is the (8, N, N) stack of the K_c that
+    P takes along those rows: T + Q_c along m_c, with T the N x N input
+    and input-rate band and Q_c = H_c' W_c H_c a channel's tracking block,
+    and T along each null-space row. With U as an (N, 8) array W, P U is
+    V E, column c of V being K_c times column c of W E'. Raises
+    ``ValueError`` if P is not positive definite (one ``cho_factor`` per
+    distinct block, whose factors are not kept).
     """
     n = cfg.horizon
     eye = np.eye(n)
     diff = eye - np.eye(n, k=-1)  # input sequence to its step-to-step differences
     band = cfg.input_weight * eye + cfg.input_rate_weight * (diff.T @ diff)
-    hessian = np.kron(band, np.eye(N_ROTORS))
-    blocks = np.empty((len(channels), n, n))
+    directions = np.array([c.direction for c in channels])
+    basis = np.vstack([directions, null_space(directions).T])
+    blocks = np.tile(band, (N_ROTORS, 1, 1))
     for block, c in zip(blocks, channels):
         weights = np.tile(cfg.state_weight[c.states], n)
         q = c.H.T @ (weights[:, None] * c.H)
-        block[:] = 0.5 * (q + q.T)
-        hessian += np.kron(block, np.outer(c.direction, c.direction))
+        block += 0.5 * (q + q.T)
     try:
-        cho_factor(hessian, lower=True)
+        for block in blocks[:len(channels) + 1]:  # the channel blocks, then T
+            cho_factor(block, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
-    return hessian, band, blocks
+    return basis, blocks
 
 
 def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
@@ -360,14 +367,14 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
     The first two are answers ``solve_qp`` would accept from the same warm
     start (its own stopping test; the unique minimizer, up to rounding) at
     a fraction of its cost. The warm start's gradient and the optimum come
-    from the Hessian's channel form, not from the dense P. Updates the
-    controller's last input, warm start, QP iteration count and status,
-    and returns the absolute squared-speed command, always inside the
-    input box. Raises ``ValueError`` for a wrongly shaped or non-finite
-    state or reference window.
+    from the Hessian's blocks (``hessian_product``, ``hessian_solve``),
+    not from the dense P. Updates the controller's last input, warm start,
+    QP iteration count and status, and returns the absolute squared-speed
+    command, always inside the input box. Raises ``ValueError`` for a
+    wrongly shaped or non-finite state or reference window.
     """
     cfg, lower, upper = ctrl.cfg, ctrl.lower, ctrl.upper
-    g, parts = ctrl.gradient_parts(x_now, refs)
+    g = ctrl.gradient(x_now, refs)
     scale = float(np.max(np.abs(g)))
     if not math.isfinite(scale):
         raise ValueError("QP gradient must be finite")
@@ -377,7 +384,7 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
     if float(np.max(np.abs(warm - np.clip(warm - grad, lower, upper)))) <= tol:
         du_seq, iters, status = warm, 0, "warm_start"
     else:
-        du_seq = ctrl.unconstrained(parts)
+        du_seq = -ctrl.hessian_solve(g)
         if np.all(lower <= du_seq) and np.all(du_seq <= upper):
             iters, status = 1, "unconstrained"
         else:
@@ -397,13 +404,12 @@ class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
     Holds the ``channels`` with their input ``directions`` as rows, the
-    constant Hessian, its channel form (the input band ``band``, the
-    tracking ``blocks`` Q_c, the inverses of the channel blocks T + Q_c
-    and T^-1 e_0), its inverse ``hessian_inverse`` once a box-active step
-    has needed it, the input box (``lower``, ``upper``) and the per-loop
-    memory: the last applied input ``u_prev``, the QP warm start,
-    ``last_qp_iters`` and ``last_qp_status``. One instance drives one
-    closed loop.
+    constant Hessian as ``build_cost`` gives it (the rotor ``basis`` and
+    its ``blocks``) with the blocks' inverses ``inverse_blocks``, the dense
+    ``hessian`` and ``hessian_inverse`` once a box-active step has needed
+    them, the input box (``lower``, ``upper``) and the per-loop memory: the
+    last applied input ``u_prev``, the QP warm start, ``last_qp_iters`` and
+    ``last_qp_status``. One instance drives one closed loop.
     """
 
     def __init__(self, model: LinearModel, cfg: MpcConfig, veh: VehicleParams,
@@ -411,10 +417,9 @@ class MpcController:
         self.model = model
         self.cfg = cfg
         self.channels = build_prediction(model, cfg.horizon)
-        self.directions = np.array([c.direction for c in self.channels])
-        self.hessian, self.band, self.blocks = build_cost(self.channels, cfg)
-        self.block_inverses = np.linalg.inv(self.band + self.blocks)
-        self.band_inverse_e0 = np.linalg.solve(self.band, np.eye(cfg.horizon)[:, 0])
+        self.basis, self.blocks = build_cost(self.channels, cfg)
+        self.directions = self.basis[:len(self.channels)]
+        self.inverse_blocks = np.linalg.inv(self.blocks)
         self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
         self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
         self.u_prev = model.u_ref.copy()
@@ -458,11 +463,7 @@ class MpcController:
         return stack
 
     def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:
-        """Linear term q of the condensed cost 0.5 U'PU + q'U at one step."""
-        return self.gradient_parts(x_now, refs)[0]
-
-    def gradient_parts(self, x_now: np.ndarray, refs: np.ndarray):
-        """``(q, parts)``: the linear term q and its (N, 4) channel parts.
+        """Linear term q of the condensed cost 0.5 U'PU + q'U at one step.
 
         Each channel's part comes from its weighted error: its columns of
         ``reference_stack`` less its free response ``G dx0[states]``. One
@@ -484,52 +485,47 @@ class MpcController:
         for ch in self.channels:
             free = (ch.G @ dx0[ch.states]).reshape(cfg.horizon, -1)
             parts.append(-(ch.H.T @ (weight[ch.states] * (stack[:, ch.states] - free)).ravel()))
-        parts = np.column_stack(parts)
-        gradient = (parts @ self.directions).ravel()
+        gradient = (np.column_stack(parts) @ self.directions).ravel()
         gradient[:N_ROTORS] -= cfg.input_rate_weight * (self.u_prev - model.u_ref)
-        return gradient, parts
+        return gradient
 
     def hessian_product(self, du: np.ndarray) -> np.ndarray:
-        """P du from the channel form: T W + sum_c (Q_c (W m_c)) m_c', W = du as (N, 8)."""
-        w = np.reshape(du, (self.cfg.horizon, N_ROTORS))
-        along = (self.blocks @ (w @ self.directions.T).T[:, :, None])[:, :, 0]
-        return (self.band @ w + along.T @ self.directions).ravel()
+        """P du, from the blocks."""
+        return self._apply(self.blocks, du)
 
-    def unconstrained(self, parts: np.ndarray) -> np.ndarray:
-        """The unconstrained optimum -P^-1 q of the cost whose q has these parts.
+    def hessian_solve(self, v: np.ndarray) -> np.ndarray:
+        """P^-1 v, from the blocks' inverses."""
+        return self._apply(self.inverse_blocks, v)
 
-        Along m_c it is (T + Q_c)^-1 (r (m_c . du_prev) e_0 - part_c); in
-        the mixer's null space r T^-1 e_0 times du_prev's null-space part,
-        with r the input-rate weight and du_prev = u_prev - u_ref.
-        """
-        rate = self.cfg.input_rate_weight
-        du_prev = self.u_prev - self.model.u_ref
-        along = self.directions @ du_prev
-        rhs = -parts.T
-        rhs[:, 0] += rate * along
-        channel = (self.block_inverses @ rhs[:, :, None])[:, :, 0]
-        null = du_prev - along @ self.directions
-        return (channel.T @ self.directions + np.outer(rate * self.band_inverse_e0, null)).ravel()
+    def _apply(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``v`` times the matrix of the (8, N, N) ``blocks``, laid out as ``build_cost``'s P."""
+        coords = np.reshape(v, (self.cfg.horizon, N_ROTORS)) @ self.basis.T
+        return ((blocks @ coords.T[:, :, None])[:, :, 0].T @ self.basis).ravel()
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """The dense 8N x 8N P, built on first use and kept (read-only)."""
+        return self._dense(self.blocks)
 
     @cached_property
     def hessian_inverse(self) -> np.ndarray:
-        """P^-1 from the channel form, built on first use and kept (read-only).
+        """The dense 8N x 8N P^-1, built on first use and kept (read-only)."""
+        return self._dense(self.inverse_blocks)
 
-        P^-1 = kron(T^-1, I_8) + sum_c kron((T + Q_c)^-1 - T^-1, m_c m_c'):
-        along m_c the channel block's inverse, in the mixer's null space
-        T^-1. One (N^2, 4) @ (4, 64) product gives the sum, laid out as
-        (N, N, 8, 8); one transpose gives the 8N x 8N matrix.
+    def _dense(self, blocks: np.ndarray) -> np.ndarray:
+        """The read-only 8N x 8N matrix of the (8, N, N) ``blocks`` in the rotor basis E.
+
+        Entry ((k, r), (j, s)) is sum_c E_cr E_cs K_c[k, j], formed by
+        ``einsum``'s own loop: built as one (N^2, 8) @ (8, 64) BLAS product
+        it ran multithreaded, and about one in ten of ``solve_qp``'s later
+        Schur factors then stalled for about 4 ms (default BLAS threads,
+        2-core host).
         """
-        horizon, count = self.cfg.horizon, len(self.channels)
-        band_inverse = np.linalg.inv(self.band)
-        outers = (self.directions[:, :, None] * self.directions[:, None, :]).reshape(count, -1)
-        excess = (self.block_inverses - band_inverse).reshape(count, -1)
-        inverse = (excess.T @ outers).reshape(horizon, horizon, N_ROTORS, N_ROTORS)
-        rotors = np.arange(N_ROTORS)
-        inverse[:, :, rotors, rotors] += band_inverse[:, :, None]
-        inverse = inverse.transpose(0, 2, 1, 3).reshape(horizon * N_ROTORS, -1)
-        inverse.flags.writeable = False
-        return inverse
+        n = N_ROTORS * self.cfg.horizon
+        outers = self.basis[:, :, None] * self.basis[:, None, :]
+        dense = np.einsum("ckj,crs->krjs", blocks, outers).reshape(n, n)
+        dense.flags.writeable = False
+        return dense
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:
         refs = ref_window(traj, t, self.cfg.horizon, self.model.dt)

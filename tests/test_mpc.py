@@ -106,13 +106,17 @@ class TestPrediction:
         with pytest.raises(ValueError):
             build_prediction(cont_model, 5)
 
-    @pytest.mark.parametrize("coupling", ["A", "B"])
+    @pytest.mark.parametrize("coupling", ["A", "B", "tilted"])
     def test_rejects_model_that_does_not_decouple(self, disc_model, coupling):
         a, b = disc_model.A.copy(), disc_model.B.copy()
         if coupling == "A":
             a[0, 2] = 0.01  # x driven by z: pitch and thrust channels couple
-        else:
+        elif coupling == "B":
             b[5] += b[9]    # vertical acceleration from the roll moment
+        else:  # each channel's rows share a direction, but roll's leans toward thrust
+            roll = [1, 4, 6, 9]
+            moment, thrust = (b[i] / np.linalg.norm(b[i]) for i in (9, 5))
+            b[roll] += 0.1 * np.outer(b[roll] @ moment, thrust)
         model = dataclasses.replace(disc_model, A=a, B=b)
         with pytest.raises(ValueError, match="does not decouple"):
             build_prediction(model, 5)
@@ -504,6 +508,8 @@ class TestMpcStep:
         assert fresh.last_qp_iters == 0 < ctrl.last_qp_iters
 
     def test_constructor_factors_the_hessian_once(self, disc_model, mpc_cfg, monkeypatch):
+        """One ``cho_factor`` per distinct block (the four T + Q_c and T),
+        and the dense P and P^-1 only on demand."""
         calls = []
         original = mpc.cho_factor
 
@@ -517,27 +523,34 @@ class TestMpcStep:
         monkeypatch.setattr(mpc, "cho_factor", counting)
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
-        assert len(calls) == 1
+        assert len(calls) == 5
         monkeypatch.undo()
-        h = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)[0]
-        assert np.array_equal(ctrl.hessian, h)
-        # the factor is only the positive-definiteness check; P^-1 is built on demand
-        assert "hessian_inverse" not in vars(ctrl)
+        # the factors are only the positive-definiteness check; P and P^-1 are built on demand
+        assert "hessian" not in vars(ctrl) and "hessian_inverse" not in vars(ctrl)
+        basis, blocks = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)
+        h = sum(np.kron(k, np.outer(e, e)) for e, k in zip(basis, blocks))
+        assert np.abs(ctrl.hessian - h).max() <= 1e-15 * np.abs(h).max()
         inverse = ctrl.hessian_inverse
         assert np.abs(inverse @ h - np.eye(len(h))).max() <= 1e-12
-        assert ctrl.hessian_inverse is inverse and len(calls) == 1
+        assert ctrl.hessian is ctrl.hessian and ctrl.hessian_inverse is inverse
+        assert len(calls) == 5
 
     def test_hessian_inverse_is_read_only(self, horizon_ctrl):
+        """The cached P^-1 and P are shared by every copy of the controller."""
         with pytest.raises(ValueError, match="read-only"):
             horizon_ctrl.hessian_inverse[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            horizon_ctrl.hessian[0, 0] = 0.0
 
     def test_indefinite_hessian_rejected_by_build_cost_and_constructor(
             self, disc_model, monkeypatch):
-        # one channel with identical huge responses: the input weights are lost
-        # to rounding and P is a multiple of a matrix of ones
-        cfg = small_cfg(horizon=2)
+        # one channel whose block is 2^60 times a matrix of ones: the input
+        # weights are lost to rounding and its Cholesky factor meets a zero pivot
+        cfg = small_cfg(horizon=2, position_weight=1.0)
+        response = np.zeros((4, 2))
+        response[0] = 2.0 ** 30
         pred = (mpc.Channel(states=np.array([2, 5]), direction=np.full(8, 8 ** -0.5),
-                            G=np.eye(2), H=np.full((4, 2), 1e8)),)
+                            G=np.eye(2), H=response),)
         with pytest.raises(ValueError, match="cost Hessian is not positive definite"):
             build_cost(pred, cfg)
         monkeypatch.setattr(mpc, "build_prediction", lambda model, horizon: pred)
@@ -595,9 +608,9 @@ class TestExplicitStep:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_channel_form_matches_dense_hessian(self, horizon_ctrl, seed):
-        """The unconstrained optimum and P w from the channel form against
-        the dense P, for random states, references, warm starts and a last
-        input with a null-space part."""
+        """P^-1 q and P w from the blocks against the dense P, for random
+        states, references, warm starts and a last input with a null-space
+        part."""
         ctrl = copy.copy(horizon_ctrl)  # its own u_prev; the operators are shared
         n = ctrl.cfg.horizon
         rng = np.random.default_rng(seed)
@@ -607,9 +620,9 @@ class TestExplicitStep:
         null = du_prev - ctrl.directions.T @ (ctrl.directions @ du_prev)
         assert np.abs(null).max() > 100.0
         ctrl.u_prev = ctrl.model.u_ref + du_prev
-        g, parts = ctrl.gradient_parts(x_now, refs)
-        dense = np.linalg.solve(ctrl.hessian, -g)
-        assert np.abs(ctrl.unconstrained(parts) - dense).max() <= 1e-12 * np.abs(dense).max()
+        g = ctrl.gradient(x_now, refs)
+        dense = np.linalg.solve(ctrl.hessian, g)
+        assert np.abs(ctrl.hessian_solve(g) - dense).max() <= 1e-12 * np.abs(dense).max()
         w = rng.normal(0, 3000, 8 * n)
         product = ctrl.hessian @ w
         assert np.abs(ctrl.hessian_product(w) - product).max() <= 1e-12 * np.abs(product).max()
@@ -662,7 +675,8 @@ class TestExplicitStep:
         """200 closed-loop steps on the nonlinear plant: the same commands to
         1e-9 and the same QP iteration counts as refactoring ``solve_qp`` on
         every step. The box-active steps of ``mpc_step`` take the Schur path;
-        a loop where the box never binds never builds ``hessian_inverse``."""
+        a loop where the box never binds builds neither ``hessian`` nor
+        ``hessian_inverse``."""
         scenario = "step_xyz" if case == "climbing hop" else "square_corners"
         sc = config.load_config(scenario_path(scenario))
         veh, cfg, trajectory = sc.veh, sc.mpc, sc.trajectory()
@@ -682,6 +696,7 @@ class TestExplicitStep:
             runs.append((log, ctrl.statuses))
             fallback = not {"warm_start", "unconstrained"}.issuperset(ctrl.statuses)
             assert ("hessian_inverse" in vars(ctrl)) == (step is mpc_step and fallback)
+            assert ("hessian" in vars(ctrl)) == (step is _solve_every_step or fallback)
         (new, statuses), (old, _) = runs
         assert len(new.commands) == 200
         assert np.abs(new.commands - old.commands).max() <= 1e-9 * np.abs(old.commands).max()
