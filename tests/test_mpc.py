@@ -48,6 +48,30 @@ def recursion(model, dx0, du):
     return np.array(out)
 
 
+def dense_gradient(ctrl, x_now, refs):
+    """Reference q from the full-model operators and the per-sample state stack.
+
+    q = -(H' Mx (stack - G dx0) + D' Mdu b), with ``dense_prediction``'s G
+    and H, the stack of ``_stack_reference_loop``, D the 8N input
+    differencing matrix and b the last input deviation in its first 8
+    entries.
+    """
+    model, cfg = ctrl.model, ctrl.cfg
+    n, x_ref = cfg.horizon, model.x_ref
+    g, h = dense_prediction(model, n)
+    dx0 = x_now - x_ref
+    dx0[8] = (dynamics.wrap_angle(refs[0, 3] - x_ref[8])
+              - dynamics.wrap_angle(refs[0, 3] - x_now[8]))
+    err = _stack_reference_loop(refs, x_ref, n, model.dt) - g @ dx0
+    diff = np.eye(8 * n)
+    for i in range(1, n):
+        diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
+    bound = np.zeros(8 * n)
+    bound[:8] = ctrl.u_prev - model.u_ref
+    return -(h.T @ (np.tile(cfg.state_weight, n) * err)
+             + diff.T @ (cfg.input_rate_weight * bound))
+
+
 class TestPrediction:
     def test_horizon_one(self, disc_model):
         ctrl = MpcController(disc_model, small_cfg(horizon=1), VEH, ENV)
@@ -154,8 +178,8 @@ class TestCost:
         x_now[8], refs[0, 3] = 3.0, -3.0  # yaw and its first reference straddle +-pi
         ctrl.u_prev = disc_model.u_ref + rng.normal(0, 10.0, 8)
 
-        cfg, x_ref = ctrl.cfg, disc_model.x_ref
-        g, h = dense_prediction(disc_model, n)
+        cfg = ctrl.cfg
+        _, h = dense_prediction(disc_model, n)
         mx = np.diag(np.tile(cfg.state_weight, n))
         mu = np.diag(np.full(8 * n, cfg.input_weight))
         mdu = np.diag(np.full(8 * n, cfg.input_rate_weight))
@@ -163,15 +187,9 @@ class TestCost:
         for i in range(1, n):
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
         h_dense = h.T @ mx @ h + mu + diff.T @ mdu @ diff
-        dx0 = x_now - x_ref
-        dx0[8] = (dynamics.wrap_angle(refs[0, 3] - x_ref[8])
-                  - dynamics.wrap_angle(refs[0, 3] - x_now[8]))
-        err = _stack_reference_loop(refs, x_ref, n, disc_model.dt) - g @ dx0
-        bound = np.zeros(8 * n)
-        bound[:8] = ctrl.u_prev - disc_model.u_ref
-        g_dense = -(h.T @ mx @ err + diff.T @ mdu @ bound)
         assert np.allclose(ctrl.hessian, h_dense, atol=1e-12)
-        assert np.allclose(ctrl.gradient(x_now, refs), g_dense, atol=1e-12)
+        assert np.allclose(ctrl.gradient(x_now, refs), dense_gradient(ctrl, x_now, refs),
+                           atol=1e-12)
 
     def test_hessian_matches_dense_products(self, horizon_ctrl):
         """The channel assembly against H' diag(mx) H + diag(mu) + D' diag(mdu) D
@@ -424,13 +442,15 @@ class TestStackReference:
     @given(seed=st.integers(0, 1000), horizon=st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
     def test_matches_per_sample_loop(self, disc_model, seed, horizon):
-        """The stack ``gradient`` tracks, against a per-sample loop, bit for bit."""
+        """The stack ``gradient`` tracks, against a per-sample loop: at x_now =
+        x_ref and u_prev = u_ref, q is -H' Mx stack, to 1e-12 relative."""
         rng = np.random.default_rng(seed)
         refs = rng.normal(0, 5, (horizon, 4))
         model = dataclasses.replace(disc_model, x_ref=rng.normal(0, 1, 12))
         ctrl = MpcController(model, small_cfg(horizon=horizon), VEH, ENV)
-        want = _stack_reference_loop(refs, model.x_ref, horizon, model.dt)
-        assert np.array_equal(ctrl.reference_stack(refs).ravel(), want)
+        want = dense_gradient(ctrl, model.x_ref, refs)
+        got = ctrl.gradient(model.x_ref, refs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestMpcStep:
@@ -604,13 +624,54 @@ def _path_case(path):
     return MpcController(model, MpcConfig.default(veh, horizon=10), veh, ENV), np.zeros(12), refs
 
 
+@pytest.fixture(scope="module")
+def wide_box_ctrls(disc_model):
+    """Controllers at horizons 1, 2 and 60 whose input box never binds, with P built."""
+    ctrls = {}
+    for n in (1, 2, 60):
+        cfg = MpcConfig(horizon=n, u_min=np.full(8, -1e12), u_max=np.full(8, 1e12))
+        ctrls[n] = MpcController(disc_model, cfg, VEH, ENV)
+        ctrls[n].hessian  # built once, shared by every copy
+    return ctrls
+
+
 class TestExplicitStep:
+    @given(horizon=st.sampled_from([1, 2, 60]), seed=st.integers(0, 10_000),
+           yaw_ref=st.floats(2.8, 3.5) | st.floats(-3.5, -2.8), yaw_span=st.floats(-1.0, 1.0),
+           yaw_gap=st.floats(2.0, 6.0) | st.floats(-6.0, -2.0))
+    @settings(max_examples=30, deadline=None)
+    def test_law_matches_dense_oracle(self, wide_box_ctrls, horizon, seed, yaw_ref, yaw_span,
+                                      yaw_gap):
+        """The law's q against ``dense_gradient`` to 1e-12 relative, and
+        ``mpc_step``'s unconstrained plan against the dense P^-1 q to 1e-10
+        relative, with a yaw window across +-pi, the vehicle's yaw far from
+        it and a nonzero last input."""
+        ctrl = copy.copy(wide_box_ctrls[horizon])  # its own memory; the operators are shared
+        model = ctrl.model
+        rng = np.random.default_rng(seed)
+        x_now = model.x_ref + rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
+        x_now[8] = yaw_ref + yaw_gap
+        refs = np.zeros((horizon, 4))
+        refs[:, 0:3] = rng.normal(0, 1, 3) + rng.normal(0, 0.1, (horizon, 3))
+        refs[:, 3] = yaw_ref + yaw_span * np.linspace(0.0, 1.0, horizon)
+        ctrl.u_prev = model.u_ref + rng.normal(0, 3000, 8)
+
+        g = ctrl.gradient(x_now, refs)
+        want = dense_gradient(ctrl, x_now, refs)
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+        u = mpc_step(x_now, refs, ctrl)
+        assert ctrl.last_qp_status == "unconstrained"
+        plan = np.concatenate([u - model.u_ref, ctrl.warm_start[:-8]])
+        dense = np.linalg.solve(ctrl.hessian, -g)
+        assert np.abs(plan - dense).max() <= 1e-10 * np.abs(dense).max()
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_channel_form_matches_dense_hessian(self, horizon_ctrl, seed):
-        """P^-1 q and P w from the blocks against the dense P, for random
-        states, references, warm starts and a last input with a null-space
-        part."""
+        """The law's optimum -P^-1 q and P w from the blocks against the dense
+        P, for random states, references, warm starts and a last input with a
+        null-space part."""
         ctrl = copy.copy(horizon_ctrl)  # its own u_prev; the operators are shared
         n = ctrl.cfg.horizon
         rng = np.random.default_rng(seed)
@@ -620,9 +681,10 @@ class TestExplicitStep:
         null = du_prev - ctrl.directions.T @ (ctrl.directions @ du_prev)
         assert np.abs(null).max() > 100.0
         ctrl.u_prev = ctrl.model.u_ref + du_prev
-        g = ctrl.gradient(x_now, refs)
-        dense = np.linalg.solve(ctrl.hessian, g)
-        assert np.abs(ctrl.hessian_solve(g) - dense).max() <= 1e-12 * np.abs(dense).max()
+        g, optimum = ctrl.linear_terms(x_now, refs)
+        assert np.array_equal(g, ctrl.gradient(x_now, refs))
+        dense = np.linalg.solve(ctrl.hessian, -g)
+        assert np.abs(optimum - dense).max() <= 1e-12 * np.abs(dense).max()
         w = rng.normal(0, 3000, 8 * n)
         product = ctrl.hessian @ w
         assert np.abs(ctrl.hessian_product(w) - product).max() <= 1e-12 * np.abs(product).max()
