@@ -14,8 +14,8 @@ the same for every rotor, so along each row of E the Hessian of
 0.5 U'PU + q'U is one N x N block: T + Q_c along m_c, T the scalar input
 band and Q_c a channel's tracking block, and T in the null space
 (``build_cost``, once per controller). Only the input box couples the
-rows. Products with P read the blocks; the dense P and P^-1 are built
-only for ``solve_qp``.
+rows. ``BlockMatrix`` holds P, and P^-1 from the blocks' inverses, in
+this form: a product with either is eight N x N products.
 
 The linear term q is affine in the state deviation dx0 and in the
 reference window, and so is the unconstrained optimum -P^-1 q: the
@@ -32,12 +32,11 @@ already meets ``solve_qp``'s stopping test, else takes the unconstrained
 optimum if it lies inside the box, and calls ``solve_qp`` only when
 neither holds.
 
-On those box-active steps ``solve_qp`` takes each Newton step from the
-dense P^-1 (``MpcController.hessian_inverse``, built on the first such
-step): with the clamped coordinates C held fixed, the step needs only the
-k x k Schur complement (P^-1)_CC, k = |C|, not a refactor of the free
-block of P. This is the Schur-complement active-set update of QPSchur
-(Bartlett and Biegler, 2006).
+On those box-active steps ``solve_qp`` reads P and P^-1 by block products
+(never the dense P) and takes each Newton step from the k x k Schur
+complement (P^-1)_CC of the clamped coordinates C, k = |C|, gathered from
+the dense P^-1 that the first such step builds, not from a refactor of
+P's free block: the active-set update of QPSchur (Bartlett and Biegler, 2006).
 """
 
 from __future__ import annotations
@@ -47,15 +46,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, null_space, solve_triangular
+from scipy.linalg import cho_factor, null_space
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .dynamics import wrap_angle
 from .linmodel import CHANNELS, N_OUTPUTS, N_STATES, LinearModel
 from .params import N_ROTORS, EnvParams, VehicleParams
 from .trajectories import ref_window
 
-__all__ = ["MpcConfig", "Channel", "QpMaxIterations", "build_prediction", "build_cost",
-           "build_law", "solve_qp", "mpc_step", "MpcController"]
+__all__ = ["MpcConfig", "Channel", "QpMaxIterations", "BlockMatrix", "build_prediction",
+           "build_cost", "build_law", "solve_qp", "mpc_step", "MpcController"]
 
 # the states a reference sample (x, y, z, psi) sets, and the velocity states that track
 # the forward differences of its first three; every other state tracks 0
@@ -149,6 +149,40 @@ class Channel:
     direction: np.ndarray  # (8,) unit mixer row
     G: np.ndarray          # (N s, s)
     H: np.ndarray          # (N s, N)
+
+
+class BlockMatrix:
+    """A symmetric 8N x 8N matrix, P or P^-1, as the rotor basis E and (8, N, N) blocks.
+
+    ``m @ v`` is the block product of ``build_cost``; ``m[rows]`` reads the
+    dense ``table`` (entry ((k, r), (j, s)) is sum_c E_cr E_cs K_c[k, j]),
+    which ``dense()`` builds once by ``einsum``'s own loop, checks finite and
+    keeps read-only: as one BLAS product it ran multithreaded, and about one
+    in ten later Schur factors then stalled for about 4 ms (default BLAS
+    threads, 2-core host). Holds only arrays: no cycle keeps its owner alive.
+    """
+
+    def __init__(self, basis: np.ndarray, blocks: np.ndarray):
+        self.basis, self.blocks = basis, blocks
+        self.shape = (N_ROTORS * blocks.shape[1],) * 2
+        self.table = None
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        coords = np.reshape(v, (-1, N_ROTORS)) @ self.basis.T
+        return ((self.blocks @ coords.T[:, :, None])[:, :, 0].T @ self.basis).ravel()
+
+    def __getitem__(self, rows):
+        return self.dense()[rows]
+
+    def dense(self) -> np.ndarray:
+        if self.table is None:
+            outers = self.basis[:, :, None] * self.basis[:, None, :]
+            table = np.einsum("ckj,crs->krjs", self.blocks, outers).reshape(self.shape)
+            if not np.isfinite(table).all():
+                raise ValueError("block matrix must be finite")
+            table.flags.writeable = False
+            self.table = table
+        return self.table
 
 
 def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
@@ -256,9 +290,9 @@ def build_law(channels: tuple[Channel, ...], inverse_blocks: np.ndarray, cfg: Mp
     return law
 
 
-def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
+def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
              lower: np.ndarray, upper: np.ndarray, cfg: MpcConfig,
-             x0: np.ndarray | None = None, inverse: np.ndarray | None = None):
+             x0: np.ndarray | None = None, inverse: np.ndarray | BlockMatrix | None = None):
     """Minimize 0.5 x'Hx + g'x over a box with projected Newton steps.
 
     Clamped coordinates (at a bound with the gradient pushing outward) are
@@ -277,27 +311,28 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     rounding, as on badly conditioned Hessians; the last never happens,
     since a clamped coordinate adds exactly 0 to the residual.
 
-    Without ``inverse`` each Newton step factors the free block H_FF
-    afresh. ``inverse`` may carry H^-1 (finite, (n, n)); then no block of
-    H is factored. With z = H^-1 g, formed once per solve, and the clamped
-    set C, k = |C|, the minimizer of the cost with x_C held fixed is
-    -z + (H^-1)_:C lam, where the k x k Schur complement S = (H^-1)_CC
-    gives S lam = x_C + z_C (QPSchur, Bartlett and Biegler, 2006). A step
-    costs one gather of k rows of H^-1 (its k columns, by symmetry), a
-    Cholesky factor of S (at most n^3/3 at k = n, the cost of the widest
-    refactor) and one k x n product; with nothing clamped it is -z.
+    ``hessian`` and ``inverse`` are finite (n, n) arrays or ``BlockMatrix``
+    operators, read through ``@`` and row gathers. Without ``inverse`` each
+    Newton step factors the free block H_FF afresh. Given H^-1, no block of
+    H is factored: with z = H^-1 g, formed once per solve, and the clamped
+    set C, k = |C|, the minimizer with x_C held fixed is -z + (H^-1)_:C lam,
+    where the k x k Schur complement S = (H^-1)_CC gives S lam = x_C + z_C
+    (QPSchur, Bartlett and Biegler, 2006). A step costs a gather of k rows
+    of H^-1 (its k columns, by symmetry), a Cholesky factor of S (at most
+    n^3/3, at k = n) and one k x n product; with nothing clamped it is -z.
 
     Each line-search trial costs one product with the Hessian: the
     objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
     accepted trial's gradient is the next iteration's.
     """
-    h = np.asarray(hessian, dtype=float)
+    h = hessian if isinstance(hessian, BlockMatrix) else np.asarray(hessian, dtype=float)
     g = np.asarray(gradient, dtype=float)
     n = g.shape[0]
     if h.shape != (n, n):
         raise ValueError(f"Hessian shape {h.shape} does not match gradient length {n}")
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    if isinstance(h, np.ndarray) and not np.isfinite(h).all():
+        raise ValueError("QP Hessian must be finite")
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError("bounds must match the gradient length")
     if np.any(lower > upper):
@@ -305,26 +340,21 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     if not np.isfinite(g).all():
         raise ValueError("QP gradient must be finite")
     if inverse is not None:
-        inverse = np.asarray(inverse, dtype=float)
+        inverse = inverse if isinstance(inverse, BlockMatrix) else np.asarray(inverse, dtype=float)
         if inverse.shape != (n, n):
             raise ValueError(f"inverse shape {inverse.shape} does not match gradient length {n}")
-        if not np.isfinite(inverse).all():
+        if isinstance(inverse, np.ndarray) and not np.isfinite(inverse).all():
             raise ValueError("QP Hessian inverse must be finite")
         z = inverse @ g  # the unconstrained optimum is -z
 
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-    x = np.clip(x, lower, upper)
+    x = np.clip(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float), lower, upper)
     x[~np.isfinite(x)] = 0.0
 
     tol = cfg.qp_tol * max(1.0, float(np.max(np.abs(g))) if n else 1.0)
 
     grad = h @ x + g
     value = 0.5 * x @ (grad + g)
-    iters = 0
-    status = "converged"
+    iters, status = 0, "converged"
     while True:
         residual = float(np.max(np.abs(x - np.clip(x - grad, lower, upper)))) if n else 0.0
         if residual <= tol:
@@ -343,22 +373,13 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
         # Newton target on the free block with clamped coordinates fixed
         clamped = ~free
         if inverse is None:
-            try:
-                # a fresh symmetric copy: factored in place as its Fortran-order transpose
-                factor = cho_factor(h[np.ix_(free, free)].T, lower=True, overwrite_a=True)
-            except np.linalg.LinAlgError:
-                raise ValueError("QP Hessian is not positive definite") from None
             rhs = g[free].copy()
             if np.any(clamped):
                 rhs += h[np.ix_(free, clamped)] @ x[clamped]
-            target_free = -_cho_solve(factor, rhs)
+            target_free = -_spd_solve(h[np.ix_(free, free)], rhs, "QP Hessian")
         elif np.any(clamped):
             rows = inverse[clamped]  # H^-1 is symmetric: its clamped columns, as contiguous rows
-            try:
-                factor = cho_factor(rows[:, clamped].T, lower=True, overwrite_a=True)
-            except np.linalg.LinAlgError:
-                raise ValueError("QP Hessian inverse is not positive definite") from None
-            lam = _cho_solve(factor, x[clamped] + z[clamped])
+            lam = _spd_solve(rows[:, clamped], x[clamped] + z[clamped], "QP Hessian inverse")
             target_free = (lam @ rows - z)[free]
         else:
             target_free = -z
@@ -371,16 +392,14 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
             break
 
         step = 1.0
-        accepted = False
         for _ in range(40):
             cand = np.clip(x + step * step_dir, lower, upper)
             cand_grad = h @ cand + g
             cand_val = 0.5 * cand @ (cand_grad + g)
             if cand_val <= value + 0.1 * step * descent:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             status = "line_search_stalled"  # no progress possible at machine precision
             break
 
@@ -389,17 +408,18 @@ def solve_qp(hessian: np.ndarray, gradient: np.ndarray,
     return x, {"iterations": iters, "residual": residual, "status": status}
 
 
-def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a lower ``cho_factor`` result by two triangular solves.
+def _spd_solve(a: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+    """Solve a x = rhs by LAPACK ``potrf`` and ``potrs``, ``a`` a fresh symmetric gather.
 
-    The factor is trusted to be finite (it was checked when it was made),
-    so only the right-hand side is scanned.
+    ``a``, from checked matrices, is factored in place as its Fortran-order
+    transpose; only ``rhs`` is scanned for non-finite values.
     """
-    c, _ = factor
+    factor, info = dpotrf(a.T, lower=True, overwrite_a=True, clean=False)
+    if info:
+        raise ValueError(f"{name} is not positive definite")
     if not np.isfinite(rhs).all():
         raise ValueError("QP right-hand side must be finite")
-    y = solve_triangular(c, rhs, trans="N", lower=True, check_finite=False)
-    return solve_triangular(c, y, trans="T", lower=True, check_finite=False)
+    return dpotrs(factor, rhs, lower=True)[0]
 
 
 def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.ndarray:
@@ -417,12 +437,12 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
     The first two are answers ``solve_qp`` would accept from the same warm
     start (its own stopping test; the unique minimizer, up to rounding) at
     a fraction of its cost. q and the optimum come from the controller's
-    affine law (``MpcController.linear_terms``) and the warm start's
-    gradient from the Hessian's blocks (``hessian_product``), not from the
-    dense P. Updates the controller's last input, warm start, QP iteration
-    count and status, and returns the absolute squared-speed command,
-    always inside the input box. Raises ``ValueError`` for a wrongly
-    shaped or non-finite state or reference window.
+    affine law (``MpcController.linear_terms``); the warm start's gradient
+    and ``solve_qp`` read P and P^-1 as ``BlockMatrix`` operators. Updates
+    the controller's last input, warm start, QP iteration count and status,
+    and returns the absolute squared-speed command, always inside the input
+    box. Raises ``ValueError`` for a wrongly shaped or non-finite state or
+    reference window.
     """
     cfg, lower, upper = ctrl.cfg, ctrl.lower, ctrl.upper
     g, optimum = ctrl.linear_terms(x_now, refs)
@@ -431,7 +451,7 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
         raise ValueError("QP gradient must be finite")
     tol = cfg.qp_tol * max(1.0, scale)  # solve_qp's
     warm = ctrl.warm_start
-    grad = ctrl.hessian_product(warm) + g
+    grad = ctrl.hessian_op @ warm + g
     if float(np.max(np.abs(warm - np.clip(warm - grad, lower, upper)))) <= tol:
         du_seq, iters, status = warm, 0, "warm_start"
     else:
@@ -439,8 +459,8 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
         if np.all(lower <= du_seq) and np.all(du_seq <= upper):
             iters, status = 1, "unconstrained"
         else:
-            du_seq, info = solve_qp(ctrl.hessian, g, lower, upper, cfg, x0=warm,
-                                    inverse=ctrl.hessian_inverse)
+            du_seq, info = solve_qp(ctrl.hessian_op, g, lower, upper, cfg, x0=warm,
+                                    inverse=ctrl.inverse_op)
             iters, status = info["iterations"], info["status"]
 
     u = np.clip(ctrl.model.u_ref + du_seq[:N_ROTORS], ctrl.u_min, ctrl.u_max)
@@ -456,23 +476,21 @@ class MpcController:
 
     Holds the ``channels`` with their input ``directions`` as rows, the
     constant Hessian as ``build_cost`` gives it (the rotor ``basis`` and
-    its ``blocks``) with the blocks' inverses ``inverse_blocks``, the
+    its ``blocks``), the blocks' inverses ``inverse_blocks``, P and P^-1 as
+    the ``BlockMatrix`` operators ``hessian_op`` and ``inverse_op``, the
     box-inactive step as ``build_law``'s affine ``law`` and the (8N, 8)
     ``rate_law`` that maps the last input deviation to its part of the
-    optimum, the dense ``hessian`` and ``hessian_inverse`` once a
-    box-active step has needed them, the input box as absolute (8,) arrays
-    (``u_min``, ``u_max``) and as deviations over the horizon (``lower``,
-    ``upper``), and the per-loop memory: the last applied input
-    ``u_prev``, the QP warm start, ``last_qp_iters`` and
-    ``last_qp_status``. One instance drives one closed loop.
+    optimum, the input box as absolute (8,) arrays (``u_min``, ``u_max``)
+    and as deviations over the horizon (``lower``, ``upper``), and the
+    per-loop memory: the last applied input ``u_prev``, the QP warm start,
+    ``last_qp_iters`` and ``last_qp_status``. One instance drives one
+    closed loop. The dense ``hessian`` and ``hessian_inverse`` are built on
+    demand; a closed loop builds only P^-1's, for its first box-active step.
 
     The law is built with the controller (about 0.3 ms at N = 60), so a
-    box-inactive step costs the input checks, one (4, 2N, N + 4) batched
-    product, one (2N, 4) @ (4, 8) product onto the rotors, one (8N, 8)
-    product for the last input, and one ``hessian_product`` for the
-    warm-start test: a median of about 70 us in-process at N = 60 on a
-    2-core VM, against about 120 us with q assembled and P^-1 q solved per
-    step.
+    box-inactive step costs the input checks, the law's three products and
+    one ``hessian_op`` product for the warm-start test: a median of about
+    70 us in-process at N = 60 on a 2-core VM.
     """
 
     def __init__(self, model: LinearModel, cfg: MpcConfig, veh: VehicleParams,
@@ -486,6 +504,8 @@ class MpcController:
         distinct = len(self.channels) + 1
         self.inverse_blocks = np.linalg.inv(self.blocks[:distinct])[
             np.minimum(np.arange(N_ROTORS), distinct - 1)]
+        self.hessian_op = BlockMatrix(self.basis, self.blocks)
+        self.inverse_op = BlockMatrix(self.basis, self.inverse_blocks)
         self.law = build_law(self.channels, self.inverse_blocks, cfg, model.dt)
         # du_prev's part of the optimum, P^-1 (e_0 kron w du_prev) for the input-rate weight w:
         # one K_c^-1 e_0 column per basis row
@@ -559,35 +579,15 @@ class MpcController:
         """Linear term q of the condensed cost 0.5 U'PU + q'U at one step (``linear_terms``)."""
         return self.linear_terms(x_now, refs)[0]
 
-    def hessian_product(self, du: np.ndarray) -> np.ndarray:
-        """P du, from the blocks."""
-        coords = np.reshape(du, (self.cfg.horizon, N_ROTORS)) @ self.basis.T
-        return ((self.blocks @ coords.T[:, :, None])[:, :, 0].T @ self.basis).ravel()
-
-    @cached_property
+    @property
     def hessian(self) -> np.ndarray:
-        """The dense 8N x 8N P, built on first use and kept (read-only)."""
-        return self._dense(self.blocks)
+        """The dense 8N x 8N P, built on first use and kept (``BlockMatrix.dense``)."""
+        return self.hessian_op.dense()
 
-    @cached_property
+    @property
     def hessian_inverse(self) -> np.ndarray:
-        """The dense 8N x 8N P^-1, built on first use and kept (read-only)."""
-        return self._dense(self.inverse_blocks)
-
-    def _dense(self, blocks: np.ndarray) -> np.ndarray:
-        """The read-only 8N x 8N matrix of the (8, N, N) ``blocks`` in the rotor basis E.
-
-        Entry ((k, r), (j, s)) is sum_c E_cr E_cs K_c[k, j], formed by
-        ``einsum``'s own loop: built as one (N^2, 8) @ (8, 64) BLAS product
-        it ran multithreaded, and about one in ten of ``solve_qp``'s later
-        Schur factors then stalled for about 4 ms (default BLAS threads,
-        2-core host).
-        """
-        n = N_ROTORS * self.cfg.horizon
-        outers = self.basis[:, :, None] * self.basis[:, None, :]
-        dense = np.einsum("ckj,crs->krjs", blocks, outers).reshape(n, n)
-        dense.flags.writeable = False
-        return dense
+        """The dense 8N x 8N P^-1, built on first use and kept (``BlockMatrix.dense``)."""
+        return self.inverse_op.dense()
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:
         refs = ref_window(traj, t, self.cfg.horizon, self.model.dt)

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -388,15 +390,18 @@ class TestSolveQp:
     @settings(max_examples=25, deadline=None)
     def test_schur_step_matches_refactoring(self, horizon_ctrl, seed):
         """On the KKT property's 480-variable boxes, Newton steps from the
-        Schur complement of P^-1 take the refactoring path's decisions: the
-        same iteration count and status, and x to 1e-9 relative."""
+        Schur complement of P^-1, given as the dense arrays or as the
+        controller's block operators, take the refactoring path's decisions:
+        the same iteration count and status, and x to 1e-9 relative."""
         cfg, h = horizon_ctrl.cfg, horizon_ctrl.hessian
         g, lo, hi, x0, _ = _horizon_box_qp(horizon_ctrl, seed)
         want, want_info = solve_qp(h, g, lo, hi, cfg, x0=x0)
-        got, info = solve_qp(h, g, lo, hi, cfg, x0=x0, inverse=horizon_ctrl.hessian_inverse)
-        assert (info["iterations"], info["status"]) == (want_info["iterations"],
-                                                        want_info["status"])
-        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        for hessian, inverse in ((h, horizon_ctrl.hessian_inverse),
+                                 (horizon_ctrl.hessian_op, horizon_ctrl.inverse_op)):
+            got, info = solve_qp(hessian, g, lo, hi, cfg, x0=x0, inverse=inverse)
+            assert (info["iterations"], info["status"]) == (want_info["iterations"],
+                                                            want_info["status"])
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     @pytest.mark.parametrize("bad", ["not square", "wrong size", "nan", "inf"])
     def test_rejects_a_bad_inverse(self, bad):
@@ -546,7 +551,7 @@ class TestMpcStep:
         assert len(calls) == 5
         monkeypatch.undo()
         # the factors are only the positive-definiteness check; P and P^-1 are built on demand
-        assert "hessian" not in vars(ctrl) and "hessian_inverse" not in vars(ctrl)
+        assert ctrl.hessian_op.table is None and ctrl.inverse_op.table is None
         basis, blocks = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)
         h = sum(np.kron(k, np.outer(e, e)) for e, k in zip(basis, blocks))
         assert np.abs(ctrl.hessian - h).max() <= 1e-15 * np.abs(h).max()
@@ -554,6 +559,37 @@ class TestMpcStep:
         assert np.abs(inverse @ h - np.eye(len(h))).max() <= 1e-12
         assert ctrl.hessian is ctrl.hessian and ctrl.hessian_inverse is inverse
         assert len(calls) == 5
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_block_operators_match_dense(self, horizon_ctrl, seed):
+        """The operators' P v, P^-1 v and gathered rows of P^-1 against the
+        dense P and its inverse by LU, to 1e-12 relative."""
+        ctrl = horizon_ctrl
+        n = 8 * ctrl.cfg.horizon
+        rng = np.random.default_rng(seed)
+        v = rng.normal(0, 3000, n)
+        clamped = rng.random(n) < rng.uniform(0.0, 0.5)
+        clamped[rng.integers(n)] = True
+        inverse = np.linalg.inv(ctrl.hessian)
+        for got, want in ((ctrl.hessian_op @ v, ctrl.hessian @ v),
+                          (ctrl.inverse_op @ v, inverse @ v),
+                          (ctrl.inverse_op[clamped], inverse[clamped])):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_freed_by_reference_counting_after_a_box_active_step(self):
+        """The operators hold only arrays, so no reference cycle keeps a
+        controller for the cycle collector once its P^-1 table is built."""
+        ctrl, x, refs = _path_case("converged")
+        mpc_step(x, refs, ctrl)
+        assert ctrl.last_qp_status == "converged" and ctrl.inverse_op.table is not None
+        alive = weakref.ref(ctrl)
+        gc.disable()
+        try:
+            del ctrl
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_hessian_inverse_is_read_only(self, horizon_ctrl):
         """The cached P^-1 and P are shared by every copy of the controller."""
@@ -687,7 +723,7 @@ class TestExplicitStep:
         assert np.abs(optimum - dense).max() <= 1e-12 * np.abs(dense).max()
         w = rng.normal(0, 3000, 8 * n)
         product = ctrl.hessian @ w
-        assert np.abs(ctrl.hessian_product(w) - product).max() <= 1e-12 * np.abs(product).max()
+        assert np.abs(ctrl.hessian_op @ w - product).max() <= 1e-12 * np.abs(product).max()
 
     def test_each_path_reports_itself(self, horizon_ctrl):
         ctrl = copy.copy(horizon_ctrl)
@@ -737,8 +773,8 @@ class TestExplicitStep:
         """200 closed-loop steps on the nonlinear plant: the same commands to
         1e-9 and the same QP iteration counts as refactoring ``solve_qp`` on
         every step. The box-active steps of ``mpc_step`` take the Schur path;
-        a loop where the box never binds builds neither ``hessian`` nor
-        ``hessian_inverse``."""
+        ``mpc_step`` never builds the dense ``hessian``, and builds the table
+        of ``inverse_op`` only if a step falls back to ``solve_qp``."""
         scenario = "step_xyz" if case == "climbing hop" else "square_corners"
         sc = config.load_config(scenario_path(scenario))
         veh, cfg, trajectory = sc.veh, sc.mpc, sc.trajectory()
@@ -757,8 +793,8 @@ class TestExplicitStep:
                                             env=sc.env, seed=sc.sim.seed)
             runs.append((log, ctrl.statuses))
             fallback = not {"warm_start", "unconstrained"}.issuperset(ctrl.statuses)
-            assert ("hessian_inverse" in vars(ctrl)) == (step is mpc_step and fallback)
-            assert ("hessian" in vars(ctrl)) == (step is _solve_every_step or fallback)
+            assert (ctrl.inverse_op.table is not None) == (step is mpc_step and fallback)
+            assert (ctrl.hessian_op.table is not None) == (step is _solve_every_step)
         (new, statuses), (old, _) = runs
         assert len(new.commands) == 200
         assert np.abs(new.commands - old.commands).max() <= 1e-9 * np.abs(old.commands).max()
