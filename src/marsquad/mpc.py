@@ -14,8 +14,9 @@ the same for every rotor, so along each row of E the Hessian of
 0.5 U'PU + q'U is one N x N block: T + Q_c along m_c, T the scalar input
 band and Q_c a channel's tracking block, and T in the null space
 (``build_cost``, once per controller). Only the input box couples the
-rows. ``BlockMatrix`` holds P, and P^-1 from the blocks' inverses, in
-this form: a product with either is eight N x N products.
+rows. ``build_cost`` returns P in this form as a ``BlockMatrix``, whose
+``inverse()`` is P^-1 from the blocks' inverses: a product with either is
+eight N x N products.
 
 The linear term q is affine in the state deviation dx0 and in the
 reference window, and so is the unconstrained optimum -P^-1 q: the
@@ -32,11 +33,12 @@ already meets ``solve_qp``'s stopping test, else takes the unconstrained
 optimum if it lies inside the box, and calls ``solve_qp`` only when
 neither holds.
 
-On those box-active steps ``solve_qp`` reads P and P^-1 by block products
-(never the dense P) and takes each Newton step from the k x k Schur
-complement (P^-1)_CC of the clamped coordinates C, k = |C|, gathered from
-the dense P^-1 that the first such step builds, not from a refactor of
-P's free block: the active-set update of QPSchur (Bartlett and Biegler, 2006).
+On those box-active steps ``solve_qp``, given that ``BlockMatrix``, reads
+P and P^-1 by block products (never the dense P) and takes each Newton
+step from the k x k Schur complement (P^-1)_CC of the clamped coordinates
+C, k = |C|, gathered from the dense P^-1 that the first such step builds,
+not from a refactor of P's free block: QPSchur's active-set update
+(Bartlett and Biegler, 2006).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class MpcConfig:
     ``input_rate_weight`` set every rotor's entry of the input and
     input-rate diagonals. The input box ``u_min``/``u_max`` holds absolute
     squared rotor speeds as tuples of eight floats, so configs compare and
-    hash by value.
+    hash by value. The weights, ``qp_tol`` and the box must be finite.
     """
 
     horizon: int = 60
@@ -100,11 +102,15 @@ class MpcConfig:
     def __post_init__(self):
         for name in ("u_min", "u_max"):
             box = np.asarray(getattr(self, name), dtype=float)
-            if box.shape != (N_ROTORS,):
-                raise ValueError("u_min and u_max must be 8-vectors")
+            if box.shape != (N_ROTORS,) or not np.isfinite(box).all():
+                raise ValueError("u_min and u_max must be finite 8-vectors")
             object.__setattr__(self, name, tuple(box.tolist()))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
+                     "input_weight", "input_rate_weight", "qp_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
                      "input_rate_weight"):
             if getattr(self, name) < 0:
@@ -152,27 +158,35 @@ class Channel:
 
 
 class BlockMatrix:
-    """A symmetric 8N x 8N matrix, P or P^-1, as the rotor basis E and (8, N, N) blocks.
+    """A symmetric 8N x 8N matrix as the rotor basis E and (8, N, N) blocks.
 
-    ``m @ v`` is the block product of ``build_cost``; ``m[rows]`` reads the
-    dense ``table`` (entry ((k, r), (j, s)) is sum_c E_cr E_cs K_c[k, j]),
-    which ``dense()`` builds once by ``einsum``'s own loop, checks finite and
-    keeps read-only: as one BLAS product it ran multithreaded, and about one
-    in ten later Schur factors then stalled for about 4 ms (default BLAS
-    threads, 2-core host). Holds only arrays: no cycle keeps its owner alive.
+    ``m @ v`` is the block product of ``build_cost``. ``dense()`` builds the
+    dense ``table`` (entry ((k, r), (j, s)) is sum_c E_cr E_cs K_c[k, j])
+    once by ``einsum``'s own loop, checks it finite and keeps it read-only:
+    as one BLAS product it ran multithreaded, and about one in ten later
+    Schur factors then stalled for about 4 ms (default BLAS threads, 2-core
+    host). ``inverse()`` is the matrix's inverse on the same basis, built
+    on first call and kept. Holds only arrays and that inverse, which holds
+    none back: no cycle keeps its owner alive.
     """
 
     def __init__(self, basis: np.ndarray, blocks: np.ndarray):
         self.basis, self.blocks = basis, blocks
         self.shape = (N_ROTORS * blocks.shape[1],) * 2
         self.table = None
+        self._inverse = None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         coords = np.reshape(v, (-1, N_ROTORS)) @ self.basis.T
         return ((self.blocks @ coords.T[:, :, None])[:, :, 0].T @ self.basis).ravel()
 
-    def __getitem__(self, rows):
-        return self.dense()[rows]
+    def inverse(self) -> BlockMatrix:
+        if self._inverse is None:
+            # one inversion per run of equal blocks: build_cost's null-space rows all hold T
+            new = np.r_[True, (self.blocks[1:] != self.blocks[:-1]).any(axis=(1, 2))]
+            blocks = np.linalg.inv(self.blocks[new])[np.cumsum(new) - 1]
+            self._inverse = BlockMatrix(self.basis, blocks)
+        return self._inverse
 
     def dense(self) -> np.ndarray:
         if self.table is None:
@@ -221,13 +235,13 @@ def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
     return tuple(channels)
 
 
-def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig):
-    """The constant Hessian P of the condensed cost as a rotor basis and blocks.
+def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig) -> BlockMatrix:
+    """The constant Hessian P of the condensed cost as a ``BlockMatrix``.
 
-    Returns ``(basis, blocks)``. The 8 x 8 ``basis`` E has orthonormal
-    rows: the channels' directions m_c, then an orthonormal basis of the
-    mixer's null space. ``blocks`` is the (8, N, N) stack of the K_c that
-    P takes along those rows: T + Q_c along m_c, with T the N x N input
+    Its 8 x 8 ``basis`` E has orthonormal rows: the channels' directions
+    m_c, then an orthonormal basis of the mixer's null space. Its
+    ``blocks`` are the (8, N, N) stack of the K_c that P takes along those
+    rows: T + Q_c along m_c, with T the N x N input
     and input-rate band and Q_c = H_c' W_c H_c a channel's tracking block,
     and T along each null-space row. With U as an (N, 8) array W, P U is
     V E, column c of V being K_c times column c of W E'. Raises
@@ -250,7 +264,7 @@ def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig):
             cho_factor(block, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
-    return basis, blocks
+    return BlockMatrix(basis, blocks)
 
 
 def build_law(channels: tuple[Channel, ...], inverse_blocks: np.ndarray, cfg: MpcConfig,
@@ -292,7 +306,7 @@ def build_law(channels: tuple[Channel, ...], inverse_blocks: np.ndarray, cfg: Mp
 
 def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
              lower: np.ndarray, upper: np.ndarray, cfg: MpcConfig,
-             x0: np.ndarray | None = None, inverse: np.ndarray | BlockMatrix | None = None):
+             x0: np.ndarray | None = None):
     """Minimize 0.5 x'Hx + g'x over a box with projected Newton steps.
 
     Clamped coordinates (at a bound with the gradient pushing outward) are
@@ -305,21 +319,22 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     ``info`` holds ``"iterations"``, the final ``"residual"`` and the
     ``"status"`` that ended the solve: ``"converged"`` (residual within the
     tolerance), ``"no_descent"`` (the Newton step is not a descent
-    direction), ``"line_search_stalled"`` (no Armijo decrease in 40
-    halvings) or ``"all_clamped"`` (no free coordinate). The last three
-    leave the residual above the tolerance. The middle two come from
-    rounding, as on badly conditioned Hessians; the last never happens,
-    since a clamped coordinate adds exactly 0 to the residual.
+    direction) or ``"line_search_stalled"`` (no Armijo decrease in 40
+    halvings). The last two leave the residual above the tolerance and come
+    from rounding, as on badly conditioned Hessians. A clamped coordinate
+    adds exactly 0 to the residual, so no step finds every one clamped.
 
-    ``hessian`` and ``inverse`` are finite (n, n) arrays or ``BlockMatrix``
-    operators, read through ``@`` and row gathers. Without ``inverse`` each
-    Newton step factors the free block H_FF afresh. Given H^-1, no block of
-    H is factored: with z = H^-1 g, formed once per solve, and the clamped
-    set C, k = |C|, the minimizer with x_C held fixed is -z + (H^-1)_:C lam,
-    where the k x k Schur complement S = (H^-1)_CC gives S lam = x_C + z_C
-    (QPSchur, Bartlett and Biegler, 2006). A step costs a gather of k rows
-    of H^-1 (its k columns, by symmetry), a Cholesky factor of S (at most
-    n^3/3, at k = n) and one k x n product; with nothing clamped it is -z.
+    The type of ``hessian`` picks the Newton step. A finite (n, n) array
+    has its free block H_FF factored afresh at each step: the path for
+    generic QPs, and the reference the other is tested against. A
+    ``BlockMatrix`` is read through ``@`` and supplies H^-1 from its
+    ``inverse()``, so no block of H is factored: with z = H^-1 g, formed
+    once per solve, and the clamped set C, k = |C|, the minimizer with x_C
+    held fixed is -z + (H^-1)_:C lam, where the k x k Schur complement
+    S = (H^-1)_CC gives S lam = x_C + z_C (QPSchur, Bartlett and Biegler,
+    2006). A step costs a gather of k rows of H^-1's dense table (its k
+    columns, by symmetry), a Cholesky factor of S (at most n^3/3, at
+    k = n) and one k x n product; with nothing clamped it is -z.
 
     Each line-search trial costs one product with the Hessian: the
     objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
@@ -339,13 +354,8 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
         raise ValueError("lower bound exceeds upper bound")
     if not np.isfinite(g).all():
         raise ValueError("QP gradient must be finite")
-    if inverse is not None:
-        inverse = inverse if isinstance(inverse, BlockMatrix) else np.asarray(inverse, dtype=float)
-        if inverse.shape != (n, n):
-            raise ValueError(f"inverse shape {inverse.shape} does not match gradient length {n}")
-        if isinstance(inverse, np.ndarray) and not np.isfinite(inverse).all():
-            raise ValueError("QP Hessian inverse must be finite")
-        z = inverse @ g  # the unconstrained optimum is -z
+    inverse = h.inverse() if isinstance(h, BlockMatrix) else None
+    z = None if inverse is None else inverse @ g  # the unconstrained optimum is -z
 
     x = np.clip(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float), lower, upper)
     x[~np.isfinite(x)] = 0.0
@@ -363,22 +373,16 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
             raise QpMaxIterations(x, residual)
         iters += 1
 
-        at_lower = (x <= lower) & (grad > 0)
-        at_upper = (x >= upper) & (grad < 0)
-        free = ~(at_lower | at_upper)
-        if not np.any(free):
-            status = "all_clamped"
-            break
-
         # Newton target on the free block with clamped coordinates fixed
-        clamped = ~free
+        clamped = ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
+        free = ~clamped
         if inverse is None:
             rhs = g[free].copy()
             if np.any(clamped):
                 rhs += h[np.ix_(free, clamped)] @ x[clamped]
             target_free = -_spd_solve(h[np.ix_(free, free)], rhs, "QP Hessian")
         elif np.any(clamped):
-            rows = inverse[clamped]  # H^-1 is symmetric: its clamped columns, as contiguous rows
+            rows = inverse.dense()[clamped]  # by symmetry, H^-1's clamped columns as rows
             lam = _spd_solve(rows[:, clamped], x[clamped] + z[clamped], "QP Hessian inverse")
             target_free = (lam @ rows - z)[free]
         else:
@@ -438,7 +442,8 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
     start (its own stopping test; the unique minimizer, up to rounding) at
     a fraction of its cost. q and the optimum come from the controller's
     affine law (``MpcController.linear_terms``); the warm start's gradient
-    and ``solve_qp`` read P and P^-1 as ``BlockMatrix`` operators. Updates
+    reads P, and ``solve_qp`` is given it, as the ``BlockMatrix``
+    ``hessian_op``, so its Newton steps come from P^-1. Updates
     the controller's last input, warm start, QP iteration count and status,
     and returns the absolute squared-speed command, always inside the input
     box. Raises ``ValueError`` for a wrongly shaped or non-finite state or
@@ -459,8 +464,7 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
         if np.all(lower <= du_seq) and np.all(du_seq <= upper):
             iters, status = 1, "unconstrained"
         else:
-            du_seq, info = solve_qp(ctrl.hessian_op, g, lower, upper, cfg, x0=warm,
-                                    inverse=ctrl.inverse_op)
+            du_seq, info = solve_qp(ctrl.hessian_op, g, lower, upper, cfg, x0=warm)
             iters, status = info["iterations"], info["status"]
 
     u = np.clip(ctrl.model.u_ref + du_seq[:N_ROTORS], ctrl.u_min, ctrl.u_max)
@@ -475,17 +479,17 @@ class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
     Holds the ``channels`` with their input ``directions`` as rows, the
-    constant Hessian as ``build_cost`` gives it (the rotor ``basis`` and
-    its ``blocks``), the blocks' inverses ``inverse_blocks``, P and P^-1 as
-    the ``BlockMatrix`` operators ``hessian_op`` and ``inverse_op``, the
-    box-inactive step as ``build_law``'s affine ``law`` and the (8N, 8)
-    ``rate_law`` that maps the last input deviation to its part of the
-    optimum, the input box as absolute (8,) arrays (``u_min``, ``u_max``)
+    constant Hessian P once, as ``build_cost``'s ``BlockMatrix``
+    ``hessian_op`` (P^-1 is its ``inverse()``), the box-inactive step as
+    ``build_law``'s affine ``law`` and the (8N, 8) ``rate_law`` that maps
+    the last input deviation to its part of the optimum, both from P^-1's
+    blocks, the input box as absolute (8,) arrays (``u_min``, ``u_max``)
     and as deviations over the horizon (``lower``, ``upper``), and the
     per-loop memory: the last applied input ``u_prev``, the QP warm start,
     ``last_qp_iters`` and ``last_qp_status``. One instance drives one
-    closed loop. The dense ``hessian`` and ``hessian_inverse`` are built on
-    demand; a closed loop builds only P^-1's, for its first box-active step.
+    closed loop. The dense P and P^-1 (``dense()`` of either operator) are
+    built on demand; a closed loop builds only P^-1's, for its first
+    box-active step.
 
     The law is built with the controller (about 0.3 ms at N = 60), so a
     box-inactive step costs the input checks, the law's three products and
@@ -498,19 +502,14 @@ class MpcController:
         self.model = model
         self.cfg = cfg
         self.channels = build_prediction(model, cfg.horizon)
-        self.basis, self.blocks = build_cost(self.channels, cfg)
-        self.directions = self.basis[:len(self.channels)]
-        # one inverse per distinct block: the null-space rows all hold T
-        distinct = len(self.channels) + 1
-        self.inverse_blocks = np.linalg.inv(self.blocks[:distinct])[
-            np.minimum(np.arange(N_ROTORS), distinct - 1)]
-        self.hessian_op = BlockMatrix(self.basis, self.blocks)
-        self.inverse_op = BlockMatrix(self.basis, self.inverse_blocks)
-        self.law = build_law(self.channels, self.inverse_blocks, cfg, model.dt)
+        self.hessian_op = build_cost(self.channels, cfg)
+        basis, inverse_blocks = self.hessian_op.basis, self.hessian_op.inverse().blocks
+        self.directions = basis[:len(self.channels)]
+        self.law = build_law(self.channels, inverse_blocks, cfg, model.dt)
         # du_prev's part of the optimum, P^-1 (e_0 kron w du_prev) for the input-rate weight w:
         # one K_c^-1 e_0 column per basis row
-        outers = (self.basis[:, :, None] * self.basis[:, None, :]).reshape(N_ROTORS, -1)
-        self.rate_law = (cfg.input_rate_weight * (self.inverse_blocks[:, :, 0].T @ outers)
+        outers = (basis[:, :, None] * basis[:, None, :]).reshape(N_ROTORS, -1)
+        self.rate_law = (cfg.input_rate_weight * (inverse_blocks[:, :, 0].T @ outers)
                          ).reshape(N_ROTORS * cfg.horizon, N_ROTORS)
         # the law's inputs: each channel's reference column, and its states padded to four
         self._law_columns = [OUTPUT_STATES.index(c.states[0]) for c in self.channels]
@@ -578,16 +577,6 @@ class MpcController:
     def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:
         """Linear term q of the condensed cost 0.5 U'PU + q'U at one step (``linear_terms``)."""
         return self.linear_terms(x_now, refs)[0]
-
-    @property
-    def hessian(self) -> np.ndarray:
-        """The dense 8N x 8N P, built on first use and kept (``BlockMatrix.dense``)."""
-        return self.hessian_op.dense()
-
-    @property
-    def hessian_inverse(self) -> np.ndarray:
-        """The dense 8N x 8N P^-1, built on first use and kept (``BlockMatrix.dense``)."""
-        return self.inverse_op.dense()
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:
         refs = ref_window(traj, t, self.cfg.horizon, self.model.dt)

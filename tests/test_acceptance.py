@@ -91,7 +91,7 @@ def test_criterion_05_prediction_exactness():
     dx0 = np.zeros(12)
     dx0[0:3] = [0.4, -0.2, 0.3]
     g = ctrl.gradient(model.x_ref + dx0, np.zeros((n, 4)))
-    du, _ = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
+    du, _ = solve_qp(ctrl.hessian_op.dense(), g, ctrl.lower, ctrl.upper, ctrl.cfg)
     predicted = ctrl.predict(dx0, du)
     state = dx0.copy()
     worst = 0.0

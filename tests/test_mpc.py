@@ -125,7 +125,7 @@ class TestPrediction:
         want = recursion(model, dx0, du)
         got = ctrl.predict(dx0, du)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        identity = ctrl.hessian_inverse @ ctrl.hessian
+        identity = ctrl.hessian_op.inverse().dense() @ ctrl.hessian_op.dense()
         assert np.abs(identity - np.eye(8 * 15)).max() <= 1e-12
 
     def test_rejects_continuous_model(self, cont_model):
@@ -155,7 +155,7 @@ class TestCost:
                         u_min=np.zeros(8), u_max=np.full(8, 1e6))
         ctrl = MpcController(disc_model, cfg, VEH, ENV)
         g = ctrl.gradient(np.ones(12), np.zeros((4, 4)))
-        du = np.linalg.solve(ctrl.hessian, -g)
+        du = np.linalg.solve(ctrl.hessian_op.dense(), -g)
         assert np.allclose(du, 0.0, atol=1e-12)
 
     def test_horizon_one_closed_form(self, disc_model):
@@ -168,7 +168,7 @@ class TestCost:
         ctrl.u_prev = disc_model.u_ref + np.linspace(-1, 1, 8)
         du_prev = ctrl.u_prev - disc_model.u_ref
         g = ctrl.gradient(np.zeros(12), np.zeros((1, 4)))
-        du = np.linalg.solve(ctrl.hessian, -g)
+        du = np.linalg.solve(ctrl.hessian_op.dense(), -g)
         assert np.allclose(du, 5.0 / (2.0 + 5.0) * du_prev, rtol=1e-12)
 
     def test_matches_dense_assembly(self, disc_model):
@@ -189,7 +189,7 @@ class TestCost:
         for i in range(1, n):
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
         h_dense = h.T @ mx @ h + mu + diff.T @ mdu @ diff
-        assert np.allclose(ctrl.hessian, h_dense, atol=1e-12)
+        assert np.allclose(ctrl.hessian_op.dense(), h_dense, atol=1e-12)
         assert np.allclose(ctrl.gradient(x_now, refs), dense_gradient(ctrl, x_now, refs),
                            atol=1e-12)
 
@@ -207,7 +207,7 @@ class TestCost:
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
         dense = h.T @ (mx[:, None] * h) + np.diag(mu) + diff.T @ (mdu[:, None] * diff)
         scale = np.abs(dense).max()
-        assert np.abs(horizon_ctrl.hessian - dense).max() <= 1e-14 * scale
+        assert np.abs(horizon_ctrl.hessian_op.dense() - dense).max() <= 1e-14 * scale
 
     def test_dimension_checks(self, disc_model):
         ctrl = MpcController(disc_model, small_cfg(horizon=3), VEH, ENV)
@@ -256,7 +256,7 @@ class TestSolveQp:
         assert np.allclose(x, 1.0)
 
     def test_matches_brute_force(self, box_qp_oracle):
-        """Refactoring, and with H^-1 given the Schur step, against brute force."""
+        """Refactoring the free block of a dense Hessian, against brute force."""
         rng = np.random.default_rng(11)
         cfg = self.CFG
         for _ in range(100):
@@ -266,9 +266,24 @@ class TestSolveQp:
             lo = rng.uniform(-2, -0.1, 5)
             hi = rng.uniform(0.1, 2, 5)
             xb = box_qp_oracle(h, g, lo, hi)
-            for inverse in (None, np.linalg.inv(h)):
-                x, _ = solve_qp(h, g, lo, hi, cfg, inverse=inverse)
-                assert np.abs(x - xb).max() < 1e-8
+            x, _ = solve_qp(h, g, lo, hi, cfg)
+            assert np.abs(x - xb).max() < 1e-8
+
+    def test_schur_step_matches_brute_force(self, box_qp_oracle):
+        """Schur steps from a ``BlockMatrix``'s inverse, against brute force.
+        At horizon 1, a random orthogonal basis and eight positive 1 x 1
+        blocks make a generic 8 x 8 SPD Hessian."""
+        rng = np.random.default_rng(12)
+        clamped = 0
+        for _ in range(10):
+            basis, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+            h = mpc.BlockMatrix(basis, rng.uniform(0.5, 5.0, (8, 1, 1)))
+            g = rng.normal(0, 4, 8)
+            lo, hi = rng.uniform(-2, -0.1, 8), rng.uniform(0.1, 2, 8)
+            x, _ = solve_qp(h, g, lo, hi, self.CFG)
+            assert np.abs(x - box_qp_oracle(h.dense(), g, lo, hi)).max() < 1e-8
+            clamped += np.sum((x == lo) | (x == hi))
+        assert clamped > 0
 
     def test_objective_monotone(self):
         rng = np.random.default_rng(5)
@@ -371,11 +386,12 @@ class TestSolveQp:
     @settings(max_examples=25, deadline=None)
     def test_kkt_on_horizon_sized_boxes(self, horizon_ctrl, seed):
         """KKT conditions on 480-variable QPs with the shipped Hessian,
-        refactoring or, half the time, from its inverse."""
-        cfg, h = horizon_ctrl.cfg, horizon_ctrl.hessian
+        refactoring the dense P or, half the time, from the Schur steps of
+        its ``BlockMatrix``."""
+        cfg, h = horizon_ctrl.cfg, horizon_ctrl.hessian_op.dense()
         g, lo, hi, x0, rng = _horizon_box_qp(horizon_ctrl, seed)
-        inverse = horizon_ctrl.hessian_inverse if rng.random() < 0.5 else None
-        x, _ = solve_qp(h, g, lo, hi, cfg, x0=x0, inverse=inverse)
+        hessian = horizon_ctrl.hessian_op if rng.random() < 0.5 else h
+        x, _ = solve_qp(hessian, g, lo, hi, cfg, x0=x0)
 
         assert x.shape == (8 * cfg.horizon,)
         assert np.all(lo <= x) and np.all(x <= hi)
@@ -390,31 +406,16 @@ class TestSolveQp:
     @settings(max_examples=25, deadline=None)
     def test_schur_step_matches_refactoring(self, horizon_ctrl, seed):
         """On the KKT property's 480-variable boxes, Newton steps from the
-        Schur complement of P^-1, given as the dense arrays or as the
-        controller's block operators, take the refactoring path's decisions:
-        the same iteration count and status, and x to 1e-9 relative."""
-        cfg, h = horizon_ctrl.cfg, horizon_ctrl.hessian
+        Schur complement of P^-1, given P as the controller's
+        ``BlockMatrix``, take the decisions of refactoring the dense P: the
+        same iteration count and status, and x to 1e-9 relative."""
+        cfg, op = horizon_ctrl.cfg, horizon_ctrl.hessian_op
         g, lo, hi, x0, _ = _horizon_box_qp(horizon_ctrl, seed)
-        want, want_info = solve_qp(h, g, lo, hi, cfg, x0=x0)
-        for hessian, inverse in ((h, horizon_ctrl.hessian_inverse),
-                                 (horizon_ctrl.hessian_op, horizon_ctrl.inverse_op)):
-            got, info = solve_qp(hessian, g, lo, hi, cfg, x0=x0, inverse=inverse)
-            assert (info["iterations"], info["status"]) == (want_info["iterations"],
-                                                            want_info["status"])
-            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
-
-    @pytest.mark.parametrize("bad", ["not square", "wrong size", "nan", "inf"])
-    def test_rejects_a_bad_inverse(self, bad):
-        inverse = np.eye(3)
-        if bad == "not square":
-            inverse = np.ones((3, 2))
-        elif bad == "wrong size":
-            inverse = np.eye(4)
-        else:
-            inverse[1, 2] = math.nan if bad == "nan" else math.inf
-        with pytest.raises(ValueError, match="inverse"):
-            solve_qp(np.eye(3), np.ones(3), np.full(3, -10.0), np.full(3, 10.0), self.CFG,
-                     inverse=inverse)
+        want, want_info = solve_qp(op.dense(), g, lo, hi, cfg, x0=x0)
+        got, info = solve_qp(op, g, lo, hi, cfg, x0=x0)
+        assert (info["iterations"], info["status"]) == (want_info["iterations"],
+                                                        want_info["status"])
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -534,7 +535,7 @@ class TestMpcStep:
 
     def test_constructor_factors_the_hessian_once(self, disc_model, mpc_cfg, monkeypatch):
         """One ``cho_factor`` per distinct block (the four T + Q_c and T),
-        and the dense P and P^-1 only on demand."""
+        P^-1 built once, and the dense P and P^-1 only on demand."""
         calls = []
         original = mpc.cho_factor
 
@@ -551,13 +552,15 @@ class TestMpcStep:
         assert len(calls) == 5
         monkeypatch.undo()
         # the factors are only the positive-definiteness check; P and P^-1 are built on demand
-        assert ctrl.hessian_op.table is None and ctrl.inverse_op.table is None
-        basis, blocks = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)
-        h = sum(np.kron(k, np.outer(e, e)) for e, k in zip(basis, blocks))
-        assert np.abs(ctrl.hessian - h).max() <= 1e-15 * np.abs(h).max()
-        inverse = ctrl.hessian_inverse
+        op = ctrl.hessian_op
+        assert op.inverse() is op.inverse()
+        assert op.table is None and op.inverse().table is None
+        cost = build_cost(build_prediction(disc_model, mpc_cfg.horizon), mpc_cfg)
+        h = sum(np.kron(k, np.outer(e, e)) for e, k in zip(cost.basis, cost.blocks))
+        assert np.abs(op.dense() - h).max() <= 1e-15 * np.abs(h).max()
+        inverse = op.inverse().dense()
         assert np.abs(inverse @ h - np.eye(len(h))).max() <= 1e-12
-        assert ctrl.hessian is ctrl.hessian and ctrl.hessian_inverse is inverse
+        assert op.dense() is op.dense() and op.inverse().dense() is inverse
         assert len(calls) == 5
 
     @given(seed=st.integers(0, 10_000))
@@ -571,10 +574,11 @@ class TestMpcStep:
         v = rng.normal(0, 3000, n)
         clamped = rng.random(n) < rng.uniform(0.0, 0.5)
         clamped[rng.integers(n)] = True
-        inverse = np.linalg.inv(ctrl.hessian)
-        for got, want in ((ctrl.hessian_op @ v, ctrl.hessian @ v),
-                          (ctrl.inverse_op @ v, inverse @ v),
-                          (ctrl.inverse_op[clamped], inverse[clamped])):
+        p, p_inv = ctrl.hessian_op, ctrl.hessian_op.inverse()
+        inverse = np.linalg.inv(p.dense())
+        for got, want in ((p @ v, p.dense() @ v),
+                          (p_inv @ v, inverse @ v),
+                          (p_inv.dense()[clamped], inverse[clamped])):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_freed_by_reference_counting_after_a_box_active_step(self):
@@ -582,7 +586,8 @@ class TestMpcStep:
         controller for the cycle collector once its P^-1 table is built."""
         ctrl, x, refs = _path_case("converged")
         mpc_step(x, refs, ctrl)
-        assert ctrl.last_qp_status == "converged" and ctrl.inverse_op.table is not None
+        assert ctrl.last_qp_status == "converged"
+        assert ctrl.hessian_op.inverse().table is not None
         alive = weakref.ref(ctrl)
         gc.disable()
         try:
@@ -594,9 +599,9 @@ class TestMpcStep:
     def test_hessian_inverse_is_read_only(self, horizon_ctrl):
         """The cached P^-1 and P are shared by every copy of the controller."""
         with pytest.raises(ValueError, match="read-only"):
-            horizon_ctrl.hessian_inverse[0, 0] = 0.0
+            horizon_ctrl.hessian_op.inverse().dense()[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            horizon_ctrl.hessian[0, 0] = 0.0
+            horizon_ctrl.hessian_op.dense()[0, 0] = 0.0
 
     def test_indefinite_hessian_rejected_by_build_cost_and_constructor(
             self, disc_model, monkeypatch):
@@ -617,11 +622,11 @@ class TestMpcStep:
 def _solve_every_step(x_now, refs, ctrl):
     """The reference step: ``solve_qp`` from the warm start on every step, no explicit path.
 
-    No ``inverse``: every Newton step refactors, so the Schur step is checked against it.
+    Given the dense P, every Newton step refactors, so the Schur step is checked against it.
     """
     cfg = ctrl.cfg
-    du, info = solve_qp(ctrl.hessian, ctrl.gradient(x_now, refs), ctrl.lower, ctrl.upper, cfg,
-                        x0=ctrl.warm_start)
+    du, info = solve_qp(ctrl.hessian_op.dense(), ctrl.gradient(x_now, refs), ctrl.lower,
+                        ctrl.upper, cfg, x0=ctrl.warm_start)
     u = np.clip(ctrl.model.u_ref + du[:8], cfg.u_min, cfg.u_max)
     ctrl.u_prev = u.copy()
     ctrl.warm_start = np.concatenate([du[8:], du[-8:]])
@@ -667,7 +672,7 @@ def wide_box_ctrls(disc_model):
     for n in (1, 2, 60):
         cfg = MpcConfig(horizon=n, u_min=np.full(8, -1e12), u_max=np.full(8, 1e12))
         ctrls[n] = MpcController(disc_model, cfg, VEH, ENV)
-        ctrls[n].hessian  # built once, shared by every copy
+        ctrls[n].hessian_op.dense()  # built once, shared by every copy
     return ctrls
 
 
@@ -699,7 +704,7 @@ class TestExplicitStep:
         u = mpc_step(x_now, refs, ctrl)
         assert ctrl.last_qp_status == "unconstrained"
         plan = np.concatenate([u - model.u_ref, ctrl.warm_start[:-8]])
-        dense = np.linalg.solve(ctrl.hessian, -g)
+        dense = np.linalg.solve(ctrl.hessian_op.dense(), -g)
         assert np.abs(plan - dense).max() <= 1e-10 * np.abs(dense).max()
 
     @given(seed=st.integers(0, 10_000))
@@ -719,10 +724,10 @@ class TestExplicitStep:
         ctrl.u_prev = ctrl.model.u_ref + du_prev
         g, optimum = ctrl.linear_terms(x_now, refs)
         assert np.array_equal(g, ctrl.gradient(x_now, refs))
-        dense = np.linalg.solve(ctrl.hessian, -g)
+        dense = np.linalg.solve(ctrl.hessian_op.dense(), -g)
         assert np.abs(optimum - dense).max() <= 1e-12 * np.abs(dense).max()
         w = rng.normal(0, 3000, 8 * n)
-        product = ctrl.hessian @ w
+        product = ctrl.hessian_op.dense() @ w
         assert np.abs(ctrl.hessian_op @ w - product).max() <= 1e-12 * np.abs(product).max()
 
     def test_each_path_reports_itself(self, horizon_ctrl):
@@ -773,8 +778,8 @@ class TestExplicitStep:
         """200 closed-loop steps on the nonlinear plant: the same commands to
         1e-9 and the same QP iteration counts as refactoring ``solve_qp`` on
         every step. The box-active steps of ``mpc_step`` take the Schur path;
-        ``mpc_step`` never builds the dense ``hessian``, and builds the table
-        of ``inverse_op`` only if a step falls back to ``solve_qp``."""
+        ``mpc_step`` never builds the dense P, and builds the dense P^-1 only
+        if a step falls back to ``solve_qp``."""
         scenario = "step_xyz" if case == "climbing hop" else "square_corners"
         sc = config.load_config(scenario_path(scenario))
         veh, cfg, trajectory = sc.veh, sc.mpc, sc.trajectory()
@@ -793,7 +798,8 @@ class TestExplicitStep:
                                             env=sc.env, seed=sc.sim.seed)
             runs.append((log, ctrl.statuses))
             fallback = not {"warm_start", "unconstrained"}.issuperset(ctrl.statuses)
-            assert (ctrl.inverse_op.table is not None) == (step is mpc_step and fallback)
+            built = ctrl.hessian_op.inverse().table is not None
+            assert built == (step is mpc_step and fallback)
             assert (ctrl.hessian_op.table is not None) == (step is _solve_every_step)
         (new, statuses), (old, _) = runs
         assert len(new.commands) == 200
@@ -816,7 +822,7 @@ class TestClosedLoopLinear:
         def first_input(dx, du_prev):
             ctrl.u_prev = disc_model.u_ref + du_prev
             grad = ctrl.gradient(disc_model.x_ref + dx, zero_refs)
-            return np.linalg.solve(ctrl.hessian, -grad)[:8]
+            return np.linalg.solve(ctrl.hessian_op.dense(), -grad)[:8]
 
         fx = np.column_stack([first_input(e, np.zeros(8)) for e in np.eye(12)])
         fu = np.column_stack([first_input(np.zeros(12), e) for e in np.eye(8)])
@@ -844,7 +850,7 @@ class TestClosedLoopLinear:
         x = np.zeros(12)
         x[0:3] = [0.4, -0.2, 0.3]
         g = ctrl.gradient(x, np.zeros((20, 4)))
-        du, _ = solve_qp(ctrl.hessian, g, ctrl.lower, ctrl.upper, ctrl.cfg)
+        du, _ = solve_qp(ctrl.hessian_op.dense(), g, ctrl.lower, ctrl.upper, ctrl.cfg)
         assert np.abs(ctrl.predict(x, du) - recursion(disc_model, x, du)).max() < 1e-10
 
 
@@ -863,6 +869,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MpcConfig(horizon=0, input_weight=1.0, input_rate_weight=0.0, u_min=np.zeros(8),
                       u_max=np.ones(8))
+
+    @pytest.mark.parametrize("key, value", [
+        ("qp_tol", math.nan), ("input_weight", math.nan), ("position_weight", math.inf),
+        ("rate_weight", -math.inf), ("u_min", (math.nan,) + (0.0,) * 7),
+        ("u_max", (1e5,) * 7 + (math.inf,)),
+    ])
+    def test_rejects_nonfinite_values(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(MpcConfig.default(VEH), **{key: value})
 
     def test_compares_and_hashes_by_value(self):
         a, b = MpcConfig.default(VEH), MpcConfig.default(VEH)
