@@ -9,10 +9,13 @@ Arm convention: rotors 1,2 sit on the +x arm, 5,6 on the -x arm, 7,8 on the
 +y arm, 3,4 on the -y arm; within each coaxial pair the even-numbered rotor
 spins opposite to the odd one. Indices in code are 0-based.
 
-The equations of motion (``_derivative``) run on Python floats: a state
-goes in as 12 floats and the derivative comes out as a 12-tuple, so an
-integrator substep builds no numpy temporaries. ``state_derivative`` is
-the checked array form of the same equations.
+The equations of motion are written once, in ``equations_of_motion``: it
+binds the held wrench, the vehicle, the environment and the disturbance,
+takes every quotient of constants once, and returns a function of the
+nine states the equations read (velocities, angles, body rates) that
+gives the six accelerations on Python floats. An integrator substep
+calls it four times and builds no numpy temporaries. ``state_derivative``
+is the checked array form of the same function.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "mixer_matrix",
     "allocate",
     "state_derivative",
+    "equations_of_motion",
     "hover_command",
 ]
 
@@ -161,50 +165,60 @@ def state_derivative(state: np.ndarray, omega_sq: np.ndarray,
         raise ValueError(f"expected a 12-state, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("state must be finite")
-    wrench = wrench_from_rotors(omega_sq, veh)
-    return np.array(_derivative(s.tolist(), wrench, veh, env))
+    accelerations = equations_of_motion(wrench_from_rotors(omega_sq, veh), veh, env)
+    _, _, _, vx, vy, vz, phi, theta, psi, p, q, r = s.tolist()
+    ax, ay, az, p_dot, q_dot, r_dot = accelerations(vx, vy, vz, phi, theta, psi, p, q, r)
+    return np.array([vx, vy, vz, ax, ay, az, p, q, r, p_dot, q_dot, r_dot])
 
 
-def _derivative(s, wrench: Wrench, veh: VehicleParams, env: EnvParams,
-                extra_force=None, extra_torque=None) -> tuple:
-    """Core equations of motion on floats; returns the derivative as a 12-tuple.
+def equations_of_motion(wrench: Wrench, veh: VehicleParams, env: EnvParams,
+                        force=None, torque=None):
+    """The equations of motion on floats, bound to a held wrench and disturbance.
 
-    ``s`` is the state as a sequence of 12 floats; the wrench is precomputed
-    so integrators can reuse it. ``extra_force`` (ground frame, N) and
-    ``extra_torque`` (body frame, N m) are 3-sequences that inject
-    disturbances.
+    Returns ``accelerations(vx, vy, vz, phi, theta, psi, p, q, r)``, which
+    gives ``(ax, ay, az, p_dot, q_dot, r_dot)``: the rest of the derivative
+    is the velocities and body rates themselves. ``force`` (ground frame,
+    N) and ``torque`` (body frame, N m) are optional 3-sequences that
+    inject disturbances. Every quotient of constants is taken here, once;
+    each is the same float the equations would compute in place.
     """
-    _, _, _, vx, vy, vz, phi, theta, psi, p, q, r = s
-
     m = veh.mass
-    thrust, roll_m, pitch_m, yaw_m, net_rot = wrench
-
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    sth, cth = math.sin(theta), math.cos(theta)
-    sps, cps = math.sin(psi), math.cos(psi)
-
-    t_over_m = thrust / m
-    ax = (sps * sphi + cps * sth * cphi) * t_over_m
-    ay = (-cps * sphi + sps * sth * cphi) * t_over_m
-    az = (cth * cphi) * t_over_m - env.gravity
-    if veh.linear_drag:
-        b_over_m = veh.linear_drag / m
-        ax -= b_over_m * vx
-        ay -= b_over_m * vy
-        az -= b_over_m * vz
-
+    ixx, iyy, izz = veh.inertia_xx, veh.inertia_yy, veh.inertia_zz
     jr = veh.rotor_inertia
-    p_dot = (q * r * (veh.inertia_yy - veh.inertia_zz) - jr * q * net_rot + roll_m) / veh.inertia_xx
-    q_dot = (p * r * (veh.inertia_zz - veh.inertia_xx) - jr * p * net_rot + pitch_m) / veh.inertia_yy
-    r_dot = (p * q * (veh.inertia_xx - veh.inertia_yy) + yaw_m) / veh.inertia_zz
+    gravity = env.gravity
+    thrust, roll_m, pitch_m, yaw_m, net_rot = wrench
+    t_over_m = thrust / m
+    drag = veh.linear_drag
+    b_over_m = drag / m
+    iyy_izz, izz_ixx, ixx_iyy = iyy - izz, izz - ixx, ixx - iyy
+    if force is not None:
+        fx, fy, fz = force[0] / m, force[1] / m, force[2] / m
+    if torque is not None:
+        tx, ty, tz = torque[0] / ixx, torque[1] / iyy, torque[2] / izz
+    sin, cos = math.sin, math.cos
 
-    if extra_force is not None:
-        ax += extra_force[0] / m
-        ay += extra_force[1] / m
-        az += extra_force[2] / m
-    if extra_torque is not None:
-        p_dot += extra_torque[0] / veh.inertia_xx
-        q_dot += extra_torque[1] / veh.inertia_yy
-        r_dot += extra_torque[2] / veh.inertia_zz
+    def accelerations(vx, vy, vz, phi, theta, psi, p, q, r):
+        sphi, cphi = sin(phi), cos(phi)
+        sth, cth = sin(theta), cos(theta)
+        sps, cps = sin(psi), cos(psi)
+        ax = (sps * sphi + cps * sth * cphi) * t_over_m
+        ay = (-cps * sphi + sps * sth * cphi) * t_over_m
+        az = (cth * cphi) * t_over_m - gravity
+        if drag:
+            ax -= b_over_m * vx
+            ay -= b_over_m * vy
+            az -= b_over_m * vz
+        p_dot = (q * r * iyy_izz - jr * q * net_rot + roll_m) / ixx
+        q_dot = (p * r * izz_ixx - jr * p * net_rot + pitch_m) / iyy
+        r_dot = (p * q * ixx_iyy + yaw_m) / izz
+        if force is not None:
+            ax += fx
+            ay += fy
+            az += fz
+        if torque is not None:
+            p_dot += tx
+            q_dot += ty
+            r_dot += tz
+        return ax, ay, az, p_dot, q_dot, r_dot
 
-    return (vx, vy, vz, ax, ay, az, p, q, r, p_dot, q_dot, r_dot)
+    return accelerations

@@ -157,6 +157,15 @@ class Channel:
     H: np.ndarray          # (N s, N)
 
 
+def _run_starts(blocks: np.ndarray) -> np.ndarray:
+    """Mask of the blocks that differ from the one before them.
+
+    Equal blocks come in runs: roll's and pitch's for a vehicle with
+    ``inertia_xx == inertia_yy``, and the null-space rows, which all hold T.
+    """
+    return np.r_[True, (blocks[1:] != blocks[:-1]).any(axis=(1, 2))]
+
+
 class BlockMatrix:
     """A symmetric 8N x 8N matrix as the rotor basis E and (8, N, N) blocks.
 
@@ -182,8 +191,7 @@ class BlockMatrix:
 
     def inverse(self) -> BlockMatrix:
         if self._inverse is None:
-            # one inversion per run of equal blocks: build_cost's null-space rows all hold T
-            new = np.r_[True, (self.blocks[1:] != self.blocks[:-1]).any(axis=(1, 2))]
+            new = _run_starts(self.blocks)  # one inversion per run of equal blocks
             blocks = np.linalg.inv(self.blocks[new])[np.cumsum(new) - 1]
             self._inverse = BlockMatrix(self.basis, blocks)
         return self._inverse
@@ -246,7 +254,7 @@ def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig) -> BlockMatrix:
     and T along each null-space row. With U as an (N, 8) array W, P U is
     V E, column c of V being K_c times column c of W E'. Raises
     ``ValueError`` if P is not positive definite (one ``cho_factor`` per
-    distinct block, whose factors are not kept).
+    run of equal blocks, whose factors are not kept).
     """
     n = cfg.horizon
     eye = np.eye(n)
@@ -260,7 +268,7 @@ def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig) -> BlockMatrix:
         q = c.H.T @ (weights[:, None] * c.H)
         block += 0.5 * (q + q.T)
     try:
-        for block in blocks[:len(channels) + 1]:  # the channel blocks, then T
+        for block in blocks[_run_starts(blocks)]:
             cho_factor(block, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None

@@ -1,14 +1,15 @@
 """Fixed-step closed-loop simulation, disturbance injection, logging, metrics.
 
 The plant integrates with classical RK4 at ``control_dt / substeps`` while
-the controller output is held between samples. A substep works on Python
-floats: the state becomes a list once, the four stages and their
-combination run element by element through ``dynamics._derivative``, the
-angles are wrapped and the envelope checked on floats, and one array is
-returned. Each float operation is the IEEE operation numpy would do
-elementwise, in the same order, so the floats give the array formula's
-result bit for bit. The logged reference is sampled for the whole run in
-one ``ref_window`` call.
+the controller output is held between samples. A substep is straight-line
+code on Python floats: the state is unpacked into locals once, the
+equations of motion are bound once (``dynamics.equations_of_motion``) and
+called for the four stages, stages 2-4 are formed only for the nine states
+those equations read, and the twelve combinations, the angle wrap and the
+envelope check are written out before one array is returned. Each float
+operation is the IEEE operation numpy would do elementwise, in the same
+order, so the floats give the array formula's result bit for bit. The
+logged reference is sampled for the whole run in one ``ref_window`` call.
 
 Runs are deterministic: a given configuration and seed always produce the
 same log, and the CSV writer prints floats at 17 significant digits so
@@ -172,14 +173,6 @@ def _magnitude_exceeded(t: float) -> NumericalDivergence:
     return NumericalDivergence(f"state magnitude exceeded {_STATE_LIMIT:g} at t={t:.3f}")
 
 
-def _check_envelope(state: list, t: float):
-    # not (|v| <= limit) also catches NaN and infinities
-    if not all(abs(v) <= _STATE_LIMIT for v in state):
-        raise _magnitude_exceeded(t)
-    if abs(state[7]) >= _PITCH_LIMIT:
-        raise NumericalDivergence(f"pitch approached gimbal lock at t={t:.3f}")
-
-
 def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
              veh: VehicleParams, env: EnvParams,
              dist: Disturbance | None = None, t: float = 0.0,
@@ -193,34 +186,62 @@ def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
     afterwards and the envelope check raises ``NumericalDivergence`` on
     blow-up, as does a state with an infinite angle. The arithmetic runs on
     floats in the order of the array formula ``s + dt/6 (k1 + 2 k2 + 2 k3 +
-    k4)``, so the result is bitwise that formula's.
+    k4)``, so the result is bitwise that formula's. Stages 2-4 are formed
+    only for the nine states the equations of motion read; the positions'
+    slopes are the stage velocities.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    s = np.asarray(state, dtype=float).tolist()
+    x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = np.asarray(state, dtype=float).tolist()
     if dist is not None:
         force, torque = dist.sample(t, rng)
     else:
         force, torque = None, None
-
-    def f(x):
-        return dynamics._derivative(x, wrench, veh, env, force, torque)
+    f = dynamics.equations_of_motion(wrench, veh, env, force, torque)
 
     half = 0.5 * dt
     try:
-        k1 = f(s)
-        k2 = f([a + half * b for a, b in zip(s, k1)])
-        k3 = f([a + half * b for a, b in zip(s, k2)])
-        k4 = f([a + dt * b for a, b in zip(s, k3)])
+        ax1, ay1, az1, pd1, qd1, rd1 = f(vx, vy, vz, phi, theta, psi, p, q, r)
+        vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
+        p2, q2, r2 = p + half * pd1, q + half * qd1, r + half * rd1
+        ax2, ay2, az2, pd2, qd2, rd2 = f(vx2, vy2, vz2, phi + half * p, theta + half * q,
+                                         psi + half * r, p2, q2, r2)
+        vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
+        p3, q3, r3 = p + half * pd2, q + half * qd2, r + half * rd2
+        ax3, ay3, az3, pd3, qd3, rd3 = f(vx3, vy3, vz3, phi + half * p2, theta + half * q2,
+                                         psi + half * r2, p3, q3, r3)
+        vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
+        p4, q4, r4 = p + dt * pd3, q + dt * qd3, r + dt * rd3
+        ax4, ay4, az4, pd4, qd4, rd4 = f(vx4, vy4, vz4, phi + dt * p3, theta + dt * q3,
+                                         psi + dt * r3, p4, q4, r4)
     except ValueError:
         # math.sin / math.cos of an infinite angle: the state has left the envelope
         raise _magnitude_exceeded(t + dt) from None
     sixth = dt / 6.0
-    out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
-    out[6:9] = [dynamics.wrap_angle(a) for a in out[6:9]]
-    _check_envelope(out, t + dt)
-    return np.array(out)
+    # positions before velocities and angles before rates: each reads the old value
+    x = x + sixth * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
+    y = y + sixth * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
+    z = z + sixth * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4)
+    vx = vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+    vy = vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    vz = vz + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4)
+    wrap = dynamics.wrap_angle
+    phi = wrap(phi + sixth * (p + 2.0 * p2 + 2.0 * p3 + p4))
+    theta = wrap(theta + sixth * (q + 2.0 * q2 + 2.0 * q3 + q4))
+    psi = wrap(psi + sixth * (r + 2.0 * r2 + 2.0 * r3 + r4))
+    p = p + sixth * (pd1 + 2.0 * pd2 + 2.0 * pd3 + pd4)
+    q = q + sixth * (qd1 + 2.0 * qd2 + 2.0 * qd3 + qd4)
+    r = r + sixth * (rd1 + 2.0 * rd2 + 2.0 * rd3 + rd4)
+    # not (|v| <= limit) also catches NaN and infinities
+    lim = _STATE_LIMIT
+    if not (abs(x) <= lim and abs(y) <= lim and abs(z) <= lim
+            and abs(vx) <= lim and abs(vy) <= lim and abs(vz) <= lim
+            and abs(phi) <= lim and abs(theta) <= lim and abs(psi) <= lim
+            and abs(p) <= lim and abs(q) <= lim and abs(r) <= lim):
+        raise _magnitude_exceeded(t + dt)
+    if abs(theta) >= _PITCH_LIMIT:
+        raise NumericalDivergence(f"pitch approached gimbal lock at t={t + dt:.3f}")
+    return np.array((x, y, z, vx, vy, vz, phi, theta, psi, p, q, r))
 
 
 def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
@@ -234,7 +255,9 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
     ``ref_window`` call at the control-step times. Noise is drawn once per
     substep at ``sqrt(substeps)`` times its std, so its effect does not
     depend on ``substeps``. ``x0``, the start state (hover at the origin by
-    default), must be a finite 12-vector.
+    default), must be a finite 12-vector. A ``NumericalDivergence`` from the
+    plant is raised again with the control step's index and its held
+    command added to the message, and with the log up to that step.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration}")
@@ -289,7 +312,9 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
                 state = rk4_step(state, wrench, sub_dt, veh, env, dist,
                                  t + i * sub_dt, rng)
         except NumericalDivergence as err:
-            raise NumericalDivergence(str(err), log=partial(k + 1)) from None
+            held = ", ".join(f"{u:.6g}" for u in np.asarray(cmd, dtype=float).tolist())
+            raise NumericalDivergence(f"{err} (control step {k}, held command [{held}])",
+                                      log=partial(k + 1)) from None
 
     return partial(n_steps)
 

@@ -2,12 +2,13 @@ import configparser
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marsquad import cli, config, params
+from marsquad import cli, config, params, simulator
 from marsquad.config import (ConfigError, config_snapshot, derived_report, load_config,
                              parse_overrides)
 from marsquad.mpc import MpcConfig
@@ -377,6 +378,25 @@ class TestCli:
         assert (base / "config.ini").is_file()
         metrics = json.loads((base / "metrics.json").read_text())
         assert metrics["constraint_violations"] == 0
+
+    def test_run_reports_the_diverging_step_and_command(self, tmp_path, minimal_cfg, capsys,
+                                                       monkeypatch):
+        calls = []
+
+        def diverging(state, *args):
+            calls.append(1)
+            if len(calls) > 25:  # the sixth substep of control step 2
+                raise simulator.NumericalDivergence("state magnitude exceeded 1e+06 at t=0.052")
+            return state
+
+        monkeypatch.setattr(simulator, "rk4_step", diverging)
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", str(minimal_cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: mpc run diverged: state magnitude exceeded 1e\+06 at "
+                            r"t=0\.052 \(control step 2, held command \[[^],]+(, [^],]+){7}\]\)\n",
+                            err)
+        assert not out.exists()
 
     def test_run_both_prints_table(self, tmp_path, minimal_cfg, capsys):
         out = tmp_path / "results"

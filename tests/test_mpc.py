@@ -534,8 +534,10 @@ class TestMpcStep:
         assert fresh.last_qp_iters == 0 < ctrl.last_qp_iters
 
     def test_constructor_factors_the_hessian_once(self, disc_model, mpc_cfg, monkeypatch):
-        """One ``cho_factor`` per distinct block (the four T + Q_c and T),
-        P^-1 built once, and the dense P and P^-1 only on demand."""
+        """One ``cho_factor`` per distinct block (thrust's, roll's and
+        pitch's one, yaw's and T for the shipped vehicle, whose roll and
+        pitch inertias are equal), P^-1 built once, and the dense P and
+        P^-1 only on demand."""
         calls = []
         original = mpc.cho_factor
 
@@ -549,7 +551,12 @@ class TestMpcStep:
         monkeypatch.setattr(mpc, "cho_factor", counting)
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
-        assert len(calls) == 5
+        assert len(calls) == 4
+        # unequal roll and pitch inertia: their blocks differ and are factored apart
+        veh = dataclasses.replace(VEH, inertia_yy=1.5)
+        model = linmodel.discretize(linmodel.linearize_hover(veh, ENV), 0.02)
+        MpcController(model, MpcConfig.default(veh), veh, ENV)
+        assert len(calls) == 4 + 5
         monkeypatch.undo()
         # the factors are only the positive-definiteness check; P and P^-1 are built on demand
         op = ctrl.hessian_op
@@ -561,7 +568,7 @@ class TestMpcStep:
         inverse = op.inverse().dense()
         assert np.abs(inverse @ h - np.eye(len(h))).max() <= 1e-12
         assert op.dense() is op.dense() and op.inverse().dense() is inverse
-        assert len(calls) == 5
+        assert len(calls) == 4 + 5
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,12 +23,39 @@ W_OFF = dynamics.wrench_from_rotors(np.zeros(8), VEH)  # every rotor stopped
 PITCH_LIMIT = math.pi / 2 - 0.01
 
 
+def array_derivative(x, wrench, veh, force=None, torque=None):
+    """The equations of motion over numpy arrays, written apart from ``dynamics``.
+
+    The disturbance (ground-frame force, body-frame torque) is added after
+    the rotor and gravity terms, which is where the plant adds it.
+    """
+    phi, theta, psi = x[6:9].tolist()
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    sps, cps = math.sin(psi), math.cos(psi)
+    thrust, roll, pitch, yaw, net = wrench
+    m, jr = veh.mass, veh.rotor_inertia
+    ixx, iyy, izz = inertia = np.array([veh.inertia_xx, veh.inertia_yy, veh.inertia_zz])
+    acc = np.array([sps * sphi + cps * sth * cphi, -cps * sphi + sps * sth * cphi,
+                    cth * cphi]) * (thrust / m)
+    acc[2] -= ENV.gravity
+    if veh.linear_drag:
+        acc -= (veh.linear_drag / m) * x[3:6]
+    p, q, r = x[9:12].tolist()
+    rate_dot = np.array([q * r * (iyy - izz) - jr * q * net + roll,
+                         p * r * (izz - ixx) - jr * p * net + pitch,
+                         p * q * (ixx - iyy) + yaw]) / inertia
+    if force is not None:
+        acc += force / m
+        rate_dot += torque / inertia
+    return np.concatenate([x[3:6], acc, x[9:12], rate_dot])
+
+
 def array_rk4(state, cmd, dt, veh, dist=None, t=0.0, rng=None):
-    """Classical RK4 written over numpy arrays of ``state_derivative``.
+    """Classical RK4 written over numpy arrays of ``array_derivative``.
 
     The disturbance is drawn as numpy arrays (pulses summed, then force
-    noise, then torque noise) and added after the equations of motion,
-    which is where the plant adds it; the angles are wrapped at the end.
+    noise, then torque noise); the angles are wrapped at the end.
     """
     force = torque = None
     if dist is not None:
@@ -40,14 +68,10 @@ def array_rk4(state, cmd, dt, veh, dist=None, t=0.0, rng=None):
             force += rng.normal(0.0, dist.noise_force, 3)
         if dist.noise_torque > 0:
             torque += rng.normal(0.0, dist.noise_torque, 3)
-    inertia = np.array([veh.inertia_xx, veh.inertia_yy, veh.inertia_zz])
+    wrench = dynamics.wrench_from_rotors(cmd, veh)
 
     def f(x):
-        k = dynamics.state_derivative(x, cmd, veh, ENV)
-        if force is not None:
-            k[3:6] += force / veh.mass
-            k[9:12] += torque / inertia
-        return k
+        return array_derivative(x, wrench, veh, force, torque)
 
     s = np.asarray(state, dtype=float)
     k1 = f(s)
@@ -158,20 +182,31 @@ class TestRk4:
            t=st.floats(0.0, 2.0),
            dist=disturbances(),
            drag=st.sampled_from([0.0, 0.4]),
+           inertia=st.tuples(st.floats(0.6, 2.4), st.floats(0.6, 2.4), st.floats(1.0, 4.0),
+                             st.floats(0.005, 0.05)),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_array_formula_bitwise(self, state, frac, dt, t, dist, drag, seed):
-        veh = dataclasses.replace(VEH, linear_drag=drag)
+    def test_matches_array_formula_bitwise(self, state, frac, dt, t, dist, drag, inertia,
+                                           seed):
+        # unequal roll and pitch inertia, so p q (Ixx - Iyy) is not 0 and every
+        # term of the equations reaches the result
+        ixx, iyy, izz, jr = inertia
+        assume(ixx != iyy)
+        veh = dataclasses.replace(VEH, linear_drag=drag, inertia_xx=ixx, inertia_yy=iyy,
+                                  inertia_zz=izz, rotor_inertia=jr)
         cmd = np.array(frac) * veh.max_rotor_speed ** 2
+        wrench = dynamics.wrench_from_rotors(cmd, veh)
+        assert (dynamics.state_derivative(state, cmd, veh, ENV).tobytes()
+                == array_derivative(state, wrench, veh).tobytes())
         ref = array_rk4(state, cmd, dt, veh, dist, t, np.random.default_rng(seed))
         assume(np.abs(ref).max() <= 1e6 and abs(ref[7]) < PITCH_LIMIT)
-        out = rk4_step(state, dynamics.wrench_from_rotors(cmd, veh), dt, veh, ENV, dist, t,
-                       np.random.default_rng(seed))
+        out = rk4_step(state, wrench, dt, veh, ENV, dist, t, np.random.default_rng(seed))
         assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("index, value", [
-        (3, math.nan), (6, math.nan), (0, math.inf), (3, -math.inf), (1, 2e6),
-        (6, math.inf)])
+        (i, v) for i in range(12) for v in (math.nan, math.inf, -math.inf)] + [(1, 2e6)])
     def test_leaving_the_envelope_raises(self, index, value):
+        # positions do not pass through the equations of motion, so only the
+        # final check catches a non-finite position
         s = np.zeros(12)
         s[index] = value
         with pytest.raises(NumericalDivergence,
@@ -240,8 +275,15 @@ class TestClosedLoop:
             run_closed_loop(_FullThrottle(), constant_ref(0, 0, 0, 0), None,
                             duration=20.0, control_dt=0.02, substeps=5,
                             veh=VEH, env=ENV)
-        assert exc.value.log is not None
-        assert len(exc.value.log) >= 1
+        log = exc.value.log
+        assert log is not None
+        assert len(log) >= 1
+        # the message names the step that diverged and the command held over it
+        step = len(log) - 1
+        held = ", ".join(f"{u:.6g}" for u in log.commands[step])
+        assert re.fullmatch(
+            r"(state magnitude exceeded 1e\+06|pitch approached gimbal lock) at t=\d+\.\d{3} "
+            + re.escape(f"(control step {step}, held command [{held}])"), str(exc.value))
 
     def test_identical_seed_identical_log(self, tmp_path):
         dist = Disturbance(pulses=(Pulse(0.1, 0.3, force=(0.5, 0, 0)),),
