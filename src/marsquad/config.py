@@ -57,12 +57,12 @@ class SimSettings:
     def __post_init__(self):
         if self.controller not in ("mpc", "pid", "both"):
             raise ValueError(f"controller must be mpc, pid, or both, got {self.controller!r}")
-        if self.duration <= 0 or self.control_dt <= 0:
-            raise ValueError("duration and control_dt must be > 0")
+        if not (0.0 < self.duration < math.inf and 0.0 < self.control_dt < math.inf):
+            raise ValueError("duration and control_dt must be finite and > 0")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if self.transient_skip < 0:
-            raise ValueError("transient_skip must be >= 0")
+        if not 0.0 <= self.transient_skip < math.inf:
+            raise ValueError(f"transient_skip must be finite and >= 0, got {self.transient_skip}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -34,7 +34,7 @@ CHANNELS = ((2, 5), (1, 4, 6, 9), (0, 3, 7, 10), (8, 11))
 
 @dataclass(frozen=True)
 class LinearModel:
-    """State-space model (x' = Ax + Bu) about a reference pair.
+    """State-space model (x' = Ax + Bu) about the zero state and the hover input ``u_ref``.
 
     ``dt == 0`` marks a continuous model; after discretization ``dt`` is the
     sampling time and A, B hold the discrete transition/input maps.
@@ -42,7 +42,6 @@ class LinearModel:
 
     A: np.ndarray   # 12x12
     B: np.ndarray   # 12x8
-    x_ref: np.ndarray  # 12, linearization state
     u_ref: np.ndarray  # 8, linearization input (squared speeds)
     dt: float          # s, 0 for continuous
 
@@ -58,15 +57,15 @@ class LinearModel:
 
 
 def linearize_hover(veh: VehicleParams, env: EnvParams) -> LinearModel:
-    """Analytic continuous (A, B) about the hover equilibrium."""
+    """Analytic continuous (A, B) about level hover at the origin with zero heading."""
     g = env.gravity
     a = np.zeros((N_STATES, N_STATES))
     a[0, 3] = 1.0
     a[1, 4] = 1.0
     a[2, 5] = 1.0
     a[[3, 4, 5], [3, 4, 5]] = -veh.linear_drag / veh.mass
-    a[3, 7] = g      # x acceleration from pitch
-    a[4, 6] = -g     # y acceleration from roll
+    a[3, 7] = g      # x acceleration from pitch, at zero heading only
+    a[4, 6] = -g     # y acceleration from roll, at zero heading only
     a[6, 9] = 1.0
     a[7, 10] = 1.0
     a[8, 11] = 1.0
@@ -81,7 +80,6 @@ def linearize_hover(veh: VehicleParams, env: EnvParams) -> LinearModel:
     return LinearModel(
         A=a,
         B=b,
-        x_ref=np.zeros(N_STATES),
         u_ref=dynamics.hover_command(veh, env),
         dt=0.0,
     )

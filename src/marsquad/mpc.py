@@ -22,10 +22,10 @@ The linear term q is affine in the state deviation dx0 and in the
 reference window, and so is the unconstrained optimum -P^-1 q: the
 parameter-affine law of the inactive region of explicit MPC (Bemporad,
 Morari, Dua and Pistikopoulos, 2002). Per channel, q_c = F_c dx0_c -
-S_c r_c, r_c the channel's one reference column (x, y or z less x_ref,
-or the wrapped psi), and the optimum's coordinate along m_c is K_c^-1
-q_c; the last input u_prev adds one K_c^-1 e_0 column along every row of
-E. ``build_law`` stacks the four channels' maps and their K_c^-1 images
+S_c r_c, r_c the channel's one reference column (x, y, z or the wrapped
+psi), and the optimum's coordinate along m_c is K_c^-1 q_c; the last
+input u_prev adds one K_c^-1 e_0 column along every row of E.
+``build_law`` stacks the four channels' maps and their K_c^-1 images
 once per controller, so one step's q and optimum cost one batched
 (4, 2N, N + 4) product, one (2N, 4) @ (4, 8) product onto the rotors and
 one (8N, 8) product for u_prev. ``mpc_step`` keeps the warm start if it
@@ -280,17 +280,16 @@ def build_law(channels: tuple[Channel, ...], inverse_blocks: np.ndarray, cfg: Mp
     """The channels' parts of q and of P^-1 q as one (4, 2N, N + 4) affine law.
 
     A channel's first state is the one its reference column r_c sets (z,
-    y, x or psi, less its ``x_ref`` entry, psi wrapped). Its velocity state,
-    if it has one, tracks the forward differences of r_c over ``dt``, the
-    last sample repeating the one before (0 at N = 1); its other states
-    track 0. So its part of q is F_c dx0_c - S_c r_c, with
-    S_c = sum_k w_k H_k' M_k over its tracked states k (weight w_k, rows
-    H_k of H_c, M_k the identity or the difference map) and F_c = H_c' W_c
-    G_c. Row block 0 of the law holds [-S_c, F_c], F_c padded to four
-    columns by zeros, and row block 1 holds K_c^-1 times it, K_c^-1 from
-    ``inverse_blocks``. Applied to [r_c, dx0_c] (the channel's states,
-    padded), it gives q_c and K_c^-1 q_c less the input-rate term of
-    u_prev.
+    y, x or the wrapped psi). Its velocity state, if it has one, tracks
+    the forward differences of r_c over ``dt``, the last sample repeating
+    the one before (0 at N = 1); its other states track 0. So its part of
+    q is F_c dx0_c - S_c r_c, with S_c = sum_k w_k H_k' M_k over its
+    tracked states k (weight w_k, rows H_k of H_c, M_k the identity or the
+    difference map) and F_c = H_c' W_c G_c. Row block 0 of the law holds
+    [-S_c, F_c], F_c padded to four columns by zeros, and row block 1
+    holds K_c^-1 times it, K_c^-1 from ``inverse_blocks``. Applied to
+    [r_c, dx0_c] (the channel's states, padded), it gives q_c and K_c^-1
+    q_c less the input-rate term of u_prev.
     """
     n = cfg.horizon
     slope = np.zeros((n, n))
@@ -360,21 +359,18 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
         raise ValueError("bounds must match the gradient length")
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound")
-    if not np.isfinite(g).all():
-        raise ValueError("QP gradient must be finite")
+    tol = _tolerance(g, cfg)
     inverse = h.inverse() if isinstance(h, BlockMatrix) else None
     z = None if inverse is None else inverse @ g  # the unconstrained optimum is -z
 
     x = np.clip(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float), lower, upper)
     x[~np.isfinite(x)] = 0.0
 
-    tol = cfg.qp_tol * max(1.0, float(np.max(np.abs(g))) if n else 1.0)
-
     grad = h @ x + g
     value = 0.5 * x @ (grad + g)
     iters, status = 0, "converged"
     while True:
-        residual = float(np.max(np.abs(x - np.clip(x - grad, lower, upper)))) if n else 0.0
+        residual = _residual(x, grad, lower, upper)
         if residual <= tol:
             break
         if iters >= cfg.qp_max_iter:
@@ -420,6 +416,19 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     return x, {"iterations": iters, "residual": residual, "status": status}
 
 
+def _tolerance(g: np.ndarray, cfg: MpcConfig) -> float:
+    """``solve_qp``'s tolerance ``qp_tol * max(1, max|g|)``; ``ValueError`` unless g is finite."""
+    scale = float(np.max(np.abs(g))) if g.size else 0.0
+    if not math.isfinite(scale):
+        raise ValueError("QP gradient must be finite")
+    return cfg.qp_tol * max(1.0, scale)
+
+
+def _residual(x: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    """``solve_qp``'s residual, the projected gradient's largest entry at x."""
+    return float(np.max(np.abs(x - np.clip(x - grad, lower, upper)))) if x.size else 0.0
+
+
 def _spd_solve(a: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
     """Solve a x = rhs by LAPACK ``potrf`` and ``potrs``, ``a`` a fresh symmetric gather.
 
@@ -440,8 +449,8 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
     ``refs`` is the (N, 4) window of (x, y, z, psi) references. The QP's
     solution is the first of:
 
-    1. the warm start, if its projected-gradient residual is within
-       ``solve_qp``'s tolerance (0 iterations, status ``"warm_start"``);
+    1. the warm start, if it meets ``solve_qp``'s stopping test, the same
+       ``_residual`` and ``_tolerance`` (0 iterations, status ``"warm_start"``);
     2. the unconstrained optimum -P^-1 q, if it lies inside the input box
        (1 iteration, ``"unconstrained"``);
     3. ``solve_qp`` from the warm start (its iterations and status).
@@ -459,13 +468,8 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
     """
     cfg, lower, upper = ctrl.cfg, ctrl.lower, ctrl.upper
     g, optimum = ctrl.linear_terms(x_now, refs)
-    scale = float(np.max(np.abs(g)))
-    if not math.isfinite(scale):
-        raise ValueError("QP gradient must be finite")
-    tol = cfg.qp_tol * max(1.0, scale)  # solve_qp's
-    warm = ctrl.warm_start
-    grad = ctrl.hessian_op @ warm + g
-    if float(np.max(np.abs(warm - np.clip(warm - grad, lower, upper)))) <= tol:
+    tol, warm = _tolerance(g, cfg), ctrl.warm_start
+    if _residual(warm, ctrl.hessian_op @ warm + g, lower, upper) <= tol:
         du_seq, iters, status = warm, 0, "warm_start"
     else:
         du_seq = optimum
@@ -522,7 +526,6 @@ class MpcController:
         # the law's inputs: each channel's reference column, and its states padded to four
         self._law_columns = [OUTPUT_STATES.index(c.states[0]) for c in self.channels]
         self._law_states = np.array([np.resize(c.states, 4) for c in self.channels])
-        self._output_ref = model.x_ref[list(OUTPUT_STATES)]
         self.u_min = np.array(cfg.u_min)
         self.u_max = np.array(cfg.u_max)
         self.lower = np.tile(self.u_min - model.u_ref, cfg.horizon)
@@ -571,9 +574,9 @@ class MpcController:
             raise ValueError(f"expected a ({n}, 4) reference window, got {refs.shape}")
         if not np.isfinite(refs).all():
             raise ValueError("reference window must be finite")
-        levels = refs - self._output_ref
-        levels[:, 3] = wrap_angle(levels[:, 3])
-        dx0 = x_now - model.x_ref
+        levels = refs.copy()
+        levels[:, 3] = wrap_angle(refs[:, 3])
+        dx0 = x_now.copy()
         dx0[8] = levels[0, 3] - wrap_angle(refs[0, 3] - x_now[8])
         inputs = np.concatenate([levels.T[self._law_columns], dx0[self._law_states]], axis=1)
         rotors = (self.law @ inputs[:, :, None])[:, :, 0].T @ self.directions
@@ -581,10 +584,6 @@ class MpcController:
         q = rotors[:n].ravel()
         q[:N_ROTORS] -= self.cfg.input_rate_weight * du_prev
         return q, self.rate_law @ du_prev - rotors[n:].ravel()
-
-    def gradient(self, x_now: np.ndarray, refs: np.ndarray) -> np.ndarray:
-        """Linear term q of the condensed cost 0.5 U'PU + q'U at one step (``linear_terms``)."""
-        return self.linear_terms(x_now, refs)[0]
 
     def command(self, t: float, x_now: np.ndarray, traj) -> np.ndarray:
         refs = ref_window(traj, t, self.cfg.horizon, self.model.dt)

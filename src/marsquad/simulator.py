@@ -85,8 +85,9 @@ class Disturbance:
     noise_torque: float = 0.0  # N m std per axis over one control step, body frame
 
     def __post_init__(self):
-        if self.noise_force < 0 or self.noise_torque < 0:
-            raise ValueError("noise amplitudes must be >= 0")
+        if not (0.0 <= self.noise_force < math.inf and 0.0 <= self.noise_torque < math.inf):
+            raise ValueError("noise amplitudes must be finite and >= 0, got "
+                             f"{self.noise_force}, {self.noise_torque}")
 
     @property
     def has_noise(self) -> bool:
@@ -256,8 +257,9 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
     substep at ``sqrt(substeps)`` times its std, so its effect does not
     depend on ``substeps``. ``x0``, the start state (hover at the origin by
     default), must be a finite 12-vector. A ``NumericalDivergence`` from the
-    plant is raised again with the control step's index and its held
-    command added to the message, and with the log up to that step.
+    plant is raised again with the control step's index, the state logged at
+    its start and its held command added to the message, and with the log
+    up to that step.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration}")
@@ -312,9 +314,10 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
                 state = rk4_step(state, wrench, sub_dt, veh, env, dist,
                                  t + i * sub_dt, rng)
         except NumericalDivergence as err:
-            held = ", ".join(f"{u:.6g}" for u in np.asarray(cmd, dtype=float).tolist())
-            raise NumericalDivergence(f"{err} (control step {k}, held command [{held}])",
-                                      log=partial(k + 1)) from None
+            start, held = (", ".join(f"{v:.6g}" for v in row.tolist())
+                           for row in (states[k], commands[k]))
+            raise NumericalDivergence(f"{err} (control step {k}, state [{start}], "
+                                      f"held command [{held}])", log=partial(k + 1)) from None
 
     return partial(n_steps)
 

@@ -90,7 +90,7 @@ def test_criterion_05_prediction_exactness():
     ctrl = MpcController(model, MpcConfig.default(cfg.veh, horizon=n), cfg.veh, cfg.env)
     dx0 = np.zeros(12)
     dx0[0:3] = [0.4, -0.2, 0.3]
-    g = ctrl.gradient(model.x_ref + dx0, np.zeros((n, 4)))
+    g, _ = ctrl.linear_terms(dx0, np.zeros((n, 4)))
     du, _ = solve_qp(ctrl.hessian_op.dense(), g, ctrl.lower, ctrl.upper, ctrl.cfg)
     predicted = ctrl.predict(dx0, du)
     state = dx0.copy()

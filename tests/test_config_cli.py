@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from marsquad import cli, config, params, simulator
-from marsquad.config import (ConfigError, config_snapshot, derived_report, load_config,
-                             parse_overrides)
+from marsquad.config import (ConfigError, SimSettings, config_snapshot, derived_report,
+                             load_config, parse_overrides)
 from marsquad.mpc import MpcConfig
 from marsquad.pid import PidGains
 from marsquad.scenarios import list_scenarios, scenario_names, scenario_path
@@ -157,6 +157,14 @@ class TestLoading:
         with pytest.raises(ConfigError) as exc:
             load_config(bare_cfg, extra + [f"{key}={raw}"])
         assert exc.value.problems == [f"{key} must be a finite number, got {raw!r}"]
+
+    @pytest.mark.parametrize("key, value", [("transient_skip", math.nan),
+                                            ("transient_skip", math.inf),
+                                            ("duration", math.nan), ("control_dt", math.inf)])
+    def test_sim_settings_reject_nonfinite_times(self, key, value):
+        # a NaN transient_skip used to make compute_metrics average the whole run
+        with pytest.raises(ValueError, match="must be finite"):
+            SimSettings(**{key: value})
 
     @pytest.mark.parametrize("key, raw, problem", [
         ("mpc.position_weight", "-1", "position_weight must be >= 0, got -1.0"),
@@ -394,8 +402,8 @@ class TestCli:
         assert cli.main(["run", "--config", str(minimal_cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: mpc run diverged: state magnitude exceeded 1e\+06 at "
-                            r"t=0\.052 \(control step 2, held command \[[^],]+(, [^],]+){7}\]\)\n",
-                            err)
+                            r"t=0\.052 \(control step 2, state \[0(, 0){11}\], "
+                            r"held command \[[^],]+(, [^],]+){7}\]\)\n", err)
         assert not out.exists()
 
     def test_run_both_prints_table(self, tmp_path, minimal_cfg, capsys):

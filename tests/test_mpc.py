@@ -59,12 +59,11 @@ def dense_gradient(ctrl, x_now, refs):
     entries.
     """
     model, cfg = ctrl.model, ctrl.cfg
-    n, x_ref = cfg.horizon, model.x_ref
+    n = cfg.horizon
     g, h = dense_prediction(model, n)
-    dx0 = x_now - x_ref
-    dx0[8] = (dynamics.wrap_angle(refs[0, 3] - x_ref[8])
-              - dynamics.wrap_angle(refs[0, 3] - x_now[8]))
-    err = _stack_reference_loop(refs, x_ref, n, model.dt) - g @ dx0
+    dx0 = np.array(x_now, dtype=float)
+    dx0[8] = dynamics.wrap_angle(refs[0, 3]) - dynamics.wrap_angle(refs[0, 3] - x_now[8])
+    err = _stack_reference_loop(refs, n, model.dt) - g @ dx0
     diff = np.eye(8 * n)
     for i in range(1, n):
         diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
@@ -154,7 +153,7 @@ class TestCost:
                         rate_weight=0.0, input_weight=1.0, input_rate_weight=0.0,
                         u_min=np.zeros(8), u_max=np.full(8, 1e6))
         ctrl = MpcController(disc_model, cfg, VEH, ENV)
-        g = ctrl.gradient(np.ones(12), np.zeros((4, 4)))
+        g, _ = ctrl.linear_terms(np.ones(12), np.zeros((4, 4)))
         du = np.linalg.solve(ctrl.hessian_op.dense(), -g)
         assert np.allclose(du, 0.0, atol=1e-12)
 
@@ -167,7 +166,7 @@ class TestCost:
         ctrl = MpcController(disc_model, cfg, VEH, ENV)
         ctrl.u_prev = disc_model.u_ref + np.linspace(-1, 1, 8)
         du_prev = ctrl.u_prev - disc_model.u_ref
-        g = ctrl.gradient(np.zeros(12), np.zeros((1, 4)))
+        g, _ = ctrl.linear_terms(np.zeros(12), np.zeros((1, 4)))
         du = np.linalg.solve(ctrl.hessian_op.dense(), -g)
         assert np.allclose(du, 5.0 / (2.0 + 5.0) * du_prev, rtol=1e-12)
 
@@ -190,8 +189,8 @@ class TestCost:
             diff[8 * i:8 * (i + 1), 8 * (i - 1):8 * i] = -np.eye(8)
         h_dense = h.T @ mx @ h + mu + diff.T @ mdu @ diff
         assert np.allclose(ctrl.hessian_op.dense(), h_dense, atol=1e-12)
-        assert np.allclose(ctrl.gradient(x_now, refs), dense_gradient(ctrl, x_now, refs),
-                           atol=1e-12)
+        g, _ = ctrl.linear_terms(x_now, refs)
+        assert np.allclose(g, dense_gradient(ctrl, x_now, refs), atol=1e-12)
 
     def test_hessian_matches_dense_products(self, horizon_ctrl):
         """The channel assembly against H' diag(mx) H + diag(mu) + D' diag(mdu) D
@@ -212,22 +211,24 @@ class TestCost:
     def test_dimension_checks(self, disc_model):
         ctrl = MpcController(disc_model, small_cfg(horizon=3), VEH, ENV)
         with pytest.raises(ValueError, match="12-vector"):
-            ctrl.gradient(np.zeros(11), np.zeros((3, 4)))
+            ctrl.linear_terms(np.zeros(11), np.zeros((3, 4)))
         with pytest.raises(ValueError, match="12-vector"):
-            ctrl.gradient(np.zeros(1), np.zeros((3, 4)))
+            ctrl.linear_terms(np.zeros(1), np.zeros((3, 4)))
         with pytest.raises(ValueError, match="reference window"):
-            ctrl.gradient(np.zeros(12), np.zeros((2, 4)))
+            ctrl.linear_terms(np.zeros(12), np.zeros((2, 4)))
         with pytest.raises(ValueError, match="reference window"):
-            ctrl.gradient(np.zeros(12), np.zeros((3, 3)))
+            ctrl.linear_terms(np.zeros(12), np.zeros((3, 3)))
 
 
 def _horizon_box_qp(horizon_ctrl, seed):
-    """``(g, lo, hi, x0, rng)``: a 480-variable QP on the shipped Hessian.
+    """``(g, lo, hi, x0, rng, step)``: a 480-variable QP on the shipped Hessian.
 
     Gradients come from random states, position references and last
     inputs; the box is the shipped one shrunk by a random factor, so
     anywhere from none to most bounds end up active. ``x0`` is a point in
-    the box or, half the time, None.
+    the box or, half the time, None. ``step`` is ``(ctrl, x_now, refs)``:
+    the controller copy, with its last input, and the state and window
+    that g is ``ctrl.linear_terms``' q of.
     """
     ctrl = copy.copy(horizon_ctrl)  # its own u_prev; the Hessian is shared
     rng = np.random.default_rng(seed)
@@ -235,11 +236,11 @@ def _horizon_box_qp(horizon_ctrl, seed):
     refs = np.zeros((ctrl.cfg.horizon, 4))
     refs[:, 0:3] = rng.normal(0, 2, 3)
     ctrl.u_prev = ctrl.model.u_ref + rng.normal(0, 3000, 8)
-    g = ctrl.gradient(x_now, refs)
+    g, _ = ctrl.linear_terms(x_now, refs)
     span = rng.uniform(0.05, 1.0)
     lo, hi = ctrl.lower * span, ctrl.upper * span
     x0 = rng.uniform(lo, hi) if rng.random() < 0.5 else None
-    return g, lo, hi, x0, rng
+    return g, lo, hi, x0, rng, (ctrl, x_now, refs)
 
 
 class TestSolveQp:
@@ -389,7 +390,7 @@ class TestSolveQp:
         refactoring the dense P or, half the time, from the Schur steps of
         its ``BlockMatrix``."""
         cfg, h = horizon_ctrl.cfg, horizon_ctrl.hessian_op.dense()
-        g, lo, hi, x0, rng = _horizon_box_qp(horizon_ctrl, seed)
+        g, lo, hi, x0, rng, _ = _horizon_box_qp(horizon_ctrl, seed)
         hessian = horizon_ctrl.hessian_op if rng.random() < 0.5 else h
         x, _ = solve_qp(hessian, g, lo, hi, cfg, x0=x0)
 
@@ -410,7 +411,7 @@ class TestSolveQp:
         ``BlockMatrix``, take the decisions of refactoring the dense P: the
         same iteration count and status, and x to 1e-9 relative."""
         cfg, op = horizon_ctrl.cfg, horizon_ctrl.hessian_op
-        g, lo, hi, x0, _ = _horizon_box_qp(horizon_ctrl, seed)
+        g, lo, hi, x0, _, _ = _horizon_box_qp(horizon_ctrl, seed)
         want, want_info = solve_qp(op.dense(), g, lo, hi, cfg, x0=x0)
         got, info = solve_qp(op, g, lo, hi, cfg, x0=x0)
         assert (info["iterations"], info["status"]) == (want_info["iterations"],
@@ -431,31 +432,32 @@ class TestSolveQp:
         assert np.abs(x - xb).max() < 1e-8
 
 
-def _stack_reference_loop(refs, x_ref, horizon, dt):
-    """Per-sample reference for the state stack ``MpcController.gradient`` builds."""
+def _stack_reference_loop(refs, horizon, dt):
+    """Per-sample reference for the 12-state stack that q tracks."""
     stack = np.zeros(12 * horizon)
     for i in range(horizon):
         base = i * 12
-        stack[base:base + 3] = [refs[i, k] - x_ref[k] for k in range(3)]
+        stack[base:base + 3] = refs[i, :3]
         j = min(i, horizon - 2)
         if horizon > 1 and dt > 0:
             stack[base + 3:base + 6] = [(refs[j + 1, k] - refs[j, k]) / dt for k in range(3)]
-        stack[base + 8] = -((math.pi - (refs[i, 3] - x_ref[8])) % (2.0 * math.pi) - math.pi)
+        stack[base + 8] = -((math.pi - refs[i, 3]) % (2.0 * math.pi) - math.pi)
     return stack
 
 
-class TestStackReference:
+class TestTrackedReference:
     @given(seed=st.integers(0, 1000), horizon=st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
-    def test_matches_per_sample_loop(self, disc_model, seed, horizon):
-        """The stack ``gradient`` tracks, against a per-sample loop: at x_now =
-        x_ref and u_prev = u_ref, q is -H' Mx stack, to 1e-12 relative."""
+    def test_gradient_matches_per_sample_loop(self, disc_model, seed, horizon):
+        """The reference ``linear_terms``' q tracks, against a per-sample
+        loop: at u_prev = u_ref, q is -H' Mx (stack - G x_now), to 1e-12
+        relative, for any state and window."""
         rng = np.random.default_rng(seed)
         refs = rng.normal(0, 5, (horizon, 4))
-        model = dataclasses.replace(disc_model, x_ref=rng.normal(0, 1, 12))
-        ctrl = MpcController(model, small_cfg(horizon=horizon), VEH, ENV)
-        want = dense_gradient(ctrl, model.x_ref, refs)
-        got = ctrl.gradient(model.x_ref, refs)
+        x_now = rng.normal(0, 1, 12)
+        ctrl = MpcController(disc_model, small_cfg(horizon=horizon), VEH, ENV)
+        want = dense_gradient(ctrl, x_now, refs)
+        got, _ = ctrl.linear_terms(x_now, refs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -632,7 +634,7 @@ def _solve_every_step(x_now, refs, ctrl):
     Given the dense P, every Newton step refactors, so the Schur step is checked against it.
     """
     cfg = ctrl.cfg
-    du, info = solve_qp(ctrl.hessian_op.dense(), ctrl.gradient(x_now, refs), ctrl.lower,
+    du, info = solve_qp(ctrl.hessian_op.dense(), ctrl.linear_terms(x_now, refs)[0], ctrl.lower,
                         ctrl.upper, cfg, x0=ctrl.warm_start)
     u = np.clip(ctrl.model.u_ref + du[:8], cfg.u_min, cfg.u_max)
     ctrl.u_prev = u.copy()
@@ -697,14 +699,14 @@ class TestExplicitStep:
         ctrl = copy.copy(wide_box_ctrls[horizon])  # its own memory; the operators are shared
         model = ctrl.model
         rng = np.random.default_rng(seed)
-        x_now = model.x_ref + rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
+        x_now = rng.normal(0, 1, 12) * np.repeat([1.0, 0.5, 0.1, 0.1], 3)
         x_now[8] = yaw_ref + yaw_gap
         refs = np.zeros((horizon, 4))
         refs[:, 0:3] = rng.normal(0, 1, 3) + rng.normal(0, 0.1, (horizon, 3))
         refs[:, 3] = yaw_ref + yaw_span * np.linspace(0.0, 1.0, horizon)
         ctrl.u_prev = model.u_ref + rng.normal(0, 3000, 8)
 
-        g = ctrl.gradient(x_now, refs)
+        g, _ = ctrl.linear_terms(x_now, refs)
         want = dense_gradient(ctrl, x_now, refs)
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -730,7 +732,6 @@ class TestExplicitStep:
         assert np.abs(null).max() > 100.0
         ctrl.u_prev = ctrl.model.u_ref + du_prev
         g, optimum = ctrl.linear_terms(x_now, refs)
-        assert np.array_equal(g, ctrl.gradient(x_now, refs))
         dense = np.linalg.solve(ctrl.hessian_op.dense(), -g)
         assert np.abs(optimum - dense).max() <= 1e-12 * np.abs(dense).max()
         w = rng.normal(0, 3000, 8 * n)
@@ -750,6 +751,28 @@ class TestExplicitStep:
         mpc_step(x, refs, ctrl)
         assert ctrl.last_qp_status == "converged" and ctrl.last_qp_iters > 1
         assert np.any(ctrl.warm_start == ctrl.upper)
+
+    @given(seed=st.integers(0, 10_000), log_jitter=st.none() | st.floats(-15.0, -12.0))
+    @settings(max_examples=25, deadline=None)
+    def test_mpc_step_keeps_the_warm_start_exactly_when_solve_qp_stops_at_once(
+            self, horizon_ctrl, seed, log_jitter):
+        """One stopping test: on the KKT property's 480-variable boxes,
+        ``mpc_step`` ends with status ``"warm_start"`` exactly when
+        ``solve_qp`` from that warm start returns after 0 iterations. The
+        warm start is the drawn point in the box (zeros for None) or
+        ``solve_qp``'s solution moved by relative noise of 10^log_jitter,
+        which puts its residual at about 0.01 to 100 times the tolerance."""
+        g, lo, hi, x0, rng, (ctrl, x_now, refs) = _horizon_box_qp(horizon_ctrl, seed)
+        if log_jitter is None:
+            warm = np.zeros(g.size) if x0 is None else x0
+        else:
+            x, _ = solve_qp(ctrl.hessian_op, g, lo, hi, ctrl.cfg, x0=x0)
+            noise = 10.0 ** log_jitter * np.abs(x).max() * rng.normal(size=x.size)
+            warm = np.clip(x + noise, lo, hi)
+        _, info = solve_qp(ctrl.hessian_op, g, lo, hi, ctrl.cfg, x0=warm)
+        ctrl.lower, ctrl.upper, ctrl.warm_start = lo, hi, warm
+        mpc_step(x_now, refs, ctrl)
+        assert (ctrl.last_qp_status == "warm_start") == (info["iterations"] == 0)
 
     @pytest.mark.parametrize("path", ["unconstrained", "converged"])
     @pytest.mark.parametrize("bad", ["nan state", "inf yaw", "nan ref", "inf ref", "short state",
@@ -828,7 +851,7 @@ class TestClosedLoopLinear:
 
         def first_input(dx, du_prev):
             ctrl.u_prev = disc_model.u_ref + du_prev
-            grad = ctrl.gradient(disc_model.x_ref + dx, zero_refs)
+            grad, _ = ctrl.linear_terms(dx, zero_refs)
             return np.linalg.solve(ctrl.hessian_op.dense(), -grad)[:8]
 
         fx = np.column_stack([first_input(e, np.zeros(8)) for e in np.eye(12)])
@@ -843,11 +866,10 @@ class TestClosedLoopLinear:
     def test_converges_to_constant_reference_on_linear_plant(self, disc_model, mpc_cfg):
         ctl = MpcController(disc_model, mpc_cfg, VEH, ENV)
         target = traj.constant_ref(0.5, -0.3, 0.8, 0.0)
-        x = disc_model.x_ref.copy()
+        x = np.zeros(12)
         for k in range(750):  # 15 s
             u = ctl.command(k * disc_model.dt, x, target)
-            x = (disc_model.x_ref + disc_model.A @ (x - disc_model.x_ref)
-                 + disc_model.B @ (u - disc_model.u_ref))
+            x = disc_model.A @ x + disc_model.B @ (u - disc_model.u_ref)
         assert abs(x[0] - 0.5) < 1e-3
         assert abs(x[1] + 0.3) < 1e-3
         assert abs(x[2] - 0.8) < 1e-3
@@ -856,7 +878,7 @@ class TestClosedLoopLinear:
         ctrl = MpcController(disc_model, MpcConfig.default(VEH, horizon=20), VEH, ENV)
         x = np.zeros(12)
         x[0:3] = [0.4, -0.2, 0.3]
-        g = ctrl.gradient(x, np.zeros((20, 4)))
+        g, _ = ctrl.linear_terms(x, np.zeros((20, 4)))
         du, _ = solve_qp(ctrl.hessian_op.dense(), g, ctrl.lower, ctrl.upper, ctrl.cfg)
         assert np.abs(ctrl.predict(x, du) - recursion(disc_model, x, du)).max() < 1e-10
 

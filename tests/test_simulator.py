@@ -157,6 +157,13 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0)
 
+    @pytest.mark.parametrize("key, value", [("noise_force", math.nan), ("noise_force", -0.1),
+                                            ("noise_torque", math.inf)])
+    def test_disturbance_rejects_nonfinite_or_negative_noise(self, key, value):
+        # nan > 0 is False, so a NaN amplitude used to read as no noise
+        with pytest.raises(ValueError, match="noise amplitudes must be finite and >= 0"):
+            Disturbance(**{key: value})
+
     def test_noise_reproducible_for_same_seed(self):
         dist = Disturbance(noise_force=0.5, noise_torque=0.01)
         a = rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0,
@@ -278,12 +285,15 @@ class TestClosedLoop:
         log = exc.value.log
         assert log is not None
         assert len(log) >= 1
-        # the message names the step that diverged and the command held over it
+        # the message names the step that diverged, the state it started from
+        # and the command held over it
         step = len(log) - 1
-        held = ", ".join(f"{u:.6g}" for u in log.commands[step])
+        start, held = (", ".join(f"{v:.6g}" for v in row)
+                       for row in (log.states[step], log.commands[step]))
         assert re.fullmatch(
             r"(state magnitude exceeded 1e\+06|pitch approached gimbal lock) at t=\d+\.\d{3} "
-            + re.escape(f"(control step {step}, held command [{held}])"), str(exc.value))
+            + re.escape(f"(control step {step}, state [{start}], held command [{held}])"),
+            str(exc.value))
 
     def test_identical_seed_identical_log(self, tmp_path):
         dist = Disturbance(pulses=(Pulse(0.1, 0.3, force=(0.5, 0, 0)),),
