@@ -73,18 +73,12 @@ def _outdir(out: str | None, cfg: ScenarioConfig) -> Path:
     return Path(out or cfg.sim.outdir)
 
 
-def _print_metrics(name: str, metrics):
-    d = metrics.as_dict()
-    print(f"  [{name}]")
+def _print_table(results: dict):
+    """The metrics of each controller run, one column per run."""
+    columns = [metrics.as_dict() for metrics in results.values()]
+    print(f"  {'metric':<26}" + "".join(f" {kind:>14}" for kind in results))
     for label, key in _METRIC_ROWS:
-        print(f"    {label:<26} {d[key]:.6g}")
-
-
-def _print_comparison(mpc_metrics, pid_metrics):
-    d_mpc, d_pid = mpc_metrics.as_dict(), pid_metrics.as_dict()
-    print(f"  {'metric':<26} {'mpc':>14} {'pid':>14}")
-    for label, key in _METRIC_ROWS:
-        print(f"  {label:<26} {d_mpc[key]:>14.6g} {d_pid[key]:>14.6g}")
+        print(f"  {label:<26}" + "".join(f" {d[key]:>14.6g}" for d in columns))
 
 
 def _cmd_run(args) -> int:
@@ -98,11 +92,10 @@ def _cmd_run(args) -> int:
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2
-    controller = cfg.sim.controller
     outdir = _outdir(args.out, cfg)
 
     results = {}
-    for kind in _KINDS[controller]:
+    for kind in _KINDS[cfg.sim.controller]:
         try:
             _, results[kind] = run_scenario(cfg, kind, outdir)
         except NumericalDivergence as err:
@@ -113,10 +106,7 @@ def _cmd_run(args) -> int:
             return 4
 
     print(f"scenario {cfg.name} ({cfg.description or 'no description'})")
-    if controller == "both":
-        _print_comparison(results["mpc"], results["pid"])
-    else:
-        _print_metrics(controller, results[controller])
+    _print_table(results)
     print(f"outputs under {outdir / cfg.name}")
     return 0
 

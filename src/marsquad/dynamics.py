@@ -14,8 +14,9 @@ binds the held wrench, the vehicle, the environment and the disturbance,
 takes every quotient of constants once, and returns a function of the
 nine states the equations read (velocities, angles, body rates) that
 gives the six accelerations on Python floats. An integrator substep
-calls it four times and builds no numpy temporaries. ``state_derivative``
-is the checked array form of the same function.
+calls it four times and builds no numpy temporaries. The disturbance is
+always added, as zeros when there is none. ``state_derivative`` is the
+checked array form of the same function under a zero disturbance.
 """
 
 from __future__ import annotations
@@ -165,21 +166,23 @@ def state_derivative(state: np.ndarray, omega_sq: np.ndarray,
         raise ValueError(f"expected a 12-state, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("state must be finite")
-    accelerations = equations_of_motion(wrench_from_rotors(omega_sq, veh), veh, env)
+    accelerations = equations_of_motion(wrench_from_rotors(omega_sq, veh), veh, env,
+                                        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     _, _, _, vx, vy, vz, phi, theta, psi, p, q, r = s.tolist()
     ax, ay, az, p_dot, q_dot, r_dot = accelerations(vx, vy, vz, phi, theta, psi, p, q, r)
     return np.array([vx, vy, vz, ax, ay, az, p, q, r, p_dot, q_dot, r_dot])
 
 
 def equations_of_motion(wrench: Wrench, veh: VehicleParams, env: EnvParams,
-                        force=None, torque=None):
+                        force, torque):
     """The equations of motion on floats, bound to a held wrench and disturbance.
 
     Returns ``accelerations(vx, vy, vz, phi, theta, psi, p, q, r)``, which
     gives ``(ax, ay, az, p_dot, q_dot, r_dot)``: the rest of the derivative
     is the velocities and body rates themselves. ``force`` (ground frame,
-    N) and ``torque`` (body frame, N m) are optional 3-sequences that
-    inject disturbances. Every quotient of constants is taken here, once;
+    N) and ``torque`` (body frame, N m) are the disturbance's 3-sequences,
+    added after the rotor, gravity and drag terms; zeros give the
+    undisturbed plant. Every quotient of constants is taken here, once;
     each is the same float the equations would compute in place.
     """
     m = veh.mass
@@ -191,10 +194,8 @@ def equations_of_motion(wrench: Wrench, veh: VehicleParams, env: EnvParams,
     drag = veh.linear_drag
     b_over_m = drag / m
     iyy_izz, izz_ixx, ixx_iyy = iyy - izz, izz - ixx, ixx - iyy
-    if force is not None:
-        fx, fy, fz = force[0] / m, force[1] / m, force[2] / m
-    if torque is not None:
-        tx, ty, tz = torque[0] / ixx, torque[1] / iyy, torque[2] / izz
+    fx, fy, fz = force[0] / m, force[1] / m, force[2] / m
+    tx, ty, tz = torque[0] / ixx, torque[1] / iyy, torque[2] / izz
     sin, cos = math.sin, math.cos
 
     def accelerations(vx, vy, vz, phi, theta, psi, p, q, r):
@@ -211,14 +212,6 @@ def equations_of_motion(wrench: Wrench, veh: VehicleParams, env: EnvParams,
         p_dot = (q * r * iyy_izz - jr * q * net_rot + roll_m) / ixx
         q_dot = (p * r * izz_ixx - jr * p * net_rot + pitch_m) / iyy
         r_dot = (p * q * ixx_iyy + yaw_m) / izz
-        if force is not None:
-            ax += fx
-            ay += fy
-            az += fz
-        if torque is not None:
-            p_dot += tx
-            q_dot += ty
-            r_dot += tz
-        return ax, ay, az, p_dot, q_dot, r_dot
+        return ax + fx, ay + fy, az + fz, p_dot + tx, q_dot + ty, r_dot + tz
 
     return accelerations

@@ -14,6 +14,7 @@ state sets and B's rows in a set are multiples of one mixer row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,8 +49,8 @@ class LinearModel:
     def __post_init__(self):
         if self.A.shape != (N_STATES, N_STATES) or self.B.shape != (N_STATES, N_ROTORS):
             raise ValueError("A must be 12x12 and B 12x8")
-        if self.dt < 0:
-            raise ValueError(f"dt must be >= 0, got {self.dt}")
+        if not 0.0 <= self.dt < math.inf:
+            raise ValueError(f"dt must be finite and >= 0, got {self.dt}")
 
     @property
     def continuous(self) -> bool:
@@ -91,8 +92,8 @@ def discretize(model: LinearModel, ts: float) -> LinearModel:
     Both maps come from one exponential of the augmented block:
         expm([[A, B], [0, 0]] ts) = [[Ad, Bd], [0, I]]
     """
-    if ts <= 0:
-        raise ValueError(f"sampling time must be > 0, got {ts}")
+    if not 0.0 < ts < math.inf:
+        raise ValueError(f"sampling time must be finite and > 0, got {ts}")
     if not model.continuous:
         raise ValueError("model is already discrete")
     n = N_STATES

@@ -133,8 +133,8 @@ class PidController:
     """
 
     def __init__(self, gains: PidGains, veh: VehicleParams, env: EnvParams, dt: float):
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.gains = gains
         self.veh = veh
         self.env = env

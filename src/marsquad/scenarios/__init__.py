@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..config import load_config
-
-__all__ = ["list_scenarios", "scenario_path", "scenario_names"]
+__all__ = ["scenario_path", "scenario_names"]
 
 _DIR = Path(__file__).resolve().parent
 
@@ -30,11 +28,3 @@ def scenario_path(name: str) -> Path:
                        f"available: {', '.join(scenario_names())}")
     return path
 
-
-def list_scenarios() -> list[tuple[str, str]]:
-    """(name, description) pairs for every shipped scenario."""
-    out = []
-    for name in scenario_names():
-        cfg = load_config(scenario_path(name))
-        out.append((name, cfg.description))
-    return out

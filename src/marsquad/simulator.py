@@ -3,7 +3,8 @@
 The plant integrates with classical RK4 at ``control_dt / substeps`` while
 the controller output is held between samples. A substep is straight-line
 code on Python floats: the state is unpacked into locals once, the
-equations of motion are bound once (``dynamics.equations_of_motion``) and
+disturbance is sampled once, the equations of motion are bound to the
+wrench and that sample once (``dynamics.equations_of_motion``) and
 called for the four stages, stages 2-4 are formed only for the nine states
 those equations read, and the twelve combinations, the angle wrap and the
 envelope check are written out before one array is returned. Each float
@@ -176,14 +177,15 @@ def _magnitude_exceeded(t: float) -> NumericalDivergence:
 
 def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
              veh: VehicleParams, env: EnvParams,
-             dist: Disturbance | None = None, t: float = 0.0,
+             dist: Disturbance = Disturbance(), t: float = 0.0,
              rng: np.random.Generator | None = None) -> np.ndarray:
     """Classical RK4 step with the rotor wrench and disturbance held constant.
 
     ``wrench`` is the ``dynamics.Wrench`` of the held command, as
     ``dynamics.wrench_from_rotors`` gives it once for all the substeps of a
-    control step. The disturbance is sampled once at the step start,
-    matching the piecewise-constant actuation model. Angles are re-wrapped
+    control step. The disturbance (none by default) is sampled once at
+    the step start and always added, matching the piecewise-constant
+    actuation model. Angles are re-wrapped
     afterwards and the envelope check raises ``NumericalDivergence`` on
     blow-up, as does a state with an infinite angle. The arithmetic runs on
     floats in the order of the array formula ``s + dt/6 (k1 + 2 k2 + 2 k3 +
@@ -194,11 +196,7 @@ def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = np.asarray(state, dtype=float).tolist()
-    if dist is not None:
-        force, torque = dist.sample(t, rng)
-    else:
-        force, torque = None, None
-    f = dynamics.equations_of_motion(wrench, veh, env, force, torque)
+    f = dynamics.equations_of_motion(wrench, veh, env, *dist.sample(t, rng))
 
     half = 0.5 * dt
     try:
@@ -245,7 +243,7 @@ def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
     return np.array((x, y, z, vx, vy, vz, phi, theta, psi, p, q, r))
 
 
-def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
+def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
                     duration: float, control_dt: float, substeps: int,
                     veh: VehicleParams, env: EnvParams,
                     seed: int = 0, x0: np.ndarray | None = None) -> SimLog:
@@ -253,7 +251,8 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
 
     The command's wrench is computed once per step, logged, and held over
     the substeps. The logged reference is sampled for the whole run in one
-    ``ref_window`` call at the control-step times. Noise is drawn once per
+    ``ref_window`` call at the control-step times. ``dist`` is the
+    disturbance, ``Disturbance()`` for none. Noise is drawn once per
     substep at ``sqrt(substeps)`` times its std, so its effect does not
     depend on ``substeps``. ``x0``, the start state (hover at the origin by
     default), must be a finite 12-vector. A ``NumericalDivergence`` from the
@@ -294,7 +293,7 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance | None,
         "control_dt": control_dt,
     }
 
-    if dist is not None and dist.has_noise:
+    if dist.has_noise:
         scale = math.sqrt(substeps)
         dist = replace(dist, noise_force=dist.noise_force * scale,
                        noise_torque=dist.noise_torque * scale)

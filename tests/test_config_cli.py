@@ -13,7 +13,7 @@ from marsquad.config import (ConfigError, SimSettings, config_snapshot, derived_
                              load_config, parse_overrides)
 from marsquad.mpc import MpcConfig
 from marsquad.pid import PidGains
-from marsquad.scenarios import list_scenarios, scenario_names, scenario_path
+from marsquad.scenarios import scenario_names, scenario_path
 from marsquad.trajectories import TRAJECTORIES
 
 MINIMAL = """
@@ -42,6 +42,19 @@ def bare_cfg(tmp_path):
     path = tmp_path / "bare.cfg"
     path.write_text("[sim]\nduration = 1.0\n")
     return path
+
+
+def assert_table_shows(out, outdir, kinds):
+    """``marsquad run``'s table: a header naming ``kinds``, then each metric
+    once, with the values each run wrote to its ``metrics.json``."""
+    lines = out.splitlines()
+    assert lines[1].split() == ["metric", *kinds]
+    written = [json.loads((outdir / kind / "metrics.json").read_text()) for kind in kinds]
+    for label, key in cli._METRIC_ROWS:
+        row = [line for line in lines if line.startswith(f"  {label} ")]
+        assert len(row) == 1
+        values = [float(v) for v in row[0][len(f"  {label}"):].split()]
+        assert values == pytest.approx([m[key] for m in written], rel=1e-5)
 
 
 def assert_same(a, b):
@@ -302,8 +315,8 @@ class TestShippedScenarios:
             assert expected in names
 
     def test_descriptions_nonempty(self):
-        for name, description in list_scenarios():
-            assert description
+        for name in scenario_names():
+            assert load_config(scenario_path(name)).description, name
 
     def test_every_scenario_validates(self):
         for name in scenario_names():
@@ -386,6 +399,7 @@ class TestCli:
         assert (base / "config.ini").is_file()
         metrics = json.loads((base / "metrics.json").read_text())
         assert metrics["constraint_violations"] == 0
+        assert_table_shows(capsys.readouterr().out, out / "minimal", ["mpc"])
 
     def test_run_reports_the_diverging_step_and_command(self, tmp_path, minimal_cfg, capsys,
                                                        monkeypatch):
@@ -411,8 +425,7 @@ class TestCli:
         rc = cli.main(["run", "--config", str(minimal_cfg), "--out", str(out),
                        "--controller", "both", "--set", "sim.duration=0.5"])
         assert rc == 0
-        text = capsys.readouterr().out
-        assert "mpc" in text and "pid" in text
+        assert_table_shows(capsys.readouterr().out, out / "minimal", ["mpc", "pid"])
         assert (out / "minimal" / "pid" / "log.csv").is_file()
 
     def test_controller_flag_is_recorded_in_snapshot(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ class TestDiscretize:
             discretize(cont_model, 0.0)
         with pytest.raises(ValueError):
             discretize(disc_model, 0.02)
+
+    @pytest.mark.parametrize("ts", [math.nan, math.inf])
+    def test_rejects_nonfinite_sampling_time(self, cont_model, ts):
+        with pytest.raises(ValueError, match=f"^sampling time must be finite and > 0, got {ts}$"):
+            discretize(cont_model, ts)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -0.02])
+    def test_model_rejects_bad_dt(self, cont_model, dt):
+        with pytest.raises(ValueError, match=f"^dt must be finite and >= 0, got {dt}$"):
+            dataclasses.replace(cont_model, dt=dt)
 
 
 class TestNumericJacobian:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -129,3 +130,8 @@ class TestControllerSurface:
         for dt in (0.0, -0.1):
             with pytest.raises(ValueError):
                 PidController(PidGains(), VEH, ENV, dt)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_nonfinite_dt(self, dt):
+        with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt}$"):
+            PidController(PidGains(), VEH, ENV, dt)

@@ -23,11 +23,12 @@ W_OFF = dynamics.wrench_from_rotors(np.zeros(8), VEH)  # every rotor stopped
 PITCH_LIMIT = math.pi / 2 - 0.01
 
 
-def array_derivative(x, wrench, veh, force=None, torque=None):
+def array_derivative(x, wrench, veh, force, torque):
     """The equations of motion over numpy arrays, written apart from ``dynamics``.
 
-    The disturbance (ground-frame force, body-frame torque) is added after
-    the rotor and gravity terms, which is where the plant adds it.
+    The disturbance (ground-frame force, body-frame torque; zeros for none)
+    is added after the rotor and gravity terms, which is where the plant
+    always adds it.
     """
     phi, theta, psi = x[6:9].tolist()
     sphi, cphi = math.sin(phi), math.cos(phi)
@@ -45,29 +46,26 @@ def array_derivative(x, wrench, veh, force=None, torque=None):
     rate_dot = np.array([q * r * (iyy - izz) - jr * q * net + roll,
                          p * r * (izz - ixx) - jr * p * net + pitch,
                          p * q * (ixx - iyy) + yaw]) / inertia
-    if force is not None:
-        acc += force / m
-        rate_dot += torque / inertia
+    acc += force / m
+    rate_dot += torque / inertia
     return np.concatenate([x[3:6], acc, x[9:12], rate_dot])
 
 
-def array_rk4(state, cmd, dt, veh, dist=None, t=0.0, rng=None):
+def array_rk4(state, cmd, dt, veh, dist=Disturbance(), t=0.0, rng=None):
     """Classical RK4 written over numpy arrays of ``array_derivative``.
 
-    The disturbance is drawn as numpy arrays (pulses summed, then force
-    noise, then torque noise); the angles are wrapped at the end.
+    The disturbance is drawn as numpy arrays (zeros, pulses summed, then
+    force noise, then torque noise); the angles are wrapped at the end.
     """
-    force = torque = None
-    if dist is not None:
-        force, torque = np.zeros(3), np.zeros(3)
-        for p in dist.pulses:
-            if p.t_start <= t < p.t_end:
-                force += p.force
-                torque += p.torque
-        if dist.noise_force > 0:
-            force += rng.normal(0.0, dist.noise_force, 3)
-        if dist.noise_torque > 0:
-            torque += rng.normal(0.0, dist.noise_torque, 3)
+    force, torque = np.zeros(3), np.zeros(3)
+    for p in dist.pulses:
+        if p.t_start <= t < p.t_end:
+            force += p.force
+            torque += p.torque
+    if dist.noise_force > 0:
+        force += rng.normal(0.0, dist.noise_force, 3)
+    if dist.noise_torque > 0:
+        torque += rng.normal(0.0, dist.noise_torque, 3)
     wrench = dynamics.wrench_from_rotors(cmd, veh)
 
     def f(x):
@@ -100,7 +98,7 @@ def disturbances():
         st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.tuples(*[st.floats(-0.2, 0.2)] * 3)),
         max_size=3).map(tuple)
     return st.one_of(
-        st.none(),
+        st.just(Disturbance()),
         st.builds(Disturbance, pulses),
         st.builds(Disturbance, pulses, st.sampled_from([0.0, 0.05, 0.5]),
                   st.sampled_from([0.0, 0.01, 0.1])),
@@ -203,7 +201,7 @@ class TestRk4:
         cmd = np.array(frac) * veh.max_rotor_speed ** 2
         wrench = dynamics.wrench_from_rotors(cmd, veh)
         assert (dynamics.state_derivative(state, cmd, veh, ENV).tobytes()
-                == array_derivative(state, wrench, veh).tobytes())
+                == array_derivative(state, wrench, veh, np.zeros(3), np.zeros(3)).tobytes())
         ref = array_rk4(state, cmd, dt, veh, dist, t, np.random.default_rng(seed))
         assume(np.abs(ref).max() <= 1e6 and abs(ref[7]) < PITCH_LIMIT)
         out = rk4_step(state, wrench, dt, veh, ENV, dist, t, np.random.default_rng(seed))
@@ -251,7 +249,7 @@ class TestClosedLoop:
                 calls.append(t)
                 return U_HOVER
 
-        run_closed_loop(Counting(), constant_ref(0, 0, 0, 0), None, duration=1.0,
+        run_closed_loop(Counting(), constant_ref(0, 0, 0, 0), Disturbance(), duration=1.0,
                         control_dt=0.1, substeps=2, veh=VEH, env=ENV)
         assert len(calls) == 10
 
@@ -264,14 +262,14 @@ class TestClosedLoop:
             return original(omega_sq, veh)
 
         monkeypatch.setattr(dynamics, "wrench_from_rotors", counting)
-        log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+        log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                               duration=0.5, control_dt=0.05, substeps=4,
                               veh=VEH, env=ENV)
         assert len(calls) == len(log) == 10
         assert np.array_equal(log.wrenches[0], original(U_HOVER, VEH))
 
     def test_log_uniform_grid(self):
-        log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+        log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                               duration=0.5, control_dt=0.05, substeps=1,
                               veh=VEH, env=ENV)
         assert np.allclose(np.diff(log.t), 0.05)
@@ -279,7 +277,7 @@ class TestClosedLoop:
 
     def test_divergence_attaches_partial_log(self):
         with pytest.raises(NumericalDivergence) as exc:
-            run_closed_loop(_FullThrottle(), constant_ref(0, 0, 0, 0), None,
+            run_closed_loop(_FullThrottle(), constant_ref(0, 0, 0, 0), Disturbance(),
                             duration=20.0, control_dt=0.02, substeps=5,
                             veh=VEH, env=ENV)
         log = exc.value.log
@@ -317,7 +315,7 @@ class TestClosedLoop:
 
         def final_state(substeps):
             ctl = MpcController(model, cfg, VEH, ENV)
-            log = run_closed_loop(ctl, helix_ref(), None, duration=5.0,
+            log = run_closed_loop(ctl, helix_ref(), Disturbance(), duration=5.0,
                                   control_dt=0.02, substeps=substeps,
                                   veh=VEH, env=ENV)
             return log.states[-1]
@@ -344,7 +342,7 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("traj", [helix_ref(), square_ref(side=2.0, edge_duration=0.3)])
     def test_reference_rows_equal_per_step_samples(self, traj):
-        log = run_closed_loop(_HoverController(), traj, None, duration=1.0,
+        log = run_closed_loop(_HoverController(), traj, Disturbance(), duration=1.0,
                               control_dt=0.02, substeps=1, veh=VEH, env=ENV)
         rows = np.array([ref_window(traj, k * 0.02, 1, 0.02)[0] for k in range(len(log))])
         assert log.refs.tobytes() == rows.tobytes()
@@ -352,7 +350,7 @@ class TestClosedLoop:
     def test_partial_log_carries_its_reference_rows(self):
         traj = square_ref(side=2.0, edge_duration=0.5)
         with pytest.raises(NumericalDivergence) as exc:
-            run_closed_loop(_FullThrottle(), traj, None, duration=20.0, control_dt=0.02,
+            run_closed_loop(_FullThrottle(), traj, Disturbance(), duration=20.0, control_dt=0.02,
                             substeps=5, veh=VEH, env=ENV)
         log = exc.value.log
         assert 1 < len(log) < 1000
@@ -367,7 +365,7 @@ class TestClosedLoop:
         # infinity used to raise OverflowError and NaN "cannot convert float NaN"
         kwargs = {"duration": 1.0, "control_dt": 0.02, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                             substeps=1, veh=VEH, env=ENV, **kwargs)
 
     @pytest.mark.parametrize("x0", [
@@ -375,17 +373,17 @@ class TestClosedLoop:
         np.zeros((12, 1))])
     def test_rejects_bad_start_state(self, x0):
         with pytest.raises(ValueError, match="x0 must be a finite 12-vector"):
-            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                             duration=1.0, control_dt=0.02, substeps=1,
                             veh=VEH, env=ENV, x0=x0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                             duration=0.0, control_dt=0.02, substeps=1,
                             veh=VEH, env=ENV)
         with pytest.raises(ValueError):
-            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                             duration=1.0, control_dt=0.02, substeps=0,
                             veh=VEH, env=ENV)
 
@@ -469,7 +467,7 @@ class TestMetrics:
 
 class TestCsv:
     def test_header_and_row_count(self, tmp_path):
-        log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), None,
+        log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                               duration=0.2, control_dt=0.02, substeps=1,
                               veh=VEH, env=ENV)
         path = tmp_path / "log.csv"
