@@ -19,7 +19,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, config_snapshot, derived_report, load_config
+from .config import (CONTROLLERS, ConfigError, ScenarioConfig, config_snapshot, derived_report,
+                     load_config)
 from .linmodel import discretize, linearize_hover
 from .mpc import MpcController, QpMaxIterations
 from .pid import PidController
@@ -35,8 +36,6 @@ _METRIC_ROWS = (
     ("control effort", "control_effort"),
     ("constraint violations", "constraint_violations"),
 )
-# the controllers each ``sim.controller`` choice runs, in run order
-_KINDS = {"mpc": ("mpc",), "pid": ("pid",), "both": ("mpc", "pid")}
 
 
 def make_controller(kind: str, cfg: ScenarioConfig):
@@ -95,7 +94,7 @@ def _cmd_run(args) -> int:
     outdir = _outdir(args.out, cfg)
 
     results = {}
-    for kind in _KINDS[cfg.sim.controller]:
+    for kind in CONTROLLERS[cfg.sim.controller]:
         try:
             _, results[kind] = run_scenario(cfg, kind, outdir)
         except NumericalDivergence as err:
@@ -129,7 +128,7 @@ def _sweep_worker(task):
     cfg, outdir = task
     try:
         summary = {kind: run_scenario(cfg, kind, outdir)[1].as_dict()
-                   for kind in _KINDS[cfg.sim.controller]}
+                   for kind in CONTROLLERS[cfg.sim.controller]}
     except Exception as err:  # worker errors must not kill the pool
         return None, f"{type(err).__name__}: {err}"
     return cfg.name, summary
@@ -180,7 +179,7 @@ def main(argv=None) -> int:
                        help="override a config value")
     p_run.add_argument("--out", help="output directory (default from [sim] outdir)")
     p_run.add_argument("--seed", type=int, help="override the run seed (as --set sim.seed=N)")
-    p_run.add_argument("--controller", choices=["mpc", "pid", "both"],
+    p_run.add_argument("--controller", choices=CONTROLLERS,
                        help="override the configured controller (as --set sim.controller=X)")
     p_run.set_defaults(func=_cmd_run)
 

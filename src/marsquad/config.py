@@ -9,7 +9,7 @@ directory alone.
 
 One table per section holds its keys, their order, their types and their
 defaults, and it is derived from the section's default object: the fields
-of ``MARS``, ``VehicleParams.default()``, ``MpcConfig.default`` (less the
+of ``MARS``, ``VehicleParams()``, ``MpcConfig.default`` (less the
 input box, which comes from the vehicle), ``PidGains()``, ``Disturbance()``
 and ``SimSettings()``, and each trajectory factory's signature. A value
 parses as the type of its default, and a number must be finite. The schema
@@ -32,8 +32,11 @@ from .pid import PidGains
 from .simulator import Disturbance, Pulse
 from .trajectories import TRAJECTORIES, RefGenerator
 
-__all__ = ["ConfigError", "SimSettings", "ScenarioConfig", "load_config",
+__all__ = ["CONTROLLERS", "ConfigError", "SimSettings", "ScenarioConfig", "load_config",
            "parse_overrides", "config_snapshot", "derived_report"]
+
+# each ``sim.controller`` choice -> the controllers it runs, in run order
+CONTROLLERS = {"mpc": ("mpc",), "pid": ("pid",), "both": ("mpc", "pid")}
 
 
 class ConfigError(ValueError):
@@ -46,7 +49,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimSettings:
-    controller: str = "mpc"        # mpc | pid | both
+    controller: str = "mpc"        # a key of CONTROLLERS
     duration: float = 20.0         # s
     control_dt: float = 0.02       # s
     substeps: int = 10
@@ -55,14 +58,18 @@ class SimSettings:
     transient_skip: float = 0.0    # s excluded from the RMS metric
 
     def __post_init__(self):
-        if self.controller not in ("mpc", "pid", "both"):
-            raise ValueError(f"controller must be mpc, pid, or both, got {self.controller!r}")
-        if not (0.0 < self.duration < math.inf and 0.0 < self.control_dt < math.inf):
-            raise ValueError("duration and control_dt must be finite and > 0")
+        if self.controller not in CONTROLLERS:
+            raise ValueError(f"controller must be in {list(CONTROLLERS)}, got {self.controller!r}")
+        if not (0.0 < self.duration < math.inf and 0.0 < self.control_dt < math.inf
+                and self.duration / self.control_dt < math.inf):
+            raise ValueError("duration and control_dt must be finite and > 0, with a finite ratio")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if not 0.0 <= self.transient_skip < math.inf:
-            raise ValueError(f"transient_skip must be finite and >= 0, got {self.transient_skip}")
+        # the last logged sample, on the grid run_closed_loop steps
+        last = (math.ceil(self.duration / self.control_dt) - 1) * self.control_dt
+        if not 0.0 <= self.transient_skip <= last:
+            raise ValueError("transient_skip must be finite, >= 0 and at most the last sample "
+                             f"time {last}, got {self.transient_skip}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -127,7 +134,6 @@ def _dist_build(values: dict) -> Disturbance:
 
 
 _PROFILES = {"mars": par.MARS, "earth": par.EARTH}
-_VEHICLE_DEFAULT = par.VehicleParams.default()
 # each trajectory type's parameters and defaults: its factory's signature
 _TRAJ_PARAMS = {kind: {p.name: p.default for p in inspect.signature(factory).parameters.values()}
                 for kind, factory in TRAJECTORIES.items()}
@@ -136,9 +142,9 @@ _TRAJ_PARAMS = {kind: {p.name: p.default for p in inspect.signature(factory).par
 _TABLES = {
     "scenario": {"description": ""},
     "environment": _fields(par.MARS),
-    "vehicle": _fields(_VEHICLE_DEFAULT),
+    "vehicle": _fields(par.VehicleParams()),
     # the input box is not a key: MpcConfig.default takes it from [vehicle]
-    "mpc": {k: v for k, v in _fields(MpcConfig.default(_VEHICLE_DEFAULT)).items()
+    "mpc": {k: v for k, v in _fields(MpcConfig.default(par.VehicleParams())).items()
             if k not in ("u_min", "u_max")},
     "pid": _fields(PidGains()),
     "trajectory": {k: v for params in _TRAJ_PARAMS.values() for k, v in params.items()},
@@ -274,7 +280,7 @@ def load_config(path, overrides=()) -> ScenarioConfig:
     else:
         r.problems.append(f"environment.profile must be one of {sorted(_PROFILES)}, "
                           f"got {profile!r}")
-    veh = r.build("vehicle", lambda v: replace(_VEHICLE_DEFAULT, **v), prefix=False)
+    veh = r.build("vehicle", lambda v: par.VehicleParams(**v), prefix=False)
     if veh is not None:
         mpc_cfg = r.build("mpc", lambda v: MpcConfig.default(veh, **v))
     pid_gains = r.build("pid", lambda v: PidGains(**v))

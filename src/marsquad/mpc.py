@@ -503,10 +503,9 @@ class MpcController:
     built on demand; a closed loop builds only P^-1's, for its first
     box-active step.
 
-    The law is built with the controller (about 0.3 ms at N = 60), so a
-    box-inactive step costs the input checks, the law's three products and
-    one ``hessian_op`` product for the warm-start test: a median of about
-    70 us in-process at N = 60 on a 2-core VM.
+    The law is built with the controller, so a box-inactive step costs the
+    input checks, the law's three products and one ``hessian_op`` product
+    for the warm-start test.
     """
 
     def __init__(self, model: LinearModel, cfg: MpcConfig, veh: VehicleParams,

@@ -98,45 +98,29 @@ class VehicleParams:
     pair (eight actuators). ``thrust_coeff`` maps squared rotor speed to
     thrust per rotor, ``torque_coeff`` maps it to reaction torque about the
     vertical axis. ``linear_drag`` is an optional translational drag
-    coefficient; zero disables the term.
+    coefficient; zero disables the term. The field defaults are the default craft.
     """
 
-    mass: float          # kg
-    arm_length: float    # m, rotor hub to center of gravity
-    rotor_radius: float  # m
-    inertia_xx: float    # kg m^2
-    inertia_yy: float    # kg m^2
-    inertia_zz: float    # kg m^2
-    rotor_inertia: float  # kg m^2, rotational inertia of one rotor
-    thrust_coeff: float  # N s^2/rad^2
-    torque_coeff: float  # N m s^2/rad^2
-    linear_drag: float   # N s/m, 0 disables translational drag
-    max_rotor_speed: float  # rad/s, per-rotor ceiling
+    # The thrust coefficient is calibrated from a 15.67 N coaxial-pair force
+    # measurement at 2800 rpm. 1.12 m blade span gives a 0.56 m radius,
+    # which keeps the tip subsonic on Mars over the whole speed range
+    # (see README).
+    mass: float = 12.0           # kg
+    arm_length: float = 1.3      # m, rotor hub to center of gravity
+    rotor_radius: float = 0.56   # m
+    inertia_xx: float = 1.2      # kg m^2
+    inertia_yy: float = 1.2      # kg m^2
+    inertia_zz: float = 2.2      # kg m^2
+    rotor_inertia: float = 0.02  # kg m^2, rotational inertia of one rotor
+    thrust_coeff: float = 9.11e-5  # N s^2/rad^2
+    # a typical thrust-to-torque ratio, 0.1 * thrust_coeff * rotor_radius,
+    # to five digits
+    torque_coeff: float = 5.1016e-6  # N m s^2/rad^2
+    linear_drag: float = 0.0     # N s/m, 0 disables translational drag
+    max_rotor_speed: float = rpm_to_rad_s(2800.0)  # rad/s, per-rotor ceiling
 
     def __post_init__(self):
         _require_positive(self, allow_zero=("linear_drag",))
-
-    @classmethod
-    def default(cls) -> "VehicleParams":
-        # Thrust coefficient calibrated from a 15.67 N coaxial-pair force
-        # measurement at 2800 rpm. 1.12 m blade span gives a 0.56 m radius,
-        # which keeps the tip subsonic on Mars over the whole speed range
-        # (see README).
-        return cls(
-            mass=12.0,
-            arm_length=1.3,
-            rotor_radius=0.56,
-            inertia_xx=1.2,
-            inertia_yy=1.2,
-            inertia_zz=2.2,
-            rotor_inertia=0.02,
-            thrust_coeff=9.11e-5,
-            # a typical thrust-to-torque ratio, 0.1 * thrust_coeff *
-            # rotor_radius, to five digits
-            torque_coeff=5.1016e-6,
-            linear_drag=0.0,
-            max_rotor_speed=rpm_to_rad_s(2800.0),
-        )
 
 
 def speed_of_sound(env: EnvParams) -> float:

@@ -58,8 +58,8 @@ class PidGains:
             g = getattr(self, f.name)
             if not (g >= 0 and math.isfinite(g)):
                 raise ValueError(f"{f.name} must be finite and >= 0, got {g}")
-        if self.integrator_limit <= 0:
-            raise ValueError("integrator_limit must be > 0")
+        if not 0.0 < self.integrator_limit < math.inf:
+            raise ValueError(f"integrator_limit must lie in (0, inf), got {self.integrator_limit}")
         if not 0.0 < self.max_tilt <= math.pi / 4:
             raise ValueError("max_tilt must lie in (0, pi/4]")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -135,11 +135,15 @@ class SimLog:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Tracking quality summary of a run."""
+    """Tracking quality summary of a run; its fields are ``metrics.json``'s keys."""
 
     rms_position_error: float          # m, 3D, after the transient window
-    max_overshoot_m: tuple             # per axis (x, y, z), m
-    max_overshoot_pct: tuple           # per axis, percent of step size
+    max_overshoot_x_m: float           # m along the step; largest deviation on no step
+    max_overshoot_y_m: float
+    max_overshoot_z_m: float
+    max_overshoot_x_pct: float         # percent of the step size; 0 on no step
+    max_overshoot_y_pct: float
+    max_overshoot_z_pct: float
     settling_time: float               # s, 2 percent band; inf if never settles
     steady_state_error: float          # m, worst axis over the last 10 percent
     control_effort: float              # sum |u - u_hover|^2 * dt
@@ -148,19 +152,7 @@ class Metrics:
     constraint_violations: int
 
     def as_dict(self) -> dict:
-        return {
-            "rms_position_error": self.rms_position_error,
-            "max_overshoot_x_m": self.max_overshoot_m[0],
-            "max_overshoot_y_m": self.max_overshoot_m[1],
-            "max_overshoot_z_m": self.max_overshoot_m[2],
-            "max_overshoot_x_pct": self.max_overshoot_pct[0],
-            "max_overshoot_y_pct": self.max_overshoot_pct[1],
-            "max_overshoot_z_pct": self.max_overshoot_pct[2],
-            "settling_time": self.settling_time,
-            "steady_state_error": self.steady_state_error,
-            "control_effort": self.control_effort,
-            "constraint_violations": self.constraint_violations,
-        }
+        return asdict(self)
 
 
 class NumericalDivergence(RuntimeError):
@@ -321,25 +313,16 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
     return partial(n_steps)
 
 
-def _axis_overshoot(trace: np.ndarray, start: float, final_ref: float):
-    """Overshoot past the final reference along the approach direction."""
-    step = final_ref - start
-    if abs(step) < 1e-9:
-        dev = float(np.max(np.abs(trace - final_ref)))
-        return dev, 0.0
-    direction = math.copysign(1.0, step)
-    over = float(np.max((trace - final_ref) * direction))
-    over = max(over, 0.0)
-    return over, 100.0 * over / abs(step)
-
-
 def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
     """Quantify tracking quality; see ``Metrics`` for the field definitions.
 
     Overshoot and settling are measured per axis against the final
-    reference value, which reads naturally for step segments. The RMS
-    excludes the first ``transient_skip`` seconds. Effort and box count read
-    the ``log.meta`` entries ``run_closed_loop`` writes.
+    reference value, which reads naturally for step segments. An axis steps
+    when that value is 1e-6 m or more from its start; one that does not
+    reports its largest deviation and 0 percent and is left out of the
+    settling time. The RMS excludes the first ``transient_skip`` seconds and
+    raises ``ValueError`` when that leaves no sample. Effort and box count
+    read the ``log.meta`` entries ``run_closed_loop`` writes.
     """
     if len(log) == 0:
         raise ValueError("cannot compute metrics of an empty log")
@@ -349,33 +332,28 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
 
     keep = t >= t[0] + transient_skip
     if not np.any(keep):
-        keep = np.ones_like(t, dtype=bool)
+        raise ValueError(f"transient_skip {transient_skip} s leaves no sample of the log")
     err = pos[keep] - ref[keep]
     rms = float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
-    final_ref = ref[-1]
-    start = pos[0]
-    overshoot_m = []
-    overshoot_pct = []
-    for a in range(3):
-        m, pct = _axis_overshoot(pos[:, a], start[a], final_ref[a])
-        overshoot_m.append(m)
-        overshoot_pct.append(pct)
-
-    # settling: 2 percent of the step size on every axis that actually steps
+    # per axis: overshoot and, on an axis that steps, settling to 2 percent of the step
+    overshoot = {}
     settling = 0.0
-    for a in range(3):
-        step = final_ref[a] - start[a]
+    for a, axis in enumerate("xyz"):
+        step = ref[-1, a] - pos[0, a]
+        dev = pos[:, a] - ref[-1, a]
         if abs(step) < 1e-6:
-            continue
-        band = 0.02 * abs(step)
-        outside = np.abs(pos[:, a] - final_ref[a]) > band
-        if outside[-1]:
-            settling = math.inf
-            break
-        last_out = np.nonzero(outside)[0]
-        if len(last_out):
-            settling = max(settling, t[min(last_out[-1] + 1, len(t) - 1)] - t[0])
+            over, pct = float(np.max(np.abs(dev))), 0.0
+        else:
+            over = max(float(np.max(dev * math.copysign(1.0, step))), 0.0)
+            pct = 100.0 * over / abs(step)
+            outside = np.abs(dev) > 0.02 * abs(step)
+            if outside[-1]:
+                settling = math.inf
+            elif outside.any():
+                settling = max(settling, t[np.nonzero(outside)[0][-1] + 1] - t[0])
+        overshoot[f"max_overshoot_{axis}_m"] = over
+        overshoot[f"max_overshoot_{axis}_pct"] = pct
 
     tail = max(1, int(0.1 * len(t)))
     sse = float(np.max(np.abs(pos[-tail:] - ref[-tail:])))
@@ -388,8 +366,7 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
 
     return Metrics(
         rms_position_error=rms,
-        max_overshoot_m=tuple(overshoot_m),
-        max_overshoot_pct=tuple(overshoot_pct),
+        **overshoot,
         settling_time=settling,
         steady_state_error=sse,
         control_effort=effort,

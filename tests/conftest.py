@@ -16,7 +16,7 @@ def env():
 
 @pytest.fixture(scope="session")
 def veh():
-    return params.VehicleParams.default()
+    return params.VehicleParams()
 
 
 @pytest.fixture(scope="session")

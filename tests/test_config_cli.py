@@ -80,7 +80,7 @@ def assert_same(a, b):
 class TestLoading:
     def test_minimal_config_uses_defaults(self, minimal_cfg):
         cfg = load_config(minimal_cfg)
-        assert cfg.veh.mass == params.VehicleParams.default().mass
+        assert cfg.veh.mass == params.VehicleParams().mass
         assert cfg.env == params.MARS
         assert cfg.sim.duration == 1.0
         assert cfg.mpc.horizon >= 1
@@ -178,6 +178,27 @@ class TestLoading:
         # a NaN transient_skip used to make compute_metrics average the whole run
         with pytest.raises(ValueError, match="must be finite"):
             SimSettings(**{key: value})
+
+    @pytest.mark.parametrize("duration, skip", [(1.0, 5.0), (1.0, 1.0), (1.0, 0.99),
+                                                (20.0, 20.0)])
+    def test_sim_settings_reject_skip_past_the_run(self, duration, skip):
+        # the last sample of a 1 s run at 0.02 s is at 0.98 s
+        with pytest.raises(ValueError, match="transient_skip must be .* at most the last sample"):
+            SimSettings(duration=duration, transient_skip=skip)
+
+    def test_sim_settings_reject_a_step_count_that_overflows(self):
+        # the run's step count, ceil(duration / control_dt), must be a number
+        with pytest.raises(ValueError, match="finite ratio"):
+            SimSettings(duration=1e300, control_dt=1e-300)
+
+    def test_sim_settings_accept_skip_to_the_last_sample(self):
+        sim = SimSettings(duration=1.0, transient_skip=0.98)
+        t = np.arange(math.ceil(sim.duration / sim.control_dt)) * sim.control_dt
+        assert np.count_nonzero(t >= sim.transient_skip) == 1
+
+    def test_shortened_run_inside_the_shipped_transient_window_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[sim\] transient_skip"):
+            load_config(scenario_path("helix"), ["sim.duration=6"])
 
     @pytest.mark.parametrize("key, raw, problem", [
         ("mpc.position_weight", "-1", "position_weight must be >= 0, got -1.0"),
@@ -326,7 +347,7 @@ class TestShippedScenarios:
     @pytest.mark.parametrize("name", scenario_names())
     def test_scenario_flies_the_default_craft_and_tuning(self, name):
         cfg = load_config(scenario_path(name))
-        assert cfg.veh == params.VehicleParams.default()
+        assert cfg.veh == params.VehicleParams()
         assert cfg.pid == PidGains()
         assert cfg.mpc == MpcConfig.default(cfg.veh)
 
@@ -427,6 +448,16 @@ class TestCli:
         assert rc == 0
         assert_table_shows(capsys.readouterr().out, out / "minimal", ["mpc", "pid"])
         assert (out / "minimal" / "pid" / "log.csv").is_file()
+
+    def test_controller_choices_are_the_settings_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--help"])
+        choices = re.search(r"--controller \{([^}]*)\}", capsys.readouterr().out)[1].split(",")
+        assert choices == list(config.CONTROLLERS)
+        for choice in choices:
+            assert SimSettings(controller=choice).controller == choice
+        with pytest.raises(ValueError, match="controller must be in"):
+            SimSettings(controller="lqr")
 
     def test_controller_flag_is_recorded_in_snapshot(self, tmp_path):
         path = tmp_path / "either.cfg"

@@ -10,7 +10,7 @@ from marsquad.dynamics import (AllocationInfeasible, AllocationSaturated, alloca
                                state_derivative, wrap_angle, wrench_from_rotors)
 
 ENV = params.MARS
-VEH = params.VehicleParams.default()
+VEH = params.VehicleParams()
 
 small = st.floats(-1.0, 1.0)
 

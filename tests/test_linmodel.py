@@ -9,7 +9,7 @@ from marsquad import dynamics, linmodel, params
 from marsquad.linmodel import discretize, linearize_hover, numeric_jacobian
 
 ENV = params.MARS
-VEH = params.VehicleParams.default()
+VEH = params.VehicleParams()
 
 
 def series_expm(a: np.ndarray, t: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from marsquad.mpc import (MpcConfig, MpcController, QpMaxIterations, build_cost,
 from marsquad.scenarios import scenario_path
 
 ENV = params.MARS
-VEH = params.VehicleParams.default()
+VEH = params.VehicleParams()
 
 
 def small_cfg(horizon=1, **kw):

@@ -92,7 +92,7 @@ class TestHover:
         assert hover_speed(veh, env) == pytest.approx(247.2, abs=0.5)
 
     def test_normalized_coefficient(self, env):
-        veh = VehicleParams.default()
+        veh = VehicleParams()
         veh = type(veh)(**{**veh.__dict__,
                            "thrust_coeff": veh.mass * env.gravity / 8.0})
         assert hover_speed(veh, env) == pytest.approx(1.0, abs=1e-12)
@@ -121,19 +121,26 @@ class TestInvariants:
             EnvParams(**{**MARS.__dict__, "gamma": 2.5})
 
     def test_vehicle_rejects_nonpositive_mass(self):
-        base = VehicleParams.default().__dict__
+        base = VehicleParams().__dict__
         with pytest.raises(ValueError, match="mass"):
             VehicleParams(**{**base, "mass": -1.0})
 
+    def test_default_craft_is_the_readme_vehicle(self):
+        veh = VehicleParams()
+        assert (veh.mass, veh.arm_length, veh.rotor_radius, veh.thrust_coeff,
+                veh.torque_coeff, veh.linear_drag) == (12.0, 1.3, 0.56, 9.11e-5, 5.1016e-6, 0.0)
+        assert veh.max_rotor_speed == rpm_to_rad_s(2800.0)
+        assert veh.torque_coeff == round(0.1 * veh.thrust_coeff * veh.rotor_radius, 10)
+
     def test_vehicle_allows_zero_linear_drag(self):
-        veh = VehicleParams.default()
+        veh = VehicleParams()
         assert veh.linear_drag == 0.0
 
     def test_default_vehicle_is_feasible_on_mars(self, veh, env):
         assert check_rotor_feasible(veh, env) < 1.0
 
     def test_supersonic_tip_rejected(self, env):
-        base = VehicleParams.default().__dict__
+        base = VehicleParams().__dict__
         fast = VehicleParams(**{**base, "max_rotor_speed": rpm_to_rad_s(5000.0)})
         with pytest.raises(ValueError, match="[Mm]ach"):
             check_rotor_feasible(fast, env)

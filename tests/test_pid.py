@@ -10,7 +10,7 @@ from marsquad.pid import PidController, PidGains, pid_step
 from marsquad.trajectories import constant_ref
 
 ENV = params.MARS
-VEH = params.VehicleParams.default()
+VEH = params.VehicleParams()
 U_HOVER = dynamics.hover_command(VEH, ENV)
 
 ZERO_GAINS = PidGains(**{f"{axis}_{k}": 0.0 for axis in ("x", "y", "z", "roll", "pitch", "yaw")
@@ -117,6 +117,12 @@ class TestGainValidation:
     def test_rejects_nonpositive_integrator_limit(self):
         with pytest.raises(ValueError):
             dataclasses.replace(ZERO_GAINS, integrator_limit=0.0)
+
+    @pytest.mark.parametrize("limit", [math.nan, math.inf])
+    def test_rejects_nonfinite_integrator_limit(self, limit):
+        # the anti-windup clamp to [-limit, limit] would leave the integrators unbounded
+        with pytest.raises(ValueError, match=f"integrator_limit .* got {limit}"):
+            dataclasses.replace(ZERO_GAINS, integrator_limit=limit)
 
 
 class TestControllerSurface:

@@ -16,7 +16,7 @@ from marsquad.simulator import (CSV_COLUMNS, Disturbance, Metrics, NumericalDive
 from marsquad.trajectories import constant_ref, helix_ref, ref_window, square_ref
 
 ENV = params.MARS
-VEH = params.VehicleParams.default()
+VEH = params.VehicleParams()
 U_HOVER = dynamics.hover_command(VEH, ENV)
 W_HOVER = dynamics.wrench_from_rotors(U_HOVER, VEH)
 W_OFF = dynamics.wrench_from_rotors(np.zeros(8), VEH)  # every rotor stopped
@@ -412,7 +412,7 @@ class TestMetrics:
         ref = np.column_stack([np.ones_like(t), np.zeros_like(t), np.ones_like(t)])
         m = compute_metrics(synthetic_log(t, ref.copy(), ref))
         assert m.rms_position_error == 0.0
-        assert max(m.max_overshoot_m) == 0.0
+        assert m.max_overshoot_x_m == m.max_overshoot_y_m == m.max_overshoot_z_m == 0.0
         assert m.settling_time == 0.0
         assert m.control_effort == 0.0
 
@@ -424,8 +424,8 @@ class TestMetrics:
         pos[0, 0] = 0.0          # starts at zero, steps to one
         pos[50, 0] = 1.2         # peaks at 1.2
         m = compute_metrics(synthetic_log(t, pos, ref))
-        assert m.max_overshoot_m[0] == pytest.approx(0.2)
-        assert m.max_overshoot_pct[0] == pytest.approx(20.0)
+        assert m.max_overshoot_x_m == pytest.approx(0.2)
+        assert m.max_overshoot_x_pct == pytest.approx(20.0)
 
     def test_constant_offset_rms(self):
         t = np.arange(0, 5, 0.1)
@@ -435,6 +435,21 @@ class TestMetrics:
         m = compute_metrics(synthetic_log(t, pos, ref))
         assert m.rms_position_error == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("axis", range(3))
+    def test_sub_micron_step_does_not_step(self, axis):
+        # 1e-7 m is below the 1e-6 m step rule: largest deviation and 0 percent
+        t = np.arange(0, 10, 0.1)
+        ref = np.zeros((len(t), 3))
+        ref[:, axis] = 1e-7
+        pos = np.zeros((len(t), 3))
+        pos[20, axis] = -5e-7    # 6e-7 below the final reference
+        pos[50, axis] = 3e-7     # 2e-7 past it
+        m = compute_metrics(synthetic_log(t, pos, ref)).as_dict()
+        name = "xyz"[axis]
+        assert m[f"max_overshoot_{name}_m"] == pytest.approx(6e-7)
+        assert m[f"max_overshoot_{name}_pct"] == 0.0
+        assert m["settling_time"] == 0.0
+
     def test_transient_exclusion(self):
         t = np.arange(0, 10, 0.1)
         ref = np.zeros((len(t), 3))
@@ -442,6 +457,15 @@ class TestMetrics:
         pos[t < 2.0, 0] = 1.0  # error only during the first two seconds
         m = compute_metrics(synthetic_log(t, pos, ref), transient_skip=2.0)
         assert m.rms_position_error == 0.0
+
+    @pytest.mark.parametrize("skip", [9.95, 10.0, 1e3])
+    def test_transient_window_past_the_log_rejected(self, skip):
+        # the last sample is at 9.9 s; the RMS used to fall back to every sample
+        t = np.arange(0, 10, 0.1)
+        ref = np.zeros((len(t), 3))
+        pos = ref + 0.5
+        with pytest.raises(ValueError, match="transient_skip .* leaves no sample"):
+            compute_metrics(synthetic_log(t, pos, ref), transient_skip=skip)
 
     def test_settling_time_two_percent_band(self):
         t = np.arange(0, 10, 0.01)

@@ -31,6 +31,22 @@ class TestConstant:
             constant_ref(math.nan, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("factory, name, value", [
+    (constant_ref, "y", math.inf),
+    (helix_ref, "radius", math.nan),
+    (helix_ref, "radius", math.inf),
+    (helix_ref, "angular_rate", math.nan),
+    (helix_ref, "climb_rate", math.inf),
+    (square_ref, "side", math.nan),
+    (square_ref, "side", math.inf),
+    (square_ref, "edge_duration", math.inf),
+    (square_ref, "altitude", math.nan),
+])
+def test_nonfinite_parameter_rejected_by_name(factory, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        factory(**{name: value})
+
+
 class TestHelix:
     def test_start_point(self):
         g = helix_ref()
