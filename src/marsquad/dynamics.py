@@ -121,13 +121,15 @@ def wrench_from_rotors(omega_sq: np.ndarray, veh: VehicleParams) -> Wrench:
 
     Thrust and moments are ``mixer_matrix(veh) @ omega_sq``; the net rotor
     speed is the spin-signed sum of the rotor speeds. A symmetric command
-    yields exactly zero roll and pitch moments.
+    yields exactly zero roll and pitch moments. A NaN, infinite or negative
+    entry raises ``ValueError``.
     """
     w = np.asarray(omega_sq, dtype=float)
     if w.shape != (N_ROTORS,):
         raise ValueError(f"expected {N_ROTORS} squared rotor speeds, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("squared rotor speeds must be >= 0")
+    # min and max propagate NaN, which fails every comparison
+    if not 0.0 <= w.min() <= w.max() < math.inf:
+        raise ValueError(f"squared rotor speeds must be finite and >= 0, got {w.tolist()}")
     mixer, spin, _ = _mixer(veh)
     # products summed per row rather than a BLAS matvec: a fused multiply-add
     # would leave a rounding residue where opposing arms cancel exactly
@@ -146,14 +148,14 @@ def allocate(target: np.ndarray, veh: VehicleParams) -> np.ndarray:
     w = np.asarray(target, dtype=float)
     if w.shape != (4,):
         raise ValueError(f"expected a 4-vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("target wrench must be finite")
     if w[0] < 0:
         raise AllocationInfeasible(f"collective thrust must be >= 0, got {w[0]}")
     omega_sq = _mixer(veh)[2] @ w
     hi = veh.max_rotor_speed ** 2
-    clipped = np.clip(omega_sq, 0.0, hi)
-    if np.any(clipped != omega_sq):
+    clipped = omega_sq.clip(0.0, hi)
+    if (clipped != omega_sq).any():
         raise AllocationSaturated(clipped)
     return omega_sq
 

@@ -357,13 +357,13 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError("bounds must match the gradient length")
-    if np.any(lower > upper):
+    if (lower > upper).any():
         raise ValueError("lower bound exceeds upper bound")
     tol = _tolerance(g, cfg)
     inverse = h.inverse() if isinstance(h, BlockMatrix) else None
     z = None if inverse is None else inverse @ g  # the unconstrained optimum is -z
 
-    x = np.clip(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float), lower, upper)
+    x = (np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)).clip(lower, upper)
     x[~np.isfinite(x)] = 0.0
 
     grad = h @ x + g
@@ -382,10 +382,10 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
         free = ~clamped
         if inverse is None:
             rhs = g[free].copy()
-            if np.any(clamped):
+            if clamped.any():
                 rhs += h[np.ix_(free, clamped)] @ x[clamped]
             target_free = -_spd_solve(h[np.ix_(free, free)], rhs, "QP Hessian")
-        elif np.any(clamped):
+        elif clamped.any():
             rows = inverse.dense()[clamped]  # by symmetry, H^-1's clamped columns as rows
             lam = _spd_solve(rows[:, clamped], x[clamped] + z[clamped], "QP Hessian inverse")
             target_free = (lam @ rows - z)[free]
@@ -401,7 +401,7 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
 
         step = 1.0
         for _ in range(40):
-            cand = np.clip(x + step * step_dir, lower, upper)
+            cand = (x + step * step_dir).clip(lower, upper)
             cand_grad = h @ cand + g
             cand_val = 0.5 * cand @ (cand_grad + g)
             if cand_val <= value + 0.1 * step * descent:
@@ -418,7 +418,7 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
 
 def _tolerance(g: np.ndarray, cfg: MpcConfig) -> float:
     """``solve_qp``'s tolerance ``qp_tol * max(1, max|g|)``; ``ValueError`` unless g is finite."""
-    scale = float(np.max(np.abs(g))) if g.size else 0.0
+    scale = float(np.abs(g).max()) if g.size else 0.0
     if not math.isfinite(scale):
         raise ValueError("QP gradient must be finite")
     return cfg.qp_tol * max(1.0, scale)
@@ -426,7 +426,7 @@ def _tolerance(g: np.ndarray, cfg: MpcConfig) -> float:
 
 def _residual(x: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
     """``solve_qp``'s residual, the projected gradient's largest entry at x."""
-    return float(np.max(np.abs(x - np.clip(x - grad, lower, upper)))) if x.size else 0.0
+    return float(np.abs(x - (x - grad).clip(lower, upper)).max()) if x.size else 0.0
 
 
 def _spd_solve(a: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
@@ -473,13 +473,13 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
         du_seq, iters, status = warm, 0, "warm_start"
     else:
         du_seq = optimum
-        if np.all(lower <= du_seq) and np.all(du_seq <= upper):
+        if (lower <= du_seq).all() and (du_seq <= upper).all():
             iters, status = 1, "unconstrained"
         else:
             du_seq, info = solve_qp(ctrl.hessian_op, g, lower, upper, cfg, x0=warm)
             iters, status = info["iterations"], info["status"]
 
-    u = np.clip(ctrl.model.u_ref + du_seq[:N_ROTORS], ctrl.u_min, ctrl.u_max)
+    u = (ctrl.model.u_ref + du_seq[:N_ROTORS]).clip(ctrl.u_min, ctrl.u_max)
     ctrl.u_prev = u.copy()
     ctrl.warm_start = np.concatenate([du_seq[N_ROTORS:], du_seq[-N_ROTORS:]])
     ctrl.last_qp_iters = iters

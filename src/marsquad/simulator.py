@@ -1,16 +1,15 @@
 """Fixed-step closed-loop simulation, disturbance injection, logging, metrics.
 
 The plant integrates with classical RK4 at ``control_dt / substeps`` while
-the controller output is held between samples. A substep is straight-line
-code on Python floats: the state is unpacked into locals once, the
-disturbance is sampled once, the equations of motion are bound to the
-wrench and that sample once (``dynamics.equations_of_motion``) and
-called for the four stages, stages 2-4 are formed only for the nine states
-those equations read, and the twelve combinations, the angle wrap and the
-envelope check are written out before one array is returned. Each float
-operation is the IEEE operation numpy would do elementwise, in the same
-order, so the floats give the array formula's result bit for bit. The
-logged reference is sampled for the whole run in one ``ref_window`` call.
+the controller output is held between samples. The loop holds the state as
+Python floats over a control step's substeps, builds one array per step, and
+binds the equations of motion (``dynamics.equations_of_motion``) to the held
+wrench and disturbance sample only when the sample changes. A substep is
+straight-line code on those floats: stages 2-4 are formed only for the nine
+states the equations read; the twelve combinations, the angle wrap and the
+envelope check are written out. Each float operation is the IEEE operation
+numpy would do elementwise, in the same order, so the floats give the array
+formula's result bit for bit.
 
 Runs are deterministic: a given configuration and seed always produce the
 same log, and the CSV writer prints floats at 17 significant digits so
@@ -167,18 +166,14 @@ def _magnitude_exceeded(t: float) -> NumericalDivergence:
     return NumericalDivergence(f"state magnitude exceeded {_STATE_LIMIT:g} at t={t:.3f}")
 
 
-def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
-             veh: VehicleParams, env: EnvParams,
-             dist: Disturbance = Disturbance(), t: float = 0.0,
-             rng: np.random.Generator | None = None) -> np.ndarray:
-    """Classical RK4 step with the rotor wrench and disturbance held constant.
+def rk4_step(state: tuple, accelerations, dt: float, t: float) -> tuple:
+    """One classical RK4 substep of length ``dt`` from time ``t``; a 12-tuple.
 
-    ``wrench`` is the ``dynamics.Wrench`` of the held command, as
-    ``dynamics.wrench_from_rotors`` gives it once for all the substeps of a
-    control step. The disturbance (none by default) is sampled once at
-    the step start and always added, matching the piecewise-constant
-    actuation model. Angles are re-wrapped
-    afterwards and the envelope check raises ``NumericalDivergence`` on
+    ``state`` is the 12-state as floats and ``accelerations`` the equations
+    of motion bound to the held wrench and disturbance sample, as
+    ``dynamics.equations_of_motion`` returns them, matching the
+    piecewise-constant actuation model. Angles are re-wrapped afterwards
+    and the envelope check raises ``NumericalDivergence`` at ``t + dt`` on
     blow-up, as does a state with an infinite angle. The arithmetic runs on
     floats in the order of the array formula ``s + dt/6 (k1 + 2 k2 + 2 k3 +
     k4)``, so the result is bitwise that formula's. Stages 2-4 are formed
@@ -187,24 +182,23 @@ def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = np.asarray(state, dtype=float).tolist()
-    f = dynamics.equations_of_motion(wrench, veh, env, *dist.sample(t, rng))
+    x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = state
 
     half = 0.5 * dt
     try:
-        ax1, ay1, az1, pd1, qd1, rd1 = f(vx, vy, vz, phi, theta, psi, p, q, r)
+        ax1, ay1, az1, pd1, qd1, rd1 = accelerations(vx, vy, vz, phi, theta, psi, p, q, r)
         vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
         p2, q2, r2 = p + half * pd1, q + half * qd1, r + half * rd1
-        ax2, ay2, az2, pd2, qd2, rd2 = f(vx2, vy2, vz2, phi + half * p, theta + half * q,
-                                         psi + half * r, p2, q2, r2)
+        ax2, ay2, az2, pd2, qd2, rd2 = accelerations(
+            vx2, vy2, vz2, phi + half * p, theta + half * q, psi + half * r, p2, q2, r2)
         vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
         p3, q3, r3 = p + half * pd2, q + half * qd2, r + half * rd2
-        ax3, ay3, az3, pd3, qd3, rd3 = f(vx3, vy3, vz3, phi + half * p2, theta + half * q2,
-                                         psi + half * r2, p3, q3, r3)
+        ax3, ay3, az3, pd3, qd3, rd3 = accelerations(
+            vx3, vy3, vz3, phi + half * p2, theta + half * q2, psi + half * r2, p3, q3, r3)
         vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
         p4, q4, r4 = p + dt * pd3, q + dt * qd3, r + dt * rd3
-        ax4, ay4, az4, pd4, qd4, rd4 = f(vx4, vy4, vz4, phi + dt * p3, theta + dt * q3,
-                                         psi + dt * r3, p4, q4, r4)
+        ax4, ay4, az4, pd4, qd4, rd4 = accelerations(
+            vx4, vy4, vz4, phi + dt * p3, theta + dt * q3, psi + dt * r3, p4, q4, r4)
     except ValueError:
         # math.sin / math.cos of an infinite angle: the state has left the envelope
         raise _magnitude_exceeded(t + dt) from None
@@ -232,7 +226,7 @@ def rk4_step(state: np.ndarray, wrench: dynamics.Wrench, dt: float,
         raise _magnitude_exceeded(t + dt)
     if abs(theta) >= _PITCH_LIMIT:
         raise NumericalDivergence(f"pitch approached gimbal lock at t={t + dt:.3f}")
-    return np.array((x, y, z, vx, vy, vz, phi, theta, psi, p, q, r))
+    return x, y, z, vx, vy, vz, phi, theta, psi, p, q, r
 
 
 def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
@@ -242,7 +236,8 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
     """Run controller against plant on a fixed grid and log every step.
 
     The command's wrench is computed once per step, logged, and held over
-    the substeps. The logged reference is sampled for the whole run in one
+    the substeps, each an ``rk4_step`` call from a fresh disturbance sample.
+    The logged reference is sampled for the whole run in one
     ``ref_window`` call at the control-step times. ``dist`` is the
     disturbance, ``Disturbance()`` for none. Noise is drawn once per
     substep at ``sqrt(substeps)`` times its std, so its effect does not
@@ -290,20 +285,25 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
         dist = replace(dist, noise_force=dist.noise_force * scale,
                        noise_torque=dist.noise_torque * scale)
     sub_dt = control_dt / substeps
+    state = tuple(state.tolist())
     for k in range(n_steps):
         t = k * control_dt
-        cmd = controller.command(t, state, traj)
+        x_now = np.array(state)
+        cmd = controller.command(t, x_now, traj)
         wrench = dynamics.wrench_from_rotors(cmd, veh)
         t_log[k] = t
-        states[k] = state
+        states[k] = x_now
         commands[k] = cmd
         wrenches[k] = wrench
         qp_iters[k] = getattr(controller, "last_qp_iters", 0)
 
         try:
+            bound = None  # the sample the equations are bound to, for this wrench
             for i in range(substeps):
-                state = rk4_step(state, wrench, sub_dt, veh, env, dist,
-                                 t + i * sub_dt, rng)
+                sample = dist.sample(t + i * sub_dt, rng)
+                if sample != bound:  # its sums onto +0.0 are never -0.0: == is bitwise
+                    bound, f = sample, dynamics.equations_of_motion(wrench, veh, env, *sample)
+                state = rk4_step(state, f, sub_dt, t + i * sub_dt)
         except NumericalDivergence as err:
             start, held = (", ".join(f"{v:.6g}" for v in row.tolist())
                            for row in (states[k], commands[k]))

@@ -57,6 +57,16 @@ class TestWrench:
         with pytest.raises(ValueError):
             wrench_from_rotors(bad, VEH)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_nonfinite_or_negative_entries(self, value):
+        # NaN used to give an all-NaN wrench and inf an infinite thrust, which the
+        # plant then reported as its own divergence
+        bad = hover_command(VEH, ENV)
+        bad[5] = value
+        with pytest.raises(ValueError, match=r"squared rotor speeds must be finite and >= 0, "
+                                             r"got \[.*\]"):
+            wrench_from_rotors(bad, VEH)
+
     @given(a=st.lists(st.floats(0, 5e4), min_size=8, max_size=8),
            b=st.lists(st.floats(0, 5e4), min_size=8, max_size=8))
     def test_moments_superpose(self, a, b):

@@ -91,10 +91,11 @@ def in_envelope_states():
     )
 
 
-def disturbances():
+def disturbances(span=1.0):
+    """Pulses that start and last up to ``span`` seconds, with and without noise."""
     pulses = st.lists(st.builds(
         lambda t0, width, force, torque: Pulse(t0, t0 + width, force, torque),
-        st.floats(0.0, 1.0), st.floats(0.01, 1.0),
+        st.floats(0.0, span), st.floats(0.01, span),
         st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.tuples(*[st.floats(-0.2, 0.2)] * 3)),
         max_size=3).map(tuple)
     return st.one_of(
@@ -105,15 +106,22 @@ def disturbances():
     )
 
 
+def bound_rk4_step(state, wrench, dt, veh, env, dist=Disturbance(), t=0.0, rng=None):
+    """``rk4_step`` on an array state, with the equations bound as the loop binds them."""
+    accelerations = dynamics.equations_of_motion(wrench, veh, env, *dist.sample(t, rng))
+    return np.array(rk4_step(tuple(np.asarray(state, dtype=float).tolist()), accelerations,
+                             dt, t))
+
+
 class TestRk4:
     def test_hover_is_a_fixed_point(self):
-        s = rk4_step(np.zeros(12), W_HOVER, 0.02, VEH, ENV)
+        s = bound_rk4_step(np.zeros(12), W_HOVER, 0.02, VEH, ENV)
         assert np.abs(s).max() < 1e-12
 
     def test_free_fall_is_exact(self):
         s = np.zeros(12)
         for _ in range(100):
-            s = rk4_step(s, W_OFF, 0.01, VEH, ENV)
+            s = bound_rk4_step(s, W_OFF, 0.01, VEH, ENV)
         assert s[5] == pytest.approx(-ENV.gravity * 1.0, rel=1e-12)
         assert s[2] == pytest.approx(-0.5 * ENV.gravity * 1.0**2, rel=1e-10)
 
@@ -128,7 +136,7 @@ class TestRk4:
         def integrate(dt, total=5.0):
             s = x0.copy()
             for _ in range(round(total / dt)):
-                s = rk4_step(s, wrench, dt, VEH, ENV)
+                s = bound_rk4_step(s, wrench, dt, VEH, ENV)
             return s
 
         ref = integrate(0.05 / 16)
@@ -140,20 +148,19 @@ class TestRk4:
         s = dynamics.make_state(theta=1.50, theta_dot=3.0)
         with pytest.raises(NumericalDivergence):
             for _ in range(100):
-                s = rk4_step(s, W_OFF, 0.01, VEH, ENV)
+                s = bound_rk4_step(s, W_OFF, 0.01, VEH, ENV)
 
     def test_pulse_force_accelerates(self):
         dist = Disturbance(pulses=(Pulse(0.0, 1.0, force=(1.2, 0.0, 0.0)),))
-        s = rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0)
+        s = bound_rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0)
         assert s[3] == pytest.approx(1.2 / VEH.mass * 0.01, rel=1e-9)
         # outside the window the pulse is off
-        s2 = rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=5.0)
+        s2 = bound_rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=5.0)
         assert s2[3] == 0.0
 
     def test_noise_requires_rng(self):
-        dist = Disturbance(noise_force=0.1)
-        with pytest.raises(ValueError):
-            rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0)
+        with pytest.raises(ValueError, match="noisy disturbance needs an rng"):
+            Disturbance(noise_force=0.1).sample(0.0, None)
 
     @pytest.mark.parametrize("key, value", [("noise_force", math.nan), ("noise_force", -0.1),
                                             ("noise_torque", math.inf)])
@@ -164,21 +171,21 @@ class TestRk4:
 
     def test_noise_reproducible_for_same_seed(self):
         dist = Disturbance(noise_force=0.5, noise_torque=0.01)
-        a = rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0,
-                     rng=np.random.default_rng(9))
-        b = rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0,
-                     rng=np.random.default_rng(9))
+        a = bound_rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0,
+                           rng=np.random.default_rng(9))
+        b = bound_rk4_step(np.zeros(12), W_HOVER, 0.01, VEH, ENV, dist, t=0.0,
+                           rng=np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            rk4_step(np.zeros(12), W_HOVER, 0.0, VEH, ENV)
+            bound_rk4_step(np.zeros(12), W_HOVER, 0.0, VEH, ENV)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.01])
     def test_rejects_nonfinite_dt(self, dt):
         # a NaN step used to integrate and report a false divergence at t=nan
         with pytest.raises(ValueError, match="dt must be finite"):
-            rk4_step(np.zeros(12), W_HOVER, dt, VEH, ENV)
+            bound_rk4_step(np.zeros(12), W_HOVER, dt, VEH, ENV)
 
     @settings(max_examples=150, deadline=None)
     @given(state=in_envelope_states(),
@@ -204,7 +211,7 @@ class TestRk4:
                 == array_derivative(state, wrench, veh, np.zeros(3), np.zeros(3)).tobytes())
         ref = array_rk4(state, cmd, dt, veh, dist, t, np.random.default_rng(seed))
         assume(np.abs(ref).max() <= 1e6 and abs(ref[7]) < PITCH_LIMIT)
-        out = rk4_step(state, wrench, dt, veh, ENV, dist, t, np.random.default_rng(seed))
+        out = bound_rk4_step(state, wrench, dt, veh, ENV, dist, t, np.random.default_rng(seed))
         assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("index, value", [
@@ -216,13 +223,13 @@ class TestRk4:
         s[index] = value
         with pytest.raises(NumericalDivergence,
                            match=r"^state magnitude exceeded 1e\+06 at t=0\.010$"):
-            rk4_step(s, W_HOVER, 0.01, VEH, ENV)
+            bound_rk4_step(s, W_HOVER, 0.01, VEH, ENV)
 
     def test_pitch_past_the_limit_raises(self):
         s = dynamics.make_state(theta=PITCH_LIMIT + 1e-3)
         with pytest.raises(NumericalDivergence,
                            match=r"^pitch approached gimbal lock at t=1\.260$"):
-            rk4_step(s, W_HOVER, 0.01, VEH, ENV, t=1.25)
+            bound_rk4_step(s, W_HOVER, 0.01, VEH, ENV, t=1.25)
 
 
 class _HoverController:
@@ -240,7 +247,60 @@ class _FullThrottle(_HoverController):
         return cmd
 
 
+class _Scripted:
+    """Returns the given commands in turn, one per control step."""
+
+    def __init__(self, commands):
+        self.commands = iter(commands)
+
+    def command(self, t, x, traj):
+        return next(self.commands)
+
+
+def reference_loop(commands, dist, control_dt, substeps, x0, seed):
+    """Logged states of the closed loop, one ``array_rk4`` call per substep.
+
+    Each substep draws a fresh disturbance sample, at the substep start, and
+    noise scales with ``sqrt(substeps)`` as ``run_closed_loop`` scales it.
+    Also says whether every substep stayed inside the plant's envelope.
+    """
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(substeps)
+    dist = dataclasses.replace(dist, noise_force=dist.noise_force * scale,
+                               noise_torque=dist.noise_torque * scale)
+    sub_dt = control_dt / substeps
+    s, rows, inside = np.array(x0, dtype=float), [], True
+    for k, cmd in enumerate(commands):
+        rows.append(s)
+        for i in range(substeps):
+            s = array_rk4(s, cmd, sub_dt, VEH, dist, k * control_dt + i * sub_dt, rng)
+            inside = inside and np.abs(s).max() <= 1e6 and abs(s[7]) < PITCH_LIMIT
+    return np.array(rows), inside
+
+
 class TestClosedLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(frac=st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+                         min_size=1, max_size=5),
+           control_dt=st.sampled_from([0.02, 0.05]),
+           substeps=st.sampled_from([1, 3, 10]),
+           # pulse edges anywhere in the run, so most fall inside a control step
+           dist=disturbances(span=0.25),
+           x0=in_envelope_states(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_logged_states_match_per_substep_reference_bitwise(
+            self, frac, control_dt, substeps, dist, x0, seed):
+        commands = [np.array(f) * VEH.max_rotor_speed ** 2 for f in frac]
+        rows, inside = reference_loop(commands, dist, control_dt, substeps, x0, seed)
+        assume(inside)
+        # half a step short of the last command, so ceil(duration / control_dt)
+        # is the command count whichever way the quotient rounds
+        log = run_closed_loop(_Scripted(commands), constant_ref(0, 0, 0, 0), dist,
+                              duration=(len(commands) - 0.5) * control_dt,
+                              control_dt=control_dt, substeps=substeps, veh=VEH, env=ENV,
+                              seed=seed, x0=x0)
+        assert log.states.tobytes() == rows.tobytes()
+
     def test_controller_called_once_per_sample(self):
         calls = []
 
@@ -267,6 +327,13 @@ class TestClosedLoop:
                               veh=VEH, env=ENV)
         assert len(calls) == len(log) == 10
         assert np.array_equal(log.wrenches[0], original(U_HOVER, VEH))
+
+    def test_nonfinite_command_is_rejected_not_integrated(self):
+        # a NaN command used to surface as the plant's divergence a step later
+        commands = [U_HOVER] * 3 + [np.full(8, math.nan)]
+        with pytest.raises(ValueError, match="squared rotor speeds must be finite and >= 0"):
+            run_closed_loop(_Scripted(commands), constant_ref(0, 0, 0, 0), Disturbance(),
+                            duration=0.07, control_dt=0.02, substeps=10, veh=VEH, env=ENV)
 
     def test_log_uniform_grid(self):
         log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
