@@ -321,15 +321,20 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     projected path until Armijo decrease holds. Stops when the projected
     gradient's largest entry is at most ``qp_tol * max(1, max|g|)``, which
     is relative to the gradient only where ``max|g| > 1`` and an absolute
-    ``qp_tol`` below that. Raises ``QpMaxIterations`` (with the best
-    iterate attached) at the iteration cap. Returns ``(x, info)``, where
-    ``info`` holds ``"iterations"``, the final ``"residual"`` and the
-    ``"status"`` that ended the solve: ``"converged"`` (residual within the
-    tolerance), ``"no_descent"`` (the Newton step is not a descent
-    direction) or ``"line_search_stalled"`` (no Armijo decrease in 40
-    halvings). The last two leave the residual above the tolerance and come
-    from rounding, as on badly conditioned Hessians. A clamped coordinate
-    adds exactly 0 to the residual, so no step finds every one clamped.
+    ``qp_tol`` below that, at the start, at a residual of exactly 0 or
+    at the full, unclipped Newton step of the last iteration. A step that
+    the box clipped or the line search shortened is not the minimizer on
+    its free set, so within the tolerance it is followed by one more
+    Newton step, which leaves the free block's gradient at rounding level.
+    Raises ``QpMaxIterations`` (with the best iterate attached) at the
+    iteration cap. Returns ``(x, info)``, where ``info`` holds
+    ``"iterations"``, the final ``"residual"`` and the ``"status"`` that
+    ended the solve: ``"converged"`` (residual within the tolerance),
+    ``"no_descent"`` (the Newton step is not a descent direction) or
+    ``"line_search_stalled"`` (no Armijo decrease in 40 halvings). The
+    last two leave the residual above the tolerance and come from
+    rounding, as on badly conditioned Hessians. A clamped coordinate adds
+    exactly 0 to the residual, so no step finds every one clamped.
 
     The type of ``hessian`` picks the Newton step. A finite (n, n) array
     has its free block H_FF factored afresh at each step: the path for
@@ -368,10 +373,10 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
 
     grad = h @ x + g
     value = 0.5 * x @ (grad + g)
-    iters, status = 0, "converged"
+    iters, status, landed = 0, "converged", True  # landed: x is a Newton target or the start
     while True:
         residual = _residual(x, grad, lower, upper)
-        if residual <= tol:
+        if residual <= tol and (landed or residual == 0.0 or iters >= cfg.qp_max_iter):
             break
         if iters >= cfg.qp_max_iter:
             raise QpMaxIterations(x, residual)
@@ -395,8 +400,8 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
         step_dir[free] = target_free - x[free]
 
         descent = step_dir @ grad
-        if descent >= 0:
-            status = "no_descent"  # already optimal on the free block up to rounding
+        if descent >= 0:  # already optimal on the free block up to rounding
+            status = "converged" if residual <= tol else "no_descent"
             break
 
         step = 1.0
@@ -407,10 +412,11 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
             if cand_val <= value + 0.1 * step * descent:
                 break
             step *= 0.5
-        else:
-            status = "line_search_stalled"  # no progress possible at machine precision
+        else:  # no progress possible at machine precision
+            status = "converged" if residual <= tol else "line_search_stalled"
             break
 
+        landed = step == 1.0 and (cand == x + step_dir).all()
         x, grad, value = cand, cand_grad, cand_val
 
     return x, {"iterations": iters, "residual": residual, "status": status}
