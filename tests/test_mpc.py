@@ -7,12 +7,14 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from marsquad import config, dynamics, linmodel, mpc, params, simulator, trajectories as traj
 from marsquad.mpc import (MpcConfig, MpcController, QpMaxIterations, build_cost,
                           build_prediction, mpc_step, solve_qp)
 from marsquad.scenarios import scenario_path
+from scipy.optimize import lsq_linear
 
 ENV = params.MARS
 VEH = params.VehicleParams()
@@ -844,6 +846,60 @@ class TestExplicitStep:
         assert "unconstrained" in paths
         if case != "square_corners":
             assert "converged" in paths
+
+
+class TestBvlsOracle:
+    # ten of the hop's box-active QPs, by their order in it; their solutions clamp 148,
+    # 140, 128, 56, 48, 44, 32, 20, 8 and 4 of the 480 coordinates
+    PICKS = (8, 11, 14, 34, 38, 40, 46, 51, 56, 58)
+
+    def test_box_active_qps_match_bvls(self):
+        """``solve_qp`` on box-active 480-variable QPs of a closed loop, against
+        an independent solver: scipy's BVLS (Stark and Parker, 1995) on
+        min ||L'x + L^-1 g|| over the same box, P = LL', the same minimizer.
+        The loop is the climbing hop of ``mpc_box`` (``step_xyz`` flying 5 m
+        at 60 degrees up, N = 60). Each pick ends ``converged``, within
+        1e-12 relative of BVLS's answer, and both answers meet the KKT
+        property's conditions at its scale. Worst margins seen: 6.6e-15
+        relative, and 2.4e-4 (``solve_qp``) and 1.3e-3 (BVLS) of the KKT
+        bound."""
+        sc = config.load_config(scenario_path("step_xyz"))
+        dt = sc.sim.control_dt
+        model = linmodel.discretize(linmodel.linearize_hover(sc.veh, sc.env), dt)
+        qps = []  # (g, warm start) of each step that calls solve_qp
+
+        def recording_step(x_now, refs, ctrl):
+            g, warm = ctrl.linear_terms(x_now, refs)[0], ctrl.warm_start
+            u = mpc_step(x_now, refs, ctrl)
+            if ctrl.last_qp_status not in ("warm_start", "unconstrained"):
+                qps.append((g, warm))
+            return u
+
+        ctrl = _Stepper(recording_step, model, sc.mpc, sc.veh, sc.env)
+        hop = traj.constant_ref(1.25 * 2 ** 0.5, 1.25 * 2 ** 0.5, 2.5 * 3 ** 0.5)
+        simulator.run_closed_loop(ctrl, hop, sc.disturbance, duration=100 * dt, control_dt=dt,
+                                  substeps=sc.sim.substeps, veh=sc.veh, env=sc.env,
+                                  seed=sc.sim.seed)
+        assert len(qps) > max(self.PICKS)
+        p, lo, hi = ctrl.hessian_op.dense(), ctrl.lower, ctrl.upper
+        factor = scipy.linalg.cholesky(p, lower=True)
+        clamped = []
+        for g, warm in (qps[i] for i in self.PICKS):
+            x, info = solve_qp(ctrl.hessian_op, g, lo, hi, sc.mpc, x0=warm)
+            assert info["status"] == "converged"
+            rhs = -scipy.linalg.solve_triangular(factor, g, lower=True)
+            oracle = lsq_linear(factor.T, rhs, bounds=(lo, hi), method="bvls", tol=1e-12)
+            assert oracle.status == 1
+            assert np.abs(x - oracle.x).max() <= 1e-12 * np.abs(oracle.x).max()
+            for y in (x, oracle.x):
+                grad = p @ y + g
+                tol = 1e-12 * np.max(np.abs(p) @ np.abs(y) + np.abs(g))
+                free = (lo < y) & (y < hi)
+                assert np.all(np.abs(grad[free]) <= tol)
+                assert np.all(grad[y == lo] >= -tol)
+                assert np.all(grad[y == hi] <= tol)
+            clamped.append(np.count_nonzero((x == lo) | (x == hi)))
+        assert min(clamped) < 10 and max(clamped) > 140
 
 
 class TestClosedLoopLinear:
