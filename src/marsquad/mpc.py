@@ -36,9 +36,9 @@ neither holds.
 On those box-active steps ``solve_qp``, given that ``BlockMatrix``, reads
 P and P^-1 by block products (never the dense P) and takes each Newton
 step from the k x k Schur complement (P^-1)_CC of the clamped coordinates
-C, k = |C|, gathered from the dense P^-1 that the first such step builds,
-not from a refactor of P's free block: QPSchur's active-set update
-(Bartlett and Biegler, 2006).
+C, k = |C|, gathered from the dense P^-1 that the first such step builds:
+QPSchur's active-set update (Bartlett and Biegler, 2006). No block of P
+is factored.
 """
 
 from __future__ import annotations
@@ -336,17 +336,16 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     rounding, as on badly conditioned Hessians. A clamped coordinate adds
     exactly 0 to the residual, so no step finds every one clamped.
 
-    The type of ``hessian`` picks the Newton step. A finite (n, n) array
-    has its free block H_FF factored afresh at each step: the path for
-    generic QPs, and the reference the other is tested against. A
-    ``BlockMatrix`` is read through ``@`` and supplies H^-1 from its
-    ``inverse()``, so no block of H is factored: with z = H^-1 g, formed
-    once per solve, and the clamped set C, k = |C|, the minimizer with x_C
-    held fixed is -z + (H^-1)_:C lam, where the k x k Schur complement
+    Every Newton step comes from H^-1: with z = H^-1 g, formed once per
+    solve, and the clamped set C, k = |C|, the minimizer with x_C held
+    fixed is -z + (H^-1)_:C lam, where the k x k Schur complement
     S = (H^-1)_CC gives S lam = x_C + z_C (QPSchur, Bartlett and Biegler,
-    2006). A step costs a gather of k rows of H^-1's dense table (its k
-    columns, by symmetry), a Cholesky factor of S (at most n^3/3, at
-    k = n) and one k x n product; with nothing clamped it is -z.
+    2006). A step costs a gather of k rows of H^-1 (its k columns, by
+    symmetry), a Cholesky factor of S (at most n^3/3, at k = n) and one
+    k x n product; with nothing clamped it is -z. A ``BlockMatrix``, read
+    through ``@``, supplies H^-1 from its ``inverse()`` (the dense table on
+    the first clamped step), so no block of H is factored; a finite (n, n)
+    array gets H^-1 from one Cholesky factor per solve.
 
     Each line-search trial costs one product with the Hessian: the
     objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
@@ -365,11 +364,12 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     if (lower > upper).any():
         raise ValueError("lower bound exceeds upper bound")
     tol = _tolerance(g, cfg)
-    inverse = h.inverse() if isinstance(h, BlockMatrix) else None
-    z = None if inverse is None else inverse @ g  # the unconstrained optimum is -z
-
     x = (np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)).clip(lower, upper)
     x[~np.isfinite(x)] = 0.0
+    # H^-1: the BlockMatrix's inverse, or one Cholesky factor of a copy (none for n = 0)
+    inverse = (h.inverse() if isinstance(h, BlockMatrix)
+               else _spd_solve(h.copy(), np.eye(n), "QP Hessian") if n else h)
+    z = inverse @ g  # the unconstrained optimum is -z
 
     grad = h @ x + g
     value = 0.5 * x @ (grad + g)
@@ -385,13 +385,9 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
         # Newton target on the free block with clamped coordinates fixed
         clamped = ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
         free = ~clamped
-        if inverse is None:
-            rhs = g[free].copy()
-            if clamped.any():
-                rhs += h[np.ix_(free, clamped)] @ x[clamped]
-            target_free = -_spd_solve(h[np.ix_(free, free)], rhs, "QP Hessian")
-        elif clamped.any():
-            rows = inverse.dense()[clamped]  # by symmetry, H^-1's clamped columns as rows
+        if clamped.any():
+            table = inverse.dense() if isinstance(inverse, BlockMatrix) else inverse
+            rows = table[clamped]  # by symmetry, H^-1's clamped columns as rows
             lam = _spd_solve(rows[:, clamped], x[clamped] + z[clamped], "QP Hessian inverse")
             target_free = (lam @ rows - z)[free]
         else:
@@ -436,7 +432,7 @@ def _residual(x: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndar
 
 
 def _spd_solve(a: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
-    """Solve a x = rhs by LAPACK ``potrf`` and ``potrs``, ``a`` a fresh symmetric gather.
+    """Solve a x = rhs by LAPACK ``potrf`` and ``potrs``, ``a`` a fresh symmetric array.
 
     ``a``, from checked matrices, is factored in place as its Fortran-order
     transpose; only ``rhs`` is scanned for non-finite values.

@@ -259,7 +259,7 @@ class TestSolveQp:
         assert np.allclose(x, 1.0)
 
     def test_matches_brute_force(self, box_qp_oracle):
-        """Refactoring the free block of a dense Hessian, against brute force."""
+        """Schur steps from the Cholesky inverse of a dense Hessian, against brute force."""
         rng = np.random.default_rng(11)
         cfg = self.CFG
         for _ in range(100):
@@ -387,15 +387,15 @@ class TestSolveQp:
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    @example(seed=514).via("Schur step: a clipped step ends within the tolerance")
-    @example(seed=3971).via("dense step: a clipped step ends within the tolerance")
+    @example(seed=514).via("BlockMatrix P: a clipped step ends within the tolerance")
+    @example(seed=3971).via("dense P: a clipped step ends within the tolerance")
     def test_kkt_on_horizon_sized_boxes(self, horizon_ctrl, seed):
         """KKT conditions on 480-variable QPs with the shipped Hessian,
-        refactoring the dense P or, half the time, from the Schur steps of
-        its ``BlockMatrix``. The explicit seeds are two of the eleven in
-        the range whose last step the box clips to a residual within the
-        tolerance; without a further Newton step the free block's gradient
-        stays near 1e-11, a thousand times the bound here."""
+        given as the dense P or, half the time, as its ``BlockMatrix``. The
+        explicit seeds are two of the eleven in the range whose last step
+        the box clips to a residual within the tolerance; without a further
+        Newton step the free block's gradient stays near 1e-11, a thousand
+        times the bound here."""
         cfg, h = horizon_ctrl.cfg, horizon_ctrl.hessian_op.dense()
         g, lo, hi, x0, rng, _ = _horizon_box_qp(horizon_ctrl, seed)
         hessian = horizon_ctrl.hessian_op if rng.random() < 0.5 else h
@@ -412,11 +412,11 @@ class TestSolveQp:
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    def test_schur_step_matches_refactoring(self, horizon_ctrl, seed):
-        """On the KKT property's 480-variable boxes, Newton steps from the
-        Schur complement of P^-1, given P as the controller's
-        ``BlockMatrix``, take the decisions of refactoring the dense P: the
-        same iteration count and status, and x to 1e-9 relative."""
+    def test_block_inverse_matches_cholesky_inverse(self, horizon_ctrl, seed):
+        """On the KKT property's 480-variable boxes, Schur steps from P^-1 as
+        the controller's ``BlockMatrix`` builds it take the decisions of
+        Schur steps from the Cholesky inverse of the dense P: the same
+        iteration count and status, and x to 1e-9 relative."""
         cfg, op = horizon_ctrl.cfg, horizon_ctrl.hessian_op
         g, lo, hi, x0, _, _ = _horizon_box_qp(horizon_ctrl, seed)
         want, want_info = solve_qp(op.dense(), g, lo, hi, cfg, x0=x0)
@@ -638,7 +638,7 @@ class TestMpcStep:
 def _solve_every_step(x_now, refs, ctrl):
     """The reference step: ``solve_qp`` from the warm start on every step, no explicit path.
 
-    Given the dense P, every Newton step refactors, so the Schur step is checked against it.
+    Given the dense P, ``solve_qp`` takes its Newton steps from P's Cholesky inverse.
     """
     cfg = ctrl.cfg
     du, info = solve_qp(ctrl.hessian_op.dense(), ctrl.linear_terms(x_now, refs)[0], ctrl.lower,
@@ -813,8 +813,8 @@ class TestExplicitStep:
     @pytest.mark.parametrize("case", ["square_corners", "box binds", "climbing hop"])
     def test_closed_loop_matches_solving_every_step(self, case):
         """200 closed-loop steps on the nonlinear plant: the same commands to
-        1e-9 and the same QP iteration counts as refactoring ``solve_qp`` on
-        every step. The box-active steps of ``mpc_step`` take the Schur path;
+        1e-9 and the same QP iteration counts as ``solve_qp`` on the dense P
+        at every step. The box-active steps of ``mpc_step`` take the Schur path;
         ``mpc_step`` never builds the dense P, and builds the dense P^-1 only
         if a step falls back to ``solve_qp``."""
         scenario = "step_xyz" if case == "climbing hop" else "square_corners"
