@@ -345,7 +345,8 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     k x n product; with nothing clamped it is -z. A ``BlockMatrix``, read
     through ``@``, supplies H^-1 from its ``inverse()`` (the dense table on
     the first clamped step), so no block of H is factored; a finite (n, n)
-    array gets H^-1 from one Cholesky factor per solve.
+    array gets H^-1 from one Cholesky factor per solve. ``x0`` must be
+    finite; it is clipped into the box.
 
     Each line-search trial costs one product with the Hessian: the
     objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
@@ -364,8 +365,10 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     if (lower > upper).any():
         raise ValueError("lower bound exceeds upper bound")
     tol = _tolerance(g, cfg)
-    x = (np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)).clip(lower, upper)
-    x[~np.isfinite(x)] = 0.0
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("QP start x0 must be finite")
+    x = x.clip(lower, upper)
     # H^-1: the BlockMatrix's inverse, or one Cholesky factor of a copy (none for n = 0)
     inverse = (h.inverse() if isinstance(h, BlockMatrix)
                else _spd_solve(h.copy(), np.eye(n), "QP Hessian") if n else h)

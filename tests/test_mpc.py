@@ -347,6 +347,13 @@ class TestSolveQp:
         with pytest.raises(ValueError, match="finite"):
             solve_qp(np.eye(3), g, np.full(3, -10.0), np.full(3, 10.0), self.CFG)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_start(self, bad):
+        # a NaN entry used to be zeroed after clipping, so the solve started outside the box
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            solve_qp(np.eye(2), np.array([0.5, -1.5]), np.ones(2), np.full(2, 2.0), self.CFG,
+                     x0=np.array([bad, 1.5]))
+
     def test_status_converged(self):
         _, info = solve_qp(np.eye(3), -np.ones(3), np.full(3, -10.0), np.full(3, 10.0), self.CFG)
         assert info["status"] == "converged"
