@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 from . import params as par
 from .mpc import MpcConfig
 from .pid import PidGains
-from .simulator import Disturbance, Pulse
+from .simulator import Disturbance, Pulse, step_count
 from .trajectories import TRAJECTORIES, RefGenerator
 
 __all__ = ["CONTROLLERS", "ConfigError", "SimSettings", "ScenarioConfig", "load_config",
@@ -66,7 +66,7 @@ class SimSettings:
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
         # the last logged sample, on the grid run_closed_loop steps
-        last = (math.ceil(self.duration / self.control_dt) - 1) * self.control_dt
+        last = (step_count(self.duration, self.control_dt) - 1) * self.control_dt
         if not 0.0 <= self.transient_skip <= last:
             raise ValueError("transient_skip must be finite, >= 0 and at most the last sample "
                              f"time {last}, got {self.transient_skip}")

@@ -35,6 +35,7 @@ __all__ = [
     "Metrics",
     "NumericalDivergence",
     "rk4_step",
+    "step_count",
     "run_closed_loop",
     "compute_metrics",
     "corner_overshoot",
@@ -229,12 +230,22 @@ def rk4_step(state: tuple, accelerations, dt: float, t: float) -> tuple:
     return x, y, z, vx, vy, vz, phi, theta, psi, p, q, r
 
 
+def step_count(duration: float, control_dt: float) -> int:
+    """The control steps of a ``duration`` run: ceil(duration / control_dt), rounding-tolerant.
+
+    A ratio within 1e-9 relative above a whole number counts as that number,
+    so 0.07 s at 0.01 s (a ratio of 7.000000000000001) is 7 steps, not 8.
+    """
+    return math.ceil(duration / control_dt * (1.0 - 1e-9))
+
+
 def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
                     duration: float, control_dt: float, substeps: int,
                     veh: VehicleParams, env: EnvParams,
                     seed: int = 0, x0: np.ndarray | None = None) -> SimLog:
     """Run controller against plant on a fixed grid and log every step.
 
+    The grid has ``step_count(duration, control_dt)`` steps from t = 0.
     The command's wrench is computed once per step, logged, and held over
     the substeps, each an ``rk4_step`` call from a fresh disturbance sample.
     The logged reference is sampled for the whole run in one
@@ -254,7 +265,7 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
 
-    n_steps = math.ceil(duration / control_dt)
+    n_steps = step_count(duration, control_dt)
     rng = np.random.default_rng(seed)
     state = np.zeros(12) if x0 is None else np.array(x0, dtype=float)
     if state.shape != (12,) or not np.isfinite(state).all():

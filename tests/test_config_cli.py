@@ -180,9 +180,10 @@ class TestLoading:
             SimSettings(**{key: value})
 
     @pytest.mark.parametrize("duration, skip", [(1.0, 5.0), (1.0, 1.0), (1.0, 0.99),
-                                                (20.0, 20.0)])
+                                                (20.0, 20.0), (0.14, 0.14)])
     def test_sim_settings_reject_skip_past_the_run(self, duration, skip):
-        # the last sample of a 1 s run at 0.02 s is at 0.98 s
+        # the last sample of a 1 s run at 0.02 s is at 0.98 s; a 0.14 s run has 7 steps,
+        # the last at 0.12 s, although 0.14 / 0.02 rounds to just above 7
         with pytest.raises(ValueError, match="transient_skip must be .* at most the last sample"):
             SimSettings(duration=duration, transient_skip=skip)
 
@@ -439,6 +440,17 @@ class TestCli:
         assert re.fullmatch(r"error: mpc run diverged: state magnitude exceeded 1e\+06 at "
                             r"t=0\.052 \(control step 2, state \[0(, 0){11}\], "
                             r"held command \[[^],]+(, [^],]+){7}\]\)\n", err)
+        assert not out.exists()
+
+    def test_run_reports_a_qp_failure(self, tmp_path, capsys):
+        # a 5 m climb binds the input box, and one QP iteration cannot solve it
+        out = tmp_path / "results"
+        rc = cli.main(["run", "--config", str(scenario_path("step_xyz")), "--out", str(out),
+                       "--controller", "mpc", "--set", "trajectory.z=5.0",
+                       "--set", "sim.duration=2.0", "--set", "mpc.qp_max_iter=1"])
+        assert rc == 4
+        assert re.fullmatch(r"error: QP failure during mpc run: QP did not converge "
+                            r"\(residual \S+\)\n", capsys.readouterr().err)
         assert not out.exists()
 
     def test_run_both_prints_table(self, tmp_path, minimal_cfg, capsys):

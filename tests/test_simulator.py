@@ -12,7 +12,7 @@ from marsquad.linmodel import discretize, linearize_hover
 from marsquad.pid import PidController, PidGains
 from marsquad.simulator import (CSV_COLUMNS, Disturbance, Metrics, NumericalDivergence,
                                 Pulse, SimLog, compute_metrics, rk4_step,
-                                run_closed_loop, write_csv)
+                                run_closed_loop, step_count, write_csv)
 from marsquad.trajectories import constant_ref, helix_ref, ref_window, square_ref
 
 ENV = params.MARS
@@ -334,6 +334,17 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="squared rotor speeds must be finite and >= 0"):
             run_closed_loop(_Scripted(commands), constant_ref(0, 0, 0, 0), Disturbance(),
                             duration=0.07, control_dt=0.02, substeps=10, veh=VEH, env=ENV)
+
+    @pytest.mark.parametrize("duration, control_dt, steps", [
+        (0.07, 0.01, 7), (1.12, 0.01, 112), (0.075, 0.01, 8), (2.0, 0.02, 100),
+        (20.0, 0.02, 1000)])
+    def test_step_count_tolerates_rounding(self, duration, control_dt, steps):
+        # 0.07 / 0.01 and 1.12 / 0.01 round to just above 7 and 112, which a plain ceil counts
+        # as 8 and 113 steps; the shipped and benchmark runs take 100 and 1000 steps
+        log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
+                              duration=duration, control_dt=control_dt, substeps=1,
+                              veh=VEH, env=ENV)
+        assert len(log) == step_count(duration, control_dt) == steps
 
     def test_log_uniform_grid(self):
         log = run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
