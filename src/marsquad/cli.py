@@ -34,7 +34,6 @@ _METRIC_ROWS = (
     ("settling time [s]", "settling_time"),
     ("steady state error [m]", "steady_state_error"),
     ("control effort", "control_effort"),
-    ("constraint violations", "constraint_violations"),
 )
 
 

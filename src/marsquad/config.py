@@ -161,9 +161,10 @@ _SELECTORS = {("environment", "profile"), ("trajectory", "type")}
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    # '#' only: ';' separates pulse entries inside [disturbance] values
+    # '#' only: ';' separates pulse entries inside [disturbance] values. No header
+    # line or override can name the section "\n", so [DEFAULT] is an unknown section.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                       interpolation=None)
+                                       interpolation=None, default_section="\n")
     with open(path) as fh:
         parser.read_file(fh, source=str(path))
     return parser
@@ -172,18 +173,17 @@ def _read_ini(path) -> configparser.ConfigParser:
 def parse_overrides(pairs) -> list[tuple[str, str, str]]:
     """Parse ``section.key=value`` strings into (section, key, value) triples.
 
-    A value with a ``#`` at its start or after whitespace is rejected: a file
-    reads that ``#`` as the start of a comment, so the run's snapshot could
-    not hold the value.
+    The section and the key must not be empty (``configparser`` would file
+    an empty section's key under every section). A value with a ``#`` at
+    its start or after whitespace is rejected: a file reads that ``#`` as
+    the start of a comment, so the run's snapshot could not hold the value.
     """
     out = []
     for item in pairs:
-        if "=" not in item:
+        lhs, eq, value = item.partition("=")
+        section, dot, key = (part.strip() for part in lhs.partition("."))
+        if not (eq and dot and section and key):
             raise ConfigError([f"override {item!r} is not of the form section.key=value"])
-        lhs, value = item.split("=", 1)
-        if "." not in lhs:
-            raise ConfigError([f"override {item!r} is not of the form section.key=value"])
-        section, key = (part.strip() for part in lhs.split(".", 1))
         value = value.strip()
         if re.search(r"(^|\s)#", value):
             raise ConfigError([f"override {section}.{key}: {value!r} has a '#' that a "

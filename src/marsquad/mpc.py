@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import cho_factor, null_space
@@ -82,9 +83,9 @@ class MpcConfig:
     weights set the diagonal of the per-step state weighting matrix, each on
     its three states (``state_weight``); ``input_weight`` and
     ``input_rate_weight`` set every rotor's entry of the input and
-    input-rate diagonals. The input box ``u_min``/``u_max`` holds absolute
-    squared rotor speeds as tuples of eight floats, so configs compare and
-    hash by value. The weights, ``qp_tol`` and the box must be finite.
+    input-rate diagonals. The input box ``[u_min, u_max]`` bounds every
+    rotor's absolute squared speed. The weights, ``qp_tol`` and the box
+    bounds must be finite numbers.
     """
 
     horizon: int = 60
@@ -96,29 +97,25 @@ class MpcConfig:
     input_rate_weight: float = 2e-8  # >= 0
     qp_max_iter: int = 100
     qp_tol: float = 1e-9
-    u_min: tuple                     # 8 floats, rad^2/s^2
-    u_max: tuple                     # 8 floats, rad^2/s^2
+    u_min: float                     # rad^2/s^2
+    u_max: float                     # rad^2/s^2
 
     def __post_init__(self):
-        for name in ("u_min", "u_max"):
-            box = np.asarray(getattr(self, name), dtype=float)
-            if box.shape != (N_ROTORS,) or not np.isfinite(box).all():
-                raise ValueError("u_min and u_max must be finite 8-vectors")
-            object.__setattr__(self, name, tuple(box.tolist()))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
-                     "input_weight", "input_rate_weight", "qp_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                     "input_weight", "input_rate_weight", "qp_tol", "u_min", "u_max"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
                      "input_rate_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.input_weight <= 0:
             raise ValueError(f"input_weight must be > 0, got {self.input_weight}")
-        if any(lo >= hi for lo, hi in zip(self.u_min, self.u_max)):
-            raise ValueError("u_min must be elementwise below u_max")
+        if self.u_min >= self.u_max:
+            raise ValueError(f"u_min must be below u_max, got {self.u_min} and {self.u_max}")
         if self.qp_max_iter < 1:
             raise ValueError("qp_max_iter must be >= 1")
         if self.qp_tol <= 0:
@@ -138,8 +135,7 @@ class MpcConfig:
     @classmethod
     def default(cls, veh: VehicleParams, **keys) -> "MpcConfig":
         """These ``[mpc]`` keys, in the box [0, max_rotor_speed^2]."""
-        return cls(u_min=(0.0,) * N_ROTORS, u_max=(veh.max_rotor_speed ** 2,) * N_ROTORS,
-                   **keys)
+        return cls(u_min=0.0, u_max=veh.max_rotor_speed ** 2, **keys)
 
 
 @dataclass(frozen=True)
@@ -484,7 +480,7 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
             du_seq, info = solve_qp(ctrl.hessian_op, g, lower, upper, cfg, x0=warm)
             iters, status = info["iterations"], info["status"]
 
-    u = (ctrl.model.u_ref + du_seq[:N_ROTORS]).clip(ctrl.u_min, ctrl.u_max)
+    u = (ctrl.model.u_ref + du_seq[:N_ROTORS]).clip(cfg.u_min, cfg.u_max)
     ctrl.u_prev = u.copy()
     ctrl.warm_start = np.concatenate([du_seq[N_ROTORS:], du_seq[-N_ROTORS:]])
     ctrl.last_qp_iters = iters
@@ -500,13 +496,12 @@ class MpcController:
     ``hessian_op`` (P^-1 is its ``inverse()``), the box-inactive step as
     ``build_law``'s affine ``law`` and the (8N, 8) ``rate_law`` that maps
     the last input deviation to its part of the optimum, both from P^-1's
-    blocks, the input box as absolute (8,) arrays (``u_min``, ``u_max``)
-    and as deviations over the horizon (``lower``, ``upper``), and the
-    per-loop memory: the last applied input ``u_prev``, the QP warm start,
-    ``last_qp_iters`` and ``last_qp_status``. One instance drives one
-    closed loop. The dense P and P^-1 (``dense()`` of either operator) are
-    built on demand; a closed loop builds only P^-1's, for its first
-    box-active step.
+    blocks, the input box as deviations over the horizon (``lower``,
+    ``upper``), and the per-loop memory: the last applied input
+    ``u_prev``, the QP warm start, ``last_qp_iters`` and
+    ``last_qp_status``. One instance drives one closed loop. The dense P
+    and P^-1 (``dense()`` of either operator) are built on demand; a
+    closed loop builds only P^-1's, for its first box-active step.
 
     The law is built with the controller, so a box-inactive step costs the
     input checks, the law's three products and one ``hessian_op`` product
@@ -530,10 +525,8 @@ class MpcController:
         # the law's inputs: each channel's reference column, and its states padded to four
         self._law_columns = [OUTPUT_STATES.index(c.states[0]) for c in self.channels]
         self._law_states = np.array([np.resize(c.states, 4) for c in self.channels])
-        self.u_min = np.array(cfg.u_min)
-        self.u_max = np.array(cfg.u_max)
-        self.lower = np.tile(self.u_min - model.u_ref, cfg.horizon)
-        self.upper = np.tile(self.u_max - model.u_ref, cfg.horizon)
+        self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
+        self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
         self.u_prev = model.u_ref.copy()
         self.warm_start = np.zeros(N_ROTORS * cfg.horizon)
         self.last_qp_iters = 0

@@ -147,9 +147,6 @@ class Metrics:
     settling_time: float               # s, 2 percent band; inf if never settles
     steady_state_error: float          # m, worst axis over the last 10 percent
     control_effort: float              # sum |u - u_hover|^2 * dt
-    # steps whose command, after the controller clipped it, leaves
-    # [0, max_rotor_speed^2]: 0 for every run load_config can build
-    constraint_violations: int
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -253,10 +250,11 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
     disturbance, ``Disturbance()`` for none. Noise is drawn once per
     substep at ``sqrt(substeps)`` times its std, so its effect does not
     depend on ``substeps``. ``x0``, the start state (hover at the origin by
-    default), must be a finite 12-vector. A ``NumericalDivergence`` from the
-    plant is raised again with the control step's index, the state logged at
-    its start and its held command added to the message, and with the log
-    up to that step.
+    default), must be a finite 12-vector; its angles outside (-pi, pi] are
+    wrapped into that range, as the plant wraps them. A
+    ``NumericalDivergence`` from the plant is raised again with the control
+    step's index, the state logged at its start and its held command added
+    to the message, and with the log up to that step.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration}")
@@ -270,6 +268,9 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
     state = np.zeros(12) if x0 is None else np.array(x0, dtype=float)
     if state.shape != (12,) or not np.isfinite(state).all():
         raise ValueError(f"x0 must be a finite 12-vector, got {x0!r}")
+    angles = state[6:9]  # a view: wrapping it wraps the state
+    outside = (angles <= -math.pi) | (angles > math.pi)
+    angles[outside] = dynamics.wrap_angle(angles[outside])
 
     t_log = np.empty(n_steps)
     states = np.empty((n_steps, 12))
@@ -332,8 +333,10 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
     when that value is 1e-6 m or more from its start; one that does not
     reports its largest deviation and 0 percent and is left out of the
     settling time. The RMS excludes the first ``transient_skip`` seconds and
-    raises ``ValueError`` when that leaves no sample. Effort and box count
-    read the ``log.meta`` entries ``run_closed_loop`` writes.
+    raises ``ValueError`` when that leaves no sample. Effort reads the
+    ``log.meta`` entries ``u_hover`` and ``control_dt`` that
+    ``run_closed_loop`` writes; its ``u_min`` and ``u_max`` are read by
+    perfbench's ``check_run``, not here.
     """
     if len(log) == 0:
         raise ValueError("cannot compute metrics of an empty log")
@@ -372,8 +375,6 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
     meta = log.meta
     du = log.commands - meta["u_hover"]
     effort = float(np.sum(du * du) * meta["control_dt"])
-    bad = (log.commands < meta["u_min"]) | (log.commands > meta["u_max"])
-    violations = int(np.sum(np.any(bad, axis=1)))
 
     return Metrics(
         rms_position_error=rms,
@@ -381,7 +382,6 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
         settling_time=settling,
         steady_state_error=sse,
         control_effort=effort,
-        constraint_violations=violations,
     )
 
 

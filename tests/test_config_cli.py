@@ -95,6 +95,14 @@ class TestLoading:
         with pytest.raises(ConfigError, match="typo_section"):
             load_config(p)
 
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        # configparser would read [DEFAULT]'s keys into every section: here sim.seed = 3
+        p = tmp_path / "bad.cfg"
+        p.write_text("[DEFAULT]\nseed = 3\n\n[sim]\nduration = 1.0\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert exc.value.problems == ["unknown section [DEFAULT]"]
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text(MINIMAL + "\n[mpc]\nhorizont = 20\n")
@@ -218,10 +226,10 @@ class TestOverrides:
         assert parse_overrides(["sim.seed=4"]) == [("sim", "seed", "4")]
 
     def test_malformed(self):
-        with pytest.raises(ConfigError):
-            parse_overrides(["simseed=4"])
-        with pytest.raises(ConfigError):
-            parse_overrides(["sim.seed"])
+        # an empty section too: configparser would file its key under every section
+        for item in ("simseed=4", "sim.seed", ".seed=4", " .seed=4", "sim.=4", "sim. =4"):
+            with pytest.raises(ConfigError, match="not of the form section.key=value"):
+                parse_overrides([item])
 
     def test_override_applies(self, minimal_cfg):
         cfg = load_config(minimal_cfg, ["sim.seed=99", "mpc.horizon=12"])
@@ -289,18 +297,16 @@ class TestSnapshot:
         snap = tmp_path / f"{name}.cfg"
         snap.write_text(config_snapshot(load_config(scenario_path(name))))
         cfg = load_config(snap, ["vehicle.max_rotor_speed=260"])
-        assert cfg.mpc.u_min == (0.0,) * 8
-        assert cfg.mpc.u_max == (260.0 ** 2,) * 8
+        assert (cfg.mpc.u_min, cfg.mpc.u_max) == (0.0, 260.0 ** 2)
 
     def test_reloaded_snapshot_flies_inside_the_vehicle_box(self, tmp_path):
         snap = tmp_path / "step_xyz.cfg"
         snap.write_text(config_snapshot(load_config(scenario_path("step_xyz"))))
         cfg = load_config(snap, ["vehicle.max_rotor_speed=260", "trajectory.z=4",
                                  "sim.duration=6"])
-        log, metrics = cli.run_scenario(cfg, "mpc", tmp_path / "out")
+        log, _ = cli.run_scenario(cfg, "mpc", tmp_path / "out")
         assert len(log) == 300
-        assert log.commands.max() <= 260.0 ** 2
-        assert metrics.constraint_violations == 0
+        assert 0.0 <= log.commands.min() and log.commands.max() <= 260.0 ** 2
 
     def test_reader_accepts_the_keys_the_snapshot_writes(self, bare_cfg):
         accepted = {section: set(table) for section, table in config._TABLES.items()}
@@ -380,6 +386,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "speed_of_sound" in out
 
+    def test_validate_rejects_a_default_section_override(self, capsys):
+        rc = cli.main(["validate", "--config", str(scenario_path("hover")),
+                       "--set", "DEFAULT.seed=1"])
+        assert rc == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
     def test_validate_reports_all_violations(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text(MINIMAL + "\n[vehicle]\nmass = -3.0\nbogus = 1\n")
@@ -419,8 +431,13 @@ class TestCli:
         assert (base / "log.csv").is_file()
         assert (base / "metrics.json").is_file()
         assert (base / "config.ini").is_file()
+        first = simulator.CSV_COLUMNS.index("omega_sq_1")
+        commands = np.loadtxt(base / "log.csv", delimiter=",", skiprows=1, ndmin=2,
+                              usecols=range(first, first + 8))
+        u_max = load_config(minimal_cfg).veh.max_rotor_speed ** 2
+        assert 0.0 <= commands.min() and commands.max() <= u_max
         metrics = json.loads((base / "metrics.json").read_text())
-        assert metrics["constraint_violations"] == 0
+        assert list(metrics) == sorted(f.name for f in dataclasses.fields(simulator.Metrics))
         assert_table_shows(capsys.readouterr().out, out / "minimal", ["mpc"])
 
     def test_run_reports_the_diverging_step_and_command(self, tmp_path, minimal_cfg, capsys,

@@ -153,7 +153,7 @@ class TestCost:
     def test_pure_input_penalty_centers_at_reference(self, disc_model):
         cfg = MpcConfig(horizon=4, position_weight=0.0, velocity_weight=0.0, angle_weight=0.0,
                         rate_weight=0.0, input_weight=1.0, input_rate_weight=0.0,
-                        u_min=np.zeros(8), u_max=np.full(8, 1e6))
+                        u_min=0.0, u_max=1e6)
         ctrl = MpcController(disc_model, cfg, VEH, ENV)
         g, _ = ctrl.linear_terms(np.ones(12), np.zeros((4, 4)))
         du = np.linalg.solve(ctrl.hessian_op.dense(), -g)
@@ -164,7 +164,7 @@ class TestCost:
         # so the minimizer balances the input and rate penalties alone
         cfg = MpcConfig(horizon=1, position_weight=3.0, velocity_weight=3.0, angle_weight=3.0,
                         rate_weight=3.0, input_weight=2.0, input_rate_weight=5.0,
-                        u_min=np.zeros(8), u_max=np.full(8, 1e6))
+                        u_min=0.0, u_max=1e6)
         ctrl = MpcController(disc_model, cfg, VEH, ENV)
         ctrl.u_prev = disc_model.u_ref + np.linspace(-1, 1, 8)
         du_prev = ctrl.u_prev - disc_model.u_ref
@@ -693,7 +693,7 @@ def wide_box_ctrls(disc_model):
     """Controllers at horizons 1, 2 and 60 whose input box never binds, with P built."""
     ctrls = {}
     for n in (1, 2, 60):
-        cfg = MpcConfig(horizon=n, u_min=np.full(8, -1e12), u_max=np.full(8, 1e12))
+        cfg = MpcConfig(horizon=n, u_min=-1e12, u_max=1e12)
         ctrls[n] = MpcController(disc_model, cfg, VEH, ENV)
         ctrls[n].hessian_op.dense()  # built once, shared by every copy
     return ctrls
@@ -954,30 +954,35 @@ class TestClosedLoopLinear:
 class TestConfigValidation:
     def test_requires_positive_input_weight(self):
         with pytest.raises(ValueError):
-            MpcConfig(horizon=5, input_weight=0.0, input_rate_weight=0.0, u_min=np.zeros(8),
-                      u_max=np.ones(8))
+            MpcConfig(horizon=5, input_weight=0.0, input_rate_weight=0.0, u_min=0.0, u_max=1.0)
 
     def test_requires_ordered_bounds(self):
-        with pytest.raises(ValueError):
-            MpcConfig(horizon=5, input_weight=1.0, input_rate_weight=0.0, u_min=np.ones(8),
-                      u_max=np.ones(8))
+        for u_min in (1.0, 2.0):
+            with pytest.raises(ValueError, match="u_min must be below u_max"):
+                MpcConfig(horizon=5, input_weight=1.0, input_rate_weight=0.0, u_min=u_min,
+                          u_max=1.0)
 
     def test_requires_positive_horizon(self):
         with pytest.raises(ValueError):
-            MpcConfig(horizon=0, input_weight=1.0, input_rate_weight=0.0, u_min=np.zeros(8),
-                      u_max=np.ones(8))
+            MpcConfig(horizon=0, input_weight=1.0, input_rate_weight=0.0, u_min=0.0, u_max=1.0)
 
     @pytest.mark.parametrize("key, value", [
         ("qp_tol", math.nan), ("input_weight", math.nan), ("position_weight", math.inf),
         ("rate_weight", -math.inf), ("u_min", (math.nan,) + (0.0,) * 7),
-        ("u_max", (1e5,) * 7 + (math.inf,)),
+        ("u_max", (1e5,) * 7 + (math.inf,)), ("u_min", math.nan), ("u_max", math.inf),
     ])
     def test_rejects_nonfinite_values(self, key, value):
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(MpcConfig.default(VEH), **{key: value})
 
+    @pytest.mark.parametrize("key", ["u_min", "u_max"])
+    @pytest.mark.parametrize("value", [np.zeros(8), (0.0,) * 8])
+    def test_rejects_a_non_scalar_bound(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            dataclasses.replace(MpcConfig.default(VEH), **{key: value})
+
     def test_compares_and_hashes_by_value(self):
         a, b = MpcConfig.default(VEH), MpcConfig.default(VEH)
         assert a == b and hash(a) == hash(b)
-        assert a.u_max == (VEH.max_rotor_speed ** 2,) * 8
+        assert (a.u_min, a.u_max) == (0.0, VEH.max_rotor_speed ** 2)
         assert a != MpcConfig.default(dataclasses.replace(VEH, max_rotor_speed=260.0))
