@@ -6,7 +6,7 @@ Runs every shipped scenario with both controllers and writes
 ``metrics.json`` and ``config.ini`` and the fingerprint that
 ``tests/test_golden.py`` gates (see ``tests/golden.py``), plus the
 Python, numpy, scipy and BLAS versions. ``--out DIR`` keeps the run
-directories, laid out as ``marsquad sweep`` lays them out, for
+directories, laid out as ``marsquad run`` lays them out, for
 ``scripts/compare_logs.py``.
 
 Re-record only in a change that moves the controller's outputs on

@@ -9,7 +9,7 @@ Modules:
     trajectories  reference generators over time arrays (setpoint, helix, square)
     simulator     RK4 closed loop, disturbances, logging, metrics
     config        strict scenario-file parsing
-    cli           run / validate / sweep entry points
+    cli           run / validate entry points
     scenarios     shipped experiment definitions
 """
 

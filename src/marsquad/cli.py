@@ -1,9 +1,10 @@
-"""Command-line entry point: run scenarios, validate configs, sweep in parallel.
+"""Command-line entry point: run scenarios and validate configs.
 
 Verbs:
-    run       execute one scenario, write log.csv / metrics.json / config.ini
+    run       execute one or more scenarios, write log.csv / metrics.json /
+              config.ini per controller run; several files run in parallel
+              worker processes (``--jobs``)
     validate  check a config and print derived quantities without running
-    sweep     run several scenario files in parallel worker processes
 
 Output layout: <outdir>/<scenario>/<controller>/{log.csv, metrics.json,
 config.ini}. The CSV schema is fixed (see ``simulator.CSV_COLUMNS``): a
@@ -67,10 +68,6 @@ def run_scenario(cfg: ScenarioConfig, kind: str, outdir: Path):
     return log, metrics
 
 
-def _outdir(out: str | None, cfg: ScenarioConfig) -> Path:
-    return Path(out or cfg.sim.outdir)
-
-
 def _print_table(results: dict):
     """The metrics of each controller run, one column per run."""
     columns = [metrics.as_dict() for metrics in results.values()]
@@ -79,34 +76,58 @@ def _print_table(results: dict):
         print(f"  {label:<26}" + "".join(f" {d[key]:>14.6g}" for d in columns))
 
 
-def _cmd_run(args) -> int:
-    overrides = list(args.set or [])
-    if args.seed is not None:
-        overrides.append(f"sim.seed={args.seed}")
-    if args.controller is not None:
-        overrides.append(f"sim.controller={args.controller}")
-    try:
-        cfg = load_config(args.config, overrides)
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
-    outdir = _outdir(args.out, cfg)
-
+def _run_one(task):
+    """Run one scenario's controllers: ``(metrics by controller, 0)``, or the
+    first failing run's ``(error line, exit code)``."""
+    cfg, outdir = task
     results = {}
     for kind in CONTROLLERS[cfg.sim.controller]:
         try:
             _, results[kind] = run_scenario(cfg, kind, outdir)
         except NumericalDivergence as err:
-            print(f"error: {kind} run diverged: {err}", file=sys.stderr)
-            return 3
+            return f"error: {cfg.name}: {kind} run diverged: {err}", 3
         except QpMaxIterations as err:
-            print(f"error: QP failure during {kind} run: {err}", file=sys.stderr)
-            return 4
+            return f"error: {cfg.name}: QP failure during {kind} run: {err}", 4
+    return results, 0
 
-    print(f"scenario {cfg.name} ({cfg.description or 'no description'})")
-    _print_table(results)
-    print(f"outputs under {outdir / cfg.name}")
-    return 0
+
+def _report(tasks, outcomes) -> int:
+    """Print each scenario's table or failure line in order; the first failure's code."""
+    code = 0
+    for (cfg, outdir), (outcome, rc) in zip(tasks, outcomes):
+        if rc:
+            print(outcome, file=sys.stderr)
+            code = code or rc
+            continue
+        print(f"scenario {cfg.name} ({cfg.description or 'no description'})")
+        _print_table(outcome)
+        print(f"outputs under {outdir / cfg.name}")
+    return code
+
+
+def _cmd_run(args) -> int:
+    # load and validate everything up front so a typo in one file writes nothing
+    tasks, dests = [], {}
+    for path in args.config:
+        try:
+            cfg = load_config(path, args.set or [])
+        except ConfigError as err:
+            print(f"{path}: {err}", file=sys.stderr)
+            return 2
+        outdir = Path(args.out or cfg.sim.outdir)
+        # a run writes under <out>/<name>/, so two configs there would overwrite each other
+        dest = outdir / cfg.name
+        if dest in dests:
+            print(f"error: {dests[dest]} and {path} both write to {dest}", file=sys.stderr)
+            return 2
+        dests[dest] = path
+        tasks.append((cfg, outdir))
+
+    # a pool of one worker would only add a process: run in this one
+    if len(tasks) == 1 or args.jobs == 1:
+        return _report(tasks, map(_run_one, tasks))
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        return _report(tasks, pool.map(_run_one, tasks))
 
 
 def _cmd_validate(args) -> int:
@@ -123,48 +144,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _sweep_worker(task):
-    cfg, outdir = task
-    try:
-        summary = {kind: run_scenario(cfg, kind, outdir)[1].as_dict()
-                   for kind in CONTROLLERS[cfg.sim.controller]}
-    except Exception as err:  # worker errors must not kill the pool
-        return None, f"{type(err).__name__}: {err}"
-    return cfg.name, summary
-
-
-def _cmd_sweep(args) -> int:
-    # load and validate everything up front so a typo does not burn a sweep;
-    # the workers run the loaded configs
-    configs = []
-    for path in args.configs:
-        try:
-            configs.append(load_config(path, args.set or []))
-        except ConfigError as err:
-            print(f"{path}: {err}", file=sys.stderr)
-            return 2
-    # a run writes under <out>/<name>/, so two configs there would overwrite each other
-    tasks = [(cfg, _outdir(args.out, cfg)) for cfg in configs]
-    dests = {}
-    for path, (cfg, outdir) in zip(args.configs, tasks):
-        dest = outdir / cfg.name
-        if dest in dests:
-            print(f"error: {dests[dest]} and {path} both write to {dest}", file=sys.stderr)
-            return 2
-        dests[dest] = path
-    failures = 0
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for path, result in zip(args.configs, pool.map(_sweep_worker, tasks)):
-            name, payload = result
-            if name is None:
-                print(f"error: {path}: {payload}", file=sys.stderr)
-                failures += 1
-            else:
-                rms = {k: v["rms_position_error"] for k, v in payload.items()}
-                print(f"{name}: " + ", ".join(f"{k} rms={v:.4g} m" for k, v in rms.items()))
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="marsquad",
@@ -172,14 +151,13 @@ def main(argv=None) -> int:
                     "under predictive or PID control.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario")
-    p_run.add_argument("--config", required=True, help="scenario file")
+    p_run = sub.add_parser("run", help="run one or more scenarios")
+    p_run.add_argument("--config", required=True, nargs="+", help="scenario files")
     p_run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                       help="override a config value")
+                       help="override a config value in every scenario")
     p_run.add_argument("--out", help="output directory (default from [sim] outdir)")
-    p_run.add_argument("--seed", type=int, help="override the run seed (as --set sim.seed=N)")
-    p_run.add_argument("--controller", choices=CONTROLLERS,
-                       help="override the configured controller (as --set sim.controller=X)")
+    p_run.add_argument("--jobs", type=int, default=None,
+                       help="worker processes when several files run")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config without running")
@@ -187,16 +165,9 @@ def main(argv=None) -> int:
     p_val.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p_val.set_defaults(func=_cmd_validate)
 
-    p_sweep = sub.add_parser("sweep", help="run several scenarios in parallel")
-    p_sweep.add_argument("configs", nargs="+", help="scenario files")
-    p_sweep.add_argument("--jobs", type=int, default=None, help="worker processes")
-    p_sweep.add_argument("--out", help="output directory override")
-    p_sweep.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
     args = parser.parse_args(argv)
-    if args.verb == "sweep" and args.jobs is not None and args.jobs < 1:
-        p_sweep.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    if args.verb == "run" and args.jobs is not None and args.jobs < 1:
+        p_run.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     return args.func(args)
 
 

@@ -60,6 +60,8 @@ class SimSettings:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be in {list(CONTROLLERS)}, got {self.controller!r}")
+        for name in ("substeps", "seed"):
+            par.require_int(name, getattr(self, name))
         if not (0.0 < self.duration < math.inf and 0.0 < self.control_dt < math.inf
                 and self.duration / self.control_dt < math.inf):
             raise ValueError("duration and control_dt must be finite and > 0, with a finite ratio")

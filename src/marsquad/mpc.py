@@ -54,7 +54,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .dynamics import wrap_angle
 from .linmodel import CHANNELS, N_OUTPUTS, N_STATES, LinearModel
-from .params import N_ROTORS, EnvParams, VehicleParams
+from .params import N_ROTORS, EnvParams, VehicleParams, require_int
 from .trajectories import ref_window
 
 __all__ = ["MpcConfig", "Channel", "QpMaxIterations", "BlockMatrix", "build_prediction",
@@ -85,7 +85,7 @@ class MpcConfig:
     ``input_rate_weight`` set every rotor's entry of the input and
     input-rate diagonals. The input box ``[u_min, u_max]`` bounds every
     rotor's absolute squared speed. The weights, ``qp_tol`` and the box
-    bounds must be finite numbers.
+    bounds must be finite numbers, ``horizon`` and ``qp_max_iter`` integers.
     """
 
     horizon: int = 60
@@ -101,6 +101,8 @@ class MpcConfig:
     u_max: float                     # rad^2/s^2
 
     def __post_init__(self):
+        for name in ("horizon", "qp_max_iter"):
+            require_int(name, getattr(self, name))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",

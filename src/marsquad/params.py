@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 __all__ = [
     "EnvParams",
@@ -24,6 +25,7 @@ __all__ = [
     "check_rotor_feasible",
     "rpm_to_rad_s",
     "rad_s_to_rpm",
+    "require_int",
 ]
 
 N_ROTORS = 8
@@ -37,6 +39,12 @@ def rpm_to_rad_s(rpm: float) -> float:
 
 def rad_s_to_rpm(omega: float) -> float:
     return omega * 60.0 / _TWO_PI
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer; a bool is not one."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_positive(obj, allow_zero=()):
@@ -170,11 +178,18 @@ def hover_speed(veh: VehicleParams, env: EnvParams) -> float:
 
 
 def check_rotor_feasible(veh: VehicleParams, env: EnvParams) -> float:
-    """Validate that the rotor tip stays subsonic at full speed.
+    """Validate that the craft can hover and its rotor tips stay subsonic.
 
     Returns the tip Mach number at ``max_rotor_speed``; raises ValueError
-    when it reaches 1.
+    when hover needs ``max_rotor_speed`` or more, or when the tip Mach
+    number at full speed reaches 1.
     """
+    hover = hover_speed(veh, env)
+    if hover >= veh.max_rotor_speed:
+        raise ValueError(
+            f"hover needs {rad_s_to_rpm(hover):.0f} rpm, at or above the max rotor speed "
+            f"{rad_s_to_rpm(veh.max_rotor_speed):.0f} rpm"
+        )
     mach = tip_mach(veh.max_rotor_speed, veh.rotor_radius, speed_of_sound(env))
     if mach >= 1.0:
         raise ValueError(

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import dynamics
-from .params import EnvParams, VehicleParams
+from .params import EnvParams, VehicleParams, require_int
 from .trajectories import RefGenerator, ref_window
 
 __all__ = [
@@ -260,6 +260,8 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
         raise ValueError(f"duration must be finite and > 0, got {duration}")
     if not 0.0 < control_dt < math.inf:
         raise ValueError(f"control_dt must be finite and > 0, got {control_dt}")
+    require_int("substeps", substeps)
+    require_int("seed", seed)
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
 

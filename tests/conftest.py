@@ -36,7 +36,7 @@ def mpc_cfg(veh):
 
 @pytest.fixture(scope="session")
 def shipped_dir(tmp_path_factory):
-    """The session directory the shipped runs write to, as ``marsquad sweep`` lays it out."""
+    """The session directory the shipped runs write to, as ``marsquad run`` lays it out."""
     return tmp_path_factory.mktemp("shipped")
 
 

@@ -138,11 +138,21 @@ class TestLoading:
         assert len(exc.value.problems) >= 2
 
     def test_environment_profile_earth(self, tmp_path):
+        # a 5 kg craft hovers on Earth at 259 of its 293 rad/s
         p = tmp_path / "earth.cfg"
         p.write_text(MINIMAL + "\n[environment]\nprofile = earth\n"
-                     "[vehicle]\nmax_rotor_speed = 150.0\n")
+                     "[vehicle]\nmass = 5.0\n")
         cfg = load_config(p)
         assert cfg.env.gravity == pytest.approx(9.81)
+
+    @pytest.mark.parametrize("overrides, hover_rpm", [(["environment.profile=earth"], 3838),
+                                                      (["vehicle.mass=25"], 3407)])
+    def test_craft_that_cannot_hover_rejected(self, overrides, hover_rpm):
+        # hover above the 2800 rpm ceiling: under either controller the craft falls
+        with pytest.raises(ConfigError) as exc:
+            load_config(scenario_path("hover"), overrides)
+        assert exc.value.problems == [f"hover needs {hover_rpm} rpm, at or above the max rotor "
+                                      "speed 2800 rpm"]
 
     def test_pulse_parsing(self, tmp_path):
         p = tmp_path / "dist.cfg"
@@ -194,6 +204,12 @@ class TestLoading:
         # the last at 0.12 s, although 0.14 / 0.02 rounds to just above 7
         with pytest.raises(ValueError, match="transient_skip must be .* at most the last sample"):
             SimSettings(duration=duration, transient_skip=skip)
+
+    @pytest.mark.parametrize("key, value", [("substeps", 2.5), ("substeps", True),
+                                            ("seed", 1.5), ("seed", True)])
+    def test_sim_settings_reject_a_non_integer_count(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            SimSettings(**{key: value})
 
     def test_sim_settings_reject_a_step_count_that_overflows(self):
         # the run's step count, ceil(duration / control_dt), must be a number
@@ -400,6 +416,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "mass" in err and "bogus" in err
 
+    @pytest.mark.parametrize("override", ["environment.profile=earth", "vehicle.mass=25"])
+    def test_validate_rejects_a_craft_that_cannot_hover(self, capsys, override):
+        rc = cli.main(["validate", "--config", str(scenario_path("hover")), "--set", override])
+        assert rc == 2
+        assert "at or above the max rotor speed 2800 rpm" in capsys.readouterr().err
+
     def test_validate_rejects_nonfinite_number(self, minimal_cfg, capsys):
         rc = cli.main(["validate", "--config", str(minimal_cfg), "--set", "sim.duration=inf"])
         assert rc == 2
@@ -410,7 +432,7 @@ class TestCli:
         # [sim] outdir is relative, so a run would write under tmp_path
         monkeypatch.chdir(tmp_path)
         argv = {"validate": ["validate", "--config", str(minimal_cfg), "--set", "sim.seed=-1"],
-                "run": ["run", "--config", str(minimal_cfg), "--seed", "-1"]}[verb]
+                "run": ["run", "--config", str(minimal_cfg), "--set", "sim.seed=-1"]}[verb]
         assert cli.main(argv) == 2
         assert "[sim] seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
@@ -451,11 +473,12 @@ class TestCli:
             return state
 
         monkeypatch.setattr(simulator, "rk4_step", diverging)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # one file runs in-process
         out = tmp_path / "results"
         assert cli.main(["run", "--config", str(minimal_cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: mpc run diverged: state magnitude exceeded 1e\+06 at "
-                            r"t=0\.052 \(control step 2, state \[0(, 0){11}\], "
+        assert re.fullmatch(r"error: minimal: mpc run diverged: state magnitude exceeded "
+                            r"1e\+06 at t=0\.052 \(control step 2, state \[0(, 0){11}\], "
                             r"held command \[[^],]+(, [^],]+){7}\]\)\n", err)
         assert not out.exists()
 
@@ -463,27 +486,23 @@ class TestCli:
         # a 5 m climb binds the input box, and one QP iteration cannot solve it
         out = tmp_path / "results"
         rc = cli.main(["run", "--config", str(scenario_path("step_xyz")), "--out", str(out),
-                       "--controller", "mpc", "--set", "trajectory.z=5.0",
+                       "--set", "sim.controller=mpc", "--set", "trajectory.z=5.0",
                        "--set", "sim.duration=2.0", "--set", "mpc.qp_max_iter=1"])
         assert rc == 4
-        assert re.fullmatch(r"error: QP failure during mpc run: QP did not converge "
+        assert re.fullmatch(r"error: step_xyz: QP failure during mpc run: QP did not converge "
                             r"\(residual \S+\)\n", capsys.readouterr().err)
         assert not out.exists()
 
     def test_run_both_prints_table(self, tmp_path, minimal_cfg, capsys):
         out = tmp_path / "results"
         rc = cli.main(["run", "--config", str(minimal_cfg), "--out", str(out),
-                       "--controller", "both", "--set", "sim.duration=0.5"])
+                       "--set", "sim.controller=both", "--set", "sim.duration=0.5"])
         assert rc == 0
         assert_table_shows(capsys.readouterr().out, out / "minimal", ["mpc", "pid"])
         assert (out / "minimal" / "pid" / "log.csv").is_file()
 
-    def test_controller_choices_are_the_settings_choices(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--help"])
-        choices = re.search(r"--controller \{([^}]*)\}", capsys.readouterr().out)[1].split(",")
-        assert choices == list(config.CONTROLLERS)
-        for choice in choices:
+    def test_controller_choices_are_the_settings_choices(self):
+        for choice in config.CONTROLLERS:
             assert SimSettings(controller=choice).controller == choice
         with pytest.raises(ValueError, match="controller must be in"):
             SimSettings(controller="lqr")
@@ -493,7 +512,7 @@ class TestCli:
         path.write_text(MINIMAL.replace("controller = mpc", "controller = both"))
         out = tmp_path / "results"
         assert cli.main(["run", "--config", str(path), "--out", str(out),
-                         "--controller", "mpc", "--set", "sim.duration=0.1"]) == 0
+                         "--set", "sim.controller=mpc", "--set", "sim.duration=0.1"]) == 0
         assert [p.name for p in (out / "either").iterdir()] == ["mpc"]
         snap = out / "either" / "mpc" / "config.ini"
         assert "controller = mpc\n" in snap.read_text()
@@ -507,37 +526,37 @@ class TestCli:
     def test_seed_override_changes_snapshot(self, tmp_path, minimal_cfg):
         out = tmp_path / "results"
         cli.main(["run", "--config", str(minimal_cfg), "--out", str(out),
-                  "--seed", "123", "--set", "sim.duration=0.5"])
+                  "--set", "sim.seed=123", "--set", "sim.duration=0.5"])
         snap = (out / "minimal" / "mpc" / "config.ini").read_text()
         assert "seed = 123" in snap
 
-    def test_seed_flag_wins_over_set(self, tmp_path, minimal_cfg):
-        out = tmp_path / "results"
-        cli.main(["run", "--config", str(minimal_cfg), "--out", str(out), "--seed", "7",
-                  "--set", "sim.seed=5", "--set", "sim.duration=0.1"])
-        assert "seed = 7\n" in (out / "minimal" / "mpc" / "config.ini").read_text()
-
+    # a sweep is one run over several scenario files
     def test_sweep_runs_multiple(self, tmp_path, capsys):
         a = tmp_path / "a.cfg"
         b = tmp_path / "b.cfg"
         a.write_text(MINIMAL)
         b.write_text(MINIMAL.replace("x = 0.0", "x = 0.2"))
         out = tmp_path / "sweep_out"
-        rc = cli.main(["sweep", str(a), str(b), "--out", str(out),
+        rc = cli.main(["run", "--config", str(a), str(b), "--out", str(out),
                        "--set", "sim.duration=0.5", "--jobs", "2"])
         assert rc == 0
         assert (out / "a" / "mpc" / "log.csv").is_file()
         assert (out / "b" / "mpc" / "log.csv").is_file()
+        # each scenario prints its header and table, in argument order
+        printed = capsys.readouterr().out.split("scenario ")
+        assert [chunk.split()[0] for chunk in printed[1:]] == ["a", "b"]
+        for name, chunk in zip(["a", "b"], printed[1:]):
+            assert_table_shows("scenario " + chunk, out / name, ["mpc"])
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_sweep_rejects_jobs_below_one(self, tmp_path, minimal_cfg, capsys, monkeypatch,
                                           jobs):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # no pool may be made
         with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", str(minimal_cfg), "--jobs", jobs, "--out", str(tmp_path)])
+            cli.main(["run", "--config", str(minimal_cfg), "--jobs", jobs, "--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: marsquad sweep")
+        assert err.startswith("usage: marsquad run")
         assert f"argument --jobs: must be >= 1, got {jobs}" in err
 
     def test_sweep_rejects_two_configs_with_one_name(self, tmp_path, capsys, monkeypatch):
@@ -547,14 +566,50 @@ class TestCli:
             path.parent.mkdir()
             path.write_text(MINIMAL)
         out = tmp_path / "out"
-        rc = cli.main(["sweep", str(first), str(second), "--jobs", "1", "--out", str(out)])
+        rc = cli.main(["run", "--config", str(first), str(second), "--jobs", "1",
+                       "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert str(first) in err and str(second) in err
         assert not out.exists()
 
-    def test_sweep_rejects_invalid_config(self, tmp_path, capsys):
+    def test_sweep_rejects_invalid_config(self, tmp_path, minimal_cfg, capsys):
+        # a bad file anywhere in the list stops the run before anything is written
         bad = tmp_path / "bad.cfg"
         bad.write_text(MINIMAL + "\n[vehicle]\nmass = -1\n")
-        rc = cli.main(["sweep", str(bad)])
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(minimal_cfg), str(bad), "--out", str(out)])
         assert rc == 2
+        assert capsys.readouterr().err.startswith(f"{bad}: invalid configuration")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_runs_on_past_a_diverging_scenario(self, tmp_path, minimal_cfg, capsys,
+                                                     jobs):
+        # a 1e9 N push drives the state past 1e6 within the first control step
+        diverging = tmp_path / "pushed.cfg"
+        diverging.write_text(MINIMAL + "\n[disturbance]\npulses = 0 inf 1e9 0 0 0 0 0\n")
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(diverging), str(minimal_cfg), "--out", str(out),
+                       "--set", "sim.controller=both", "--set", "sim.duration=0.2",
+                       "--jobs", jobs])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: pushed: mpc run diverged: state magnitude exceeded "
+                            r"1e\+06 .*\n", captured.err)
+        assert not (out / "pushed").exists()
+        assert sorted(p.name for p in (out / "minimal").iterdir()) == ["mpc", "pid"]
+        assert_table_shows(captured.out, out / "minimal", ["mpc", "pid"])
+
+    def test_sweep_exits_with_the_first_failed_files_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # --jobs 1 runs in-process
+        diverging = tmp_path / "pushed.cfg"
+        diverging.write_text(MINIMAL + "\n[disturbance]\npulses = 0 inf 1e9 0 0 0 0 0\n")
+        # the 5 m climb of test_run_reports_a_qp_failure
+        stalling = tmp_path / "stalled.cfg"
+        stalling.write_text(MINIMAL.replace("z = 0.0", "z = 5.0")
+                            + "\n[mpc]\nqp_max_iter = 1\n")
+        for files, code in (([diverging, stalling], 3), ([stalling, diverging], 4)):
+            argv = ["run", "--config", *map(str, files), "--out", str(tmp_path / "out"),
+                    "--set", "sim.duration=2.0", "--jobs", "1"]
+            assert cli.main(argv) == code

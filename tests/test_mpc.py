@@ -966,6 +966,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MpcConfig(horizon=0, input_weight=1.0, input_rate_weight=0.0, u_min=0.0, u_max=1.0)
 
+    @pytest.mark.parametrize("key", ["horizon", "qp_max_iter"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_rejects_a_non_integer_count(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            MpcConfig.default(VEH, **{key: value})
+
     @pytest.mark.parametrize("key, value", [
         ("qp_tol", math.nan), ("input_weight", math.nan), ("position_weight", math.inf),
         ("rate_weight", -math.inf), ("u_min", (math.nan,) + (0.0,) * 7),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -144,6 +145,23 @@ class TestInvariants:
         fast = VehicleParams(**{**base, "max_rotor_speed": rpm_to_rad_s(5000.0)})
         with pytest.raises(ValueError, match="[Mm]ach"):
             check_rotor_feasible(fast, env)
+
+    @pytest.mark.parametrize("env, mass, hover_rpm", [(EARTH, 12.0, 3838), (MARS, 25.0, 3407)])
+    def test_craft_that_cannot_hover_rejected(self, env, mass, hover_rpm):
+        # hover speed at or above the 2800 rpm ceiling: the craft would only fall
+        heavy = VehicleParams(mass=mass)
+        assert round(params.rad_s_to_rpm(hover_speed(heavy, env))) == hover_rpm
+        with pytest.raises(ValueError, match=f"hover needs {hover_rpm} rpm, at or above the "
+                                             "max rotor speed 2800 rpm"):
+            check_rotor_feasible(heavy, env)
+
+    def test_craft_hovering_just_below_the_ceiling_is_feasible(self, env):
+        veh = VehicleParams()
+        ceiling = dataclasses.replace(veh, max_rotor_speed=hover_speed(veh, env) * (1 + 1e-9))
+        assert check_rotor_feasible(ceiling, env) < 1.0
+        with pytest.raises(ValueError, match="hover needs"):
+            check_rotor_feasible(dataclasses.replace(veh, max_rotor_speed=hover_speed(veh, env)),
+                                 env)
 
     def test_hover_thrust_value(self, veh, env):
         assert hover_thrust(veh, env) == pytest.approx(44.53, abs=0.01)

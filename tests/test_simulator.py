@@ -470,6 +470,14 @@ class TestClosedLoop:
         wrapped = run(dynamics.make_state(phi=math.pi, theta=0.3, psi=dynamics.wrap_angle(4.0)))
         assert log.states.tobytes() == wrapped.states.tobytes()
 
+    @pytest.mark.parametrize("name, value", [("substeps", 2.5), ("substeps", True),
+                                             ("seed", 1.5), ("seed", False)])
+    def test_rejects_a_non_integer_count(self, name, value):
+        kwargs = {"substeps": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
+                            duration=0.1, control_dt=0.02, veh=VEH, env=ENV, **kwargs)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
