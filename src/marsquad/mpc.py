@@ -12,11 +12,10 @@ so the m_c and an orthonormal basis of the mixer's null space are the
 rows of an orthogonal rotor basis E. The input and input-rate weights are
 the same for every rotor, so along each row of E the Hessian of
 0.5 U'PU + q'U is one N x N block: T + Q_c along m_c, T the scalar input
-band and Q_c a channel's tracking block, and T in the null space
-(``build_cost``, once per controller). Only the input box couples the
-rows. ``build_cost`` returns P in this form as a ``BlockMatrix``, whose
-``inverse()`` is P^-1 from the blocks' inverses: a product with either is
-eight N x N products.
+band and Q_c a channel's tracking block, and T in the null space. Only
+the input box couples the rows. ``build_cost`` returns P in this form as
+a ``BlockMatrix`` holding P^-1, from the one Cholesky factor per run of
+equal blocks that checks P positive definite.
 
 The linear term q is affine in the state deviation dx0 and in the
 reference window, and so is the unconstrained optimum -P^-1 q: the
@@ -37,20 +36,21 @@ On those box-active steps ``solve_qp``, given that ``BlockMatrix``, reads
 P and P^-1 by block products (never the dense P) and takes each Newton
 step from the k x k Schur complement (P^-1)_CC of the clamped coordinates
 C, k = |C|, gathered from the dense P^-1 that the first such step builds:
-QPSchur's active-set update (Bartlett and Biegler, 2006). No block of P
-is factored.
+QPSchur's active-set update (Bartlett and Biegler, 2006).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 
 import numpy as np
-from scipy.linalg import cho_factor, null_space
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .dynamics import wrap_angle
 from .linmodel import CHANNELS, N_OUTPUTS, N_STATES, LinearModel
@@ -152,29 +152,26 @@ class Channel:
     states: np.ndarray     # (s,) indices into the 12-state
     direction: np.ndarray  # (8,) unit mixer row
     G: np.ndarray          # (N s, s)
-    H: np.ndarray          # (N s, N)
+    H: np.ndarray          # (N s, N), a read-only window on the 2N - 1 impulse samples
 
 
-def _run_starts(blocks: np.ndarray) -> np.ndarray:
-    """Mask of the blocks that differ from the one before them.
-
-    Equal blocks come in runs: roll's and pitch's for a vehicle with
-    ``inertia_xx == inertia_yy``, and the null-space rows, which all hold T.
-    """
-    return np.r_[True, (blocks[1:] != blocks[:-1]).any(axis=(1, 2))]
+def _run_bounds(blocks: np.ndarray) -> np.ndarray:
+    """Where each run of equal blocks (T's; roll's and pitch's) starts, then len(blocks)."""
+    return np.flatnonzero(np.r_[True, (blocks[1:] != blocks[:-1]).any(axis=(1, 2)), True])
 
 
 class BlockMatrix:
     """A symmetric 8N x 8N matrix as the rotor basis E and (8, N, N) blocks.
 
     ``m @ v`` is the block product of ``build_cost``. ``dense()`` builds the
-    dense ``table`` (entry ((k, r), (j, s)) is sum_c E_cr E_cs K_c[k, j])
-    once by ``einsum``'s own loop, checks it finite and keeps it read-only:
-    as one BLAS product it ran multithreaded, and about one in ten later
-    Schur factors then stalled for about 4 ms (default BLAS threads, 2-core
-    host). ``inverse()`` is the matrix's inverse on the same basis, built
-    on first call and kept. Holds only arrays and that inverse, which holds
-    none back: no cycle keeps its owner alive.
+    dense ``table`` (entry ((k, r), (j, s)) is sum_c E_cr E_cs K_c[k, j],
+    one term per run of equal blocks) once by ``einsum``'s own loop,
+    checks it finite and keeps it read-only: as one BLAS product it ran
+    multithreaded, and about one in ten later Schur factors then stalled
+    for about 4 ms (default BLAS threads, 2-core host). ``inverse()``, kept
+    from its first call, is ``potri`` on one ``cho_factor`` per run
+    (``LinAlgError`` unless positive definite). Holds only arrays and that
+    inverse, which holds none back: no cycle keeps its owner alive.
     """
 
     def __init__(self, basis: np.ndarray, blocks: np.ndarray):
@@ -189,15 +186,18 @@ class BlockMatrix:
 
     def inverse(self) -> BlockMatrix:
         if self._inverse is None:
-            new = _run_starts(self.blocks)  # one inversion per run of equal blocks
-            blocks = np.linalg.inv(self.blocks[new])[np.cumsum(new) - 1]
+            blocks, lower = np.empty_like(self.blocks), np.tri(self.blocks.shape[1], dtype=bool)
+            for start, stop in itertools.pairwise(_run_bounds(self.blocks)):
+                inverse = dpotri(cho_factor(self.blocks[start], lower=True)[0], lower=True)[0]
+                blocks[start:stop] = np.where(lower, inverse, inverse.T)
             self._inverse = BlockMatrix(self.basis, blocks)
         return self._inverse
 
     def dense(self) -> np.ndarray:
         if self.table is None:
-            outers = self.basis[:, :, None] * self.basis[:, None, :]
-            table = np.einsum("ckj,crs->krjs", self.blocks, outers).reshape(self.shape)
+            starts = _run_bounds(self.blocks)[:-1]
+            outers = np.add.reduceat(self.basis[:, :, None] * self.basis[:, None, :], starts)
+            table = np.einsum("ckj,crs->krjs", self.blocks[starts], outers).reshape(self.shape)
             if not np.isfinite(table).all():
                 raise ValueError("block matrix must be finite")
             table.flags.writeable = False
@@ -210,34 +210,40 @@ def build_prediction(model: LinearModel, horizon: int) -> tuple[Channel, ...]:
 
     Raises ``ValueError`` unless the model decouples on ``CHANNELS``: A
     block diagonal on their state sets, each channel's rows of B
-    multiples of one direction, and the four directions orthonormal.
+    multiples of one direction, not all zero, and the four directions
+    orthonormal. A^(m+j) = A^j A^m fills A's powers in log2 N products.
     """
     if model.continuous:
         raise ValueError("prediction needs a discretized model")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    lag = np.maximum(np.subtract.outer(np.arange(horizon), np.arange(horizon)), 0)
-    channels = []
-    for states in map(np.array, CHANNELS):
-        rows = model.B[states]
+    states = [np.array(c) for c in CHANNELS]
+    directions, impulses = np.zeros((len(states), N_ROTORS)), np.zeros((N_STATES, len(states)))
+    for c, s in enumerate(states):
+        rows, name = model.B[s], f"the channel states {s.tolist()}"
+        if not rows.any():
+            raise ValueError(f"model does not decouple: no rotor drives {name}")
         direction = rows[np.argmax(np.linalg.norm(rows, axis=1))]
-        direction = direction / np.linalg.norm(direction)
-        b = rows @ direction
-        if (np.delete(model.A[states], states, axis=1).any()
-                or np.abs(rows - np.outer(b, direction)).max() > 1e-12 * np.abs(rows).max()):
-            raise ValueError(f"model does not decouple on the channel states {states.tolist()}")
-        a = model.A[np.ix_(states, states)]
-        powers = [np.eye(len(states))]
-        for _ in range(horizon - 1):
-            powers.append(powers[-1] @ a)
-        g = np.vstack(powers)
-        # response[k] = Ac^(k-1) bc, the k-th sample after a unit input; 0 at k = 0
-        response = np.vstack([np.zeros(len(states)), (g @ b).reshape(horizon, -1)[:-1]])
-        h = response[lag].transpose(0, 2, 1).reshape(-1, horizon)
-        channels.append(Channel(states, direction, g, h))
-    directions = np.array([c.direction for c in channels])
-    if np.abs(directions @ directions.T - np.eye(len(channels))).max() > 1e-12:
+        directions[c] = direction = direction / np.linalg.norm(direction)
+        impulses[s, c] = b = rows @ direction
+        if (np.delete(model.A[s], s, axis=1).any()
+                or not np.abs(rows - np.outer(b, direction)).max() <= 1e-12 * np.abs(rows).max()):
+            raise ValueError(f"model does not decouple on {name}")
+    if not np.abs(directions @ directions.T - np.eye(len(states))).max() <= 1e-12:
         raise ValueError("model does not decouple: the channel directions are not orthonormal")
+    powers = np.empty((horizon, N_STATES, N_STATES))  # powers[k] = A^k
+    powers[0], power, m = np.eye(N_STATES), model.A, 1
+    while m < horizon:  # powers[m + j] = A^j A^m for j < m, cut at N: one batched product
+        np.matmul(powers[:min(m, horizon - m)], power, out=powers[m:2 * m])
+        power, m = power @ power, 2 * m
+    # responses[k - 1, :, c] = A^(k-1) b_c, the k-th sample after a unit input on channel c
+    responses = powers[:-1] @ impulses
+    channels = []
+    for c, s in enumerate(states):
+        # samples[N - 1 + k] is the k-th sample, 0 for k <= 0; H is a window view on them
+        samples = np.concatenate([np.zeros((horizon, len(s))), responses[:, s, c]])
+        h = sliding_window_view(samples, horizon, axis=0)[..., ::-1].reshape(-1, horizon)
+        channels.append(Channel(s, directions[c], powers[:, s[:, None], s].reshape(-1, len(s)), h))
     return tuple(channels)
 
 
@@ -247,30 +253,28 @@ def build_cost(channels: tuple[Channel, ...], cfg: MpcConfig) -> BlockMatrix:
     Its 8 x 8 ``basis`` E has orthonormal rows: the channels' directions
     m_c, then an orthonormal basis of the mixer's null space. Its
     ``blocks`` are the (8, N, N) stack of the K_c that P takes along those
-    rows: T + Q_c along m_c, with T the N x N input
-    and input-rate band and Q_c = H_c' W_c H_c a channel's tracking block,
-    and T along each null-space row. With U as an (N, 8) array W, P U is
-    V E, column c of V being K_c times column c of W E'. Raises
-    ``ValueError`` if P is not positive definite (one ``cho_factor`` per
-    run of equal blocks, whose factors are not kept).
+    rows: T + Q_c along m_c, with T the N x N input and input-rate band
+    and Q_c = H_c' W_c H_c a channel's tracking block, and T along each
+    null-space row. With U as an (N, 8) array W, P U is V E, column c of V
+    being K_c times column c of W E'. P comes with its ``inverse()``, whose
+    factors raise ``ValueError`` here unless P is positive definite.
     """
     n = cfg.horizon
     eye = np.eye(n)
     diff = eye - np.eye(n, k=-1)  # input sequence to its step-to-step differences
     band = cfg.input_weight * eye + cfg.input_rate_weight * (diff.T @ diff)
     directions = np.array([c.direction for c in channels])
-    basis = np.vstack([directions, null_space(directions).T])
+    basis = np.vstack([directions, np.linalg.qr(directions.T, "complete")[0][:, len(channels):].T])
     blocks = np.tile(band, (N_ROTORS, 1, 1))
     for block, c in zip(blocks, channels):
-        weights = np.tile(cfg.state_weight[c.states], n)
-        q = c.H.T @ (weights[:, None] * c.H)
-        block += 0.5 * (q + q.T)
+        weighted = np.tile(np.sqrt(cfg.state_weight[c.states]), n)[:, None] * c.H
+        block += weighted.T @ weighted  # one symmetric rank-k update (BLAS syrk)
+    cost = BlockMatrix(basis, blocks)
     try:
-        for block in blocks[_run_starts(blocks)]:
-            cho_factor(block, lower=True)
+        cost.inverse()
     except np.linalg.LinAlgError:
         raise ValueError("cost Hessian is not positive definite; check weights") from None
-    return BlockMatrix(basis, blocks)
+    return cost
 
 
 def build_law(channels: tuple[Channel, ...], inverse_blocks: np.ndarray, cfg: MpcConfig,
@@ -290,22 +294,22 @@ def build_law(channels: tuple[Channel, ...], inverse_blocks: np.ndarray, cfg: Mp
     q_c less the input-rate term of u_prev.
     """
     n = cfg.horizon
-    slope = np.zeros((n, n))
-    if n > 1:
-        slope[:-1] = (np.eye(n, k=1) - np.eye(n))[:-1] / dt
-        slope[-1] = slope[-2]
     law = np.zeros((len(channels), 2 * n, n + 4))
     for out, c in zip(law, channels):
         s = len(c.states)
         weights = cfg.state_weight[c.states]
         responses = c.H.reshape(n, s, n)  # [i, k, j]: state k at sample i per unit input j
+        tracked = np.zeros((n, n))  # S_c'
         for k, state in enumerate(c.states):
             if state in OUTPUT_STATES:
-                out[:n, :n] -= weights[k] * responses[:, k].T
-            elif state in VELOCITY_STATES:
-                out[:n, :n] -= weights[k] * responses[:, k].T @ slope
+                tracked += weights[k] * responses[:, k]
+            elif state in VELOCITY_STATES and n > 1:  # M_k' H_k, by differences of rows
+                h, pad = responses[:, k], np.zeros((1, n))  # the last slope repeats the one
+                rows = np.concatenate([pad, h[:-2], h[-2:-1] + h[-1:], pad])  # before it
+                tracked += weights[k] / dt * (rows[:-1] - rows[1:])
+        out[:n, :n] = -tracked.T
         out[:n, n:n + s] = c.H.T @ (np.tile(weights, n)[:, None] * c.G)
-    law[:, n:] = inverse_blocks[:len(channels)] @ law[:, :n]
+    np.matmul(inverse_blocks[:len(channels)], law[:, :n], out=law[:, n:])
     return law
 
 
@@ -335,16 +339,15 @@ def solve_qp(hessian: np.ndarray | BlockMatrix, gradient: np.ndarray,
     exactly 0 to the residual, so no step finds every one clamped.
 
     Every Newton step comes from H^-1: with z = H^-1 g, formed once per
-    solve, and the clamped set C, k = |C|, the minimizer with x_C held
-    fixed is -z + (H^-1)_:C lam, where the k x k Schur complement
-    S = (H^-1)_CC gives S lam = x_C + z_C (QPSchur, Bartlett and Biegler,
-    2006). A step costs a gather of k rows of H^-1 (its k columns, by
-    symmetry), a Cholesky factor of S (at most n^3/3, at k = n) and one
-    k x n product; with nothing clamped it is -z. A ``BlockMatrix``, read
-    through ``@``, supplies H^-1 from its ``inverse()`` (the dense table on
-    the first clamped step), so no block of H is factored; a finite (n, n)
-    array gets H^-1 from one Cholesky factor per solve. ``x0`` must be
-    finite; it is clipped into the box.
+    solve, and the clamped set C, k = |C|, the minimizer with x_C held fixed
+    is -z + (H^-1)_:C lam, where the k x k Schur complement S = (H^-1)_CC
+    gives S lam = x_C + z_C (QPSchur, Bartlett and Biegler, 2006). A step
+    costs a gather of k rows of H^-1 (its k columns, by symmetry), a
+    Cholesky factor of S (at most n^3/3, at k = n) and one k x n product;
+    with nothing clamped it is -z. A ``BlockMatrix``, read through ``@``,
+    supplies H^-1 from its ``inverse()`` (the dense table on the first
+    clamped step); a finite (n, n) array gets H^-1 from one Cholesky factor
+    per solve. ``x0`` must be finite; it is clipped into the box.
 
     Each line-search trial costs one product with the Hessian: the
     objective is read off the gradient, f(x) = 0.5 x'(Hx + g + g), and an
@@ -519,8 +522,7 @@ class MpcController:
         basis, inverse_blocks = self.hessian_op.basis, self.hessian_op.inverse().blocks
         self.directions = basis[:len(self.channels)]
         self.law = build_law(self.channels, inverse_blocks, cfg, model.dt)
-        # du_prev's part of the optimum, P^-1 (e_0 kron w du_prev) for the input-rate weight w:
-        # one K_c^-1 e_0 column per basis row
+        # du_prev's part of the optimum, w P^-1 (e_0 kron du_prev): a K_c^-1 e_0 column per row
         outers = (basis[:, :, None] * basis[:, None, :]).reshape(N_ROTORS, -1)
         self.rate_law = (cfg.input_rate_weight * (inverse_blocks[:, :, 0].T @ outers)
                          ).reshape(N_ROTORS * cfg.horizon, N_ROTORS)

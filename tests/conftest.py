@@ -51,7 +51,11 @@ def shipped_run(shipped_dir):
 
 
 def _brute_force_box_qp(h, g, lo, hi):
-    """Enumerate every lower/free/upper pattern and keep the feasible minimum."""
+    """Enumerate every lower/free/upper pattern and keep the feasible minimum, one by one.
+
+    The reference for ``_batched_box_qp``; a pattern whose free block is
+    singular is skipped.
+    """
     n = len(g)
     best, best_val = None, math.inf
     for pattern in itertools.product((0, 1, 2), repeat=n):
@@ -76,7 +80,40 @@ def _brute_force_box_qp(h, g, lo, hi):
     return best
 
 
+@functools.cache
+def _patterns(n):
+    """All 3^n lower (1), free (0) and upper (2) patterns, in ``itertools.product`` order."""
+    return np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=int).reshape(-1, n)
+
+
+def _batched_box_qp(h, g, lo, hi):
+    """Every lower/free/upper pattern's minimizer from one stacked solve; the feasible minimum.
+
+    A pattern's system holds H's rows for its free coordinates and
+    identity rows fixing the others at their bound, so it is singular
+    exactly when its free block is; then ``np.linalg.solve`` raises
+    ``LinAlgError`` rather than skipping the pattern. Ties go to the
+    first pattern, as in ``_brute_force_box_qp``.
+    """
+    n = len(g)
+    patterns = _patterns(n)
+    free = patterns == 0
+    bound = np.where(patterns == 1, lo, hi)
+    systems = np.where(free[:, :, None], h, np.eye(n))
+    x = np.linalg.solve(systems, np.where(free, -g, bound)[:, :, None])[:, :, 0]
+    x = np.where(free, x, bound)
+    feasible = (~free | ((x >= lo - 1e-12) & (x <= hi + 1e-12))).all(axis=1)
+    values = 0.5 * np.einsum("pi,ij,pj->p", x, h, x) + x @ g
+    return x[np.flatnonzero(feasible)[np.argmin(values[feasible])]]
+
+
 @pytest.fixture(scope="session")
 def box_qp_oracle():
     """Brute-force minimizer of 0.5 x'Hx + g'x over a small box: ``f(h, g, lo, hi)``."""
+    return _batched_box_qp
+
+
+@pytest.fixture(scope="session")
+def box_qp_loop_oracle():
+    """``box_qp_oracle`` pattern by pattern, the reference it is tested against."""
     return _brute_force_box_qp

@@ -129,24 +129,44 @@ class TestPrediction:
         identity = ctrl.hessian_op.inverse().dense() @ ctrl.hessian_op.dense()
         assert np.abs(identity - np.eye(8 * 15)).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 33, 60, 61, 100])
+    def test_channels_match_dense_prediction(self, disc_model, n):
+        """Each channel's G and H, from the doubled powers and the sliding
+        window, against the matrix-power operators projected on the channel:
+        its states, and its direction for the inputs. Horizons on and next
+        to the doubling's chunk edges."""
+        g, h = dense_prediction(disc_model, n)
+        g, h = g.reshape(n, 12, 12), h.reshape(n, 12, n, 8)
+        for c in build_prediction(disc_model, n):
+            s = c.states
+            want_g = g[:, s][:, :, s].reshape(-1, len(s))
+            want_h = (h[:, s] @ c.direction).reshape(-1, n)
+            assert np.abs(c.G - want_g).max() <= 1e-12 * np.abs(want_g).max()
+            assert np.abs(c.H - want_h).max() <= 1e-12 * max(np.abs(want_h).max(), 1e-300)
+
     def test_rejects_continuous_model(self, cont_model):
         with pytest.raises(ValueError):
             build_prediction(cont_model, 5)
 
-    @pytest.mark.parametrize("coupling", ["A", "B", "tilted"])
+    @pytest.mark.parametrize("coupling", ["A", "B", "tilted", "unactuated", "nan"])
     def test_rejects_model_that_does_not_decouple(self, disc_model, coupling):
         a, b = disc_model.A.copy(), disc_model.B.copy()
         if coupling == "A":
             a[0, 2] = 0.01  # x driven by z: pitch and thrust channels couple
         elif coupling == "B":
             b[5] += b[9]    # vertical acceleration from the roll moment
+        elif coupling == "unactuated":  # no rotor drives yaw: its direction would be 0 / 0
+            b[[8, 11]] = 0.0
+        elif coupling == "nan":  # a NaN fails the checks instead of passing them
+            b[9, 0] = np.nan
         else:  # each channel's rows share a direction, but roll's leans toward thrust
             roll = [1, 4, 6, 9]
             moment, thrust = (b[i] / np.linalg.norm(b[i]) for i in (9, 5))
             b[roll] += 0.1 * np.outer(b[roll] @ moment, thrust)
         model = dataclasses.replace(disc_model, A=a, B=b)
-        with pytest.raises(ValueError, match="does not decouple"):
+        with pytest.raises(ValueError, match="does not decouple") as err:
             build_prediction(model, 5)
+        assert coupling != "unactuated" or "states [8, 11]" in str(err.value)
 
 
 class TestCost:
@@ -271,6 +291,27 @@ class TestSolveQp:
             xb = box_qp_oracle(h, g, lo, hi)
             x, _ = solve_qp(h, g, lo, hi, cfg)
             assert np.abs(x - xb).max() < 1e-8
+
+    def test_batched_oracle_matches_the_loop(self, box_qp_oracle, box_qp_loop_oracle):
+        """The stacked brute-force solve against the pattern-by-pattern one
+        on a few dozen QPs of 1-6 variables, bounds often active."""
+        rng = np.random.default_rng(13)
+        for n in np.repeat(np.arange(1, 7), 6):
+            a = rng.normal(0, 1, (n, n))
+            h = a @ a.T + 0.3 * np.eye(n)
+            g = rng.normal(0, 3, n)
+            lo, hi = rng.uniform(-2, -0.1, n), rng.uniform(0.1, 2, n)
+            want = box_qp_loop_oracle(h, g, lo, hi)
+            assert np.abs(box_qp_oracle(h, g, lo, hi) - want).max() <= 1e-12 * max(
+                1.0, np.abs(want).max())
+
+    def test_batched_oracle_raises_on_a_singular_free_block(self, box_qp_oracle,
+                                                            box_qp_loop_oracle):
+        h = np.diag([1.0, 0.0])  # the pattern that frees coordinate 1 is singular
+        g, lo, hi = np.array([1.0, 0.0]), -np.ones(2), np.ones(2)
+        assert box_qp_loop_oracle(h, g, lo, hi) is not None  # the loop skips it
+        with pytest.raises(np.linalg.LinAlgError):
+            box_qp_oracle(h, g, lo, hi)
 
     def test_schur_step_matches_brute_force(self, box_qp_oracle):
         """Schur steps from a ``BlockMatrix``'s inverse, against brute force.
@@ -552,8 +593,9 @@ class TestMpcStep:
     def test_constructor_factors_the_hessian_once(self, disc_model, mpc_cfg, monkeypatch):
         """One ``cho_factor`` per distinct block (thrust's, roll's and
         pitch's one, yaw's and T for the shipped vehicle, whose roll and
-        pitch inertias are equal), P^-1 built once, and the dense P and
-        P^-1 only on demand."""
+        pitch inertias are equal), P^-1's blocks from those factors and
+        no ``np.linalg.inv``, P^-1 built once, and the dense P and P^-1
+        only on demand."""
         calls = []
         original = mpc.cho_factor
 
@@ -564,8 +606,12 @@ class TestMpcStep:
         def forbidden(*args, **kwargs):
             raise AssertionError("np.linalg.cholesky called")
 
+        def inverting(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
         monkeypatch.setattr(mpc, "cho_factor", counting)
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", inverting)
         ctrl = MpcController(disc_model, mpc_cfg, VEH, ENV)
         assert len(calls) == 4
         # unequal roll and pitch inertia: their blocks differ and are factored apart
@@ -574,7 +620,8 @@ class TestMpcStep:
         MpcController(model, MpcConfig.default(veh), veh, ENV)
         assert len(calls) == 4 + 5
         monkeypatch.undo()
-        # the factors are only the positive-definiteness check; P and P^-1 are built on demand
+        # the factors are the positive-definiteness check and P^-1's blocks, built with P;
+        # the dense P and P^-1 are built on demand
         op = ctrl.hessian_op
         assert op.inverse() is op.inverse()
         assert op.table is None and op.inverse().table is None
@@ -618,6 +665,19 @@ class TestMpcStep:
             assert alive() is None
         finally:
             gc.enable()
+
+    def test_inverse_blocks_are_exactly_symmetric(self, horizon_ctrl):
+        """P^-1's blocks from ``build_cost``, and those ``inverse()`` builds
+        for any other ``BlockMatrix``, are symmetric bit for bit and
+        invert their blocks."""
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(8, 5, 5))
+        other = mpc.BlockMatrix(np.linalg.qr(rng.normal(size=(8, 8)))[0],
+                                a @ a.transpose(0, 2, 1) + np.eye(5))
+        for op in (horizon_ctrl.hessian_op, other):
+            inverse = op.inverse().blocks
+            assert np.array_equal(inverse, inverse.transpose(0, 2, 1))
+            assert np.abs(inverse @ op.blocks - np.eye(len(inverse[0]))).max() <= 1e-12
 
     def test_hessian_inverse_is_read_only(self, horizon_ctrl):
         """The cached P^-1 and P are shared by every copy of the controller."""
