@@ -13,13 +13,11 @@ Modules:
     scenarios     shipped experiment definitions
 """
 
-from .params import (EARTH, MARS, EnvParams, VehicleParams, calibrate_thrust_coeff,
-                     check_rotor_feasible, hover_speed, hover_thrust,
-                     mach_from_velocity, speed_of_sound, tip_mach)
+from .params import (EARTH, MARS, EnvParams, VehicleParams, check_rotor_feasible,
+                     hover_speed, hover_thrust, speed_of_sound, tip_mach)
 from .dynamics import (AllocationInfeasible, AllocationSaturated, Wrench, allocate,
-                       hover_command, make_state, mixer_matrix,
-                       state_derivative, wrench_from_rotors)
-from .linmodel import LinearModel, discretize, linearize_hover, numeric_jacobian
+                       hover_command, mixer_matrix, wrench_from_rotors)
+from .linmodel import LinearModel, discretize, linearize_hover
 from .mpc import MpcConfig, MpcController, build_cost, build_prediction, mpc_step, solve_qp
 from .pid import PidController, PidGains, pid_step
 from .simulator import (Disturbance, Metrics, NumericalDivergence, Pulse, SimLog,

@@ -62,9 +62,8 @@ class SimSettings:
             raise ValueError(f"controller must be in {list(CONTROLLERS)}, got {self.controller!r}")
         for name in ("substeps", "seed"):
             par.require_int(name, getattr(self, name))
-        if not (0.0 < self.duration < math.inf and 0.0 < self.control_dt < math.inf
-                and self.duration / self.control_dt < math.inf):
-            raise ValueError("duration and control_dt must be finite and > 0, with a finite ratio")
+        if not (0.0 < self.duration < math.inf and 0.0 < self.control_dt < math.inf):
+            raise ValueError("duration and control_dt must be finite and > 0")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
         # the last logged sample, on the grid run_closed_loop steps
@@ -167,7 +166,7 @@ def _read_ini(path) -> configparser.ConfigParser:
     # line or override can name the section "\n", so [DEFAULT] is an unknown section.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None, default_section="\n")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         parser.read_file(fh, source=str(path))
     return parser
 
@@ -264,7 +263,7 @@ def load_config(path, overrides=()) -> ScenarioConfig:
         raise ConfigError([f"config file not found: {path}"])
     try:
         parser = _read_ini(path)
-    except configparser.Error as err:
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError([f"cannot parse {path}: {err}"]) from None
 
     for section, key, value in parse_overrides(overrides):

@@ -15,8 +15,7 @@ takes every quotient of constants once, and returns a function of the
 nine states the equations read (velocities, angles, body rates) that
 gives the six accelerations on Python floats. An integrator substep
 calls it four times and builds no numpy temporaries. The disturbance is
-always added, as zeros when there is none. ``state_derivative`` is the
-checked array form of the same function under a zero disturbance.
+always added, as zeros when there is none.
 """
 
 from __future__ import annotations
@@ -34,11 +33,9 @@ __all__ = [
     "AllocationSaturated",
     "AllocationInfeasible",
     "wrap_angle",
-    "make_state",
     "wrench_from_rotors",
     "mixer_matrix",
     "allocate",
-    "state_derivative",
     "equations_of_motion",
     "hover_command",
 ]
@@ -72,13 +69,6 @@ def wrap_angle(angle):
     rounds exactly like Python's float ``%``.
     """
     return -((math.pi - angle) % (2.0 * math.pi) - math.pi)
-
-
-def make_state(x=0.0, y=0.0, z=0.0, vx=0.0, vy=0.0, vz=0.0,
-               phi=0.0, theta=0.0, psi=0.0,
-               phi_dot=0.0, theta_dot=0.0, psi_dot=0.0) -> np.ndarray:
-    return np.array([x, y, z, vx, vy, vz, phi, theta, psi,
-                     phi_dot, theta_dot, psi_dot], dtype=float)
 
 
 def hover_command(veh: VehicleParams, env: EnvParams) -> np.ndarray:
@@ -158,21 +148,6 @@ def allocate(target: np.ndarray, veh: VehicleParams) -> np.ndarray:
     if (clipped != omega_sq).any():
         raise AllocationSaturated(clipped)
     return omega_sq
-
-
-def state_derivative(state: np.ndarray, omega_sq: np.ndarray,
-                     veh: VehicleParams, env: EnvParams) -> np.ndarray:
-    """Time derivative of the 12-state under a squared-speed command."""
-    s = np.asarray(state, dtype=float)
-    if s.shape != (12,):
-        raise ValueError(f"expected a 12-state, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("state must be finite")
-    accelerations = equations_of_motion(wrench_from_rotors(omega_sq, veh), veh, env,
-                                        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    _, _, _, vx, vy, vz, phi, theta, psi, p, q, r = s.tolist()
-    ax, ay, az, p_dot, q_dot, r_dot = accelerations(vx, vy, vz, phi, theta, psi, p, q, r)
-    return np.array([vx, vy, vz, ax, ay, az, p, q, r, p_dot, q_dot, r_dot])
 
 
 def equations_of_motion(wrench: Wrench, veh: VehicleParams, env: EnvParams,

@@ -23,7 +23,7 @@ from scipy.linalg import expm
 from . import dynamics
 from .params import N_ROTORS, EnvParams, VehicleParams
 
-__all__ = ["CHANNELS", "LinearModel", "linearize_hover", "discretize", "numeric_jacobian"]
+__all__ = ["CHANNELS", "LinearModel", "linearize_hover", "discretize"]
 
 N_STATES = 12
 N_OUTPUTS = 4  # a reference sample: x, y, z, psi
@@ -103,30 +103,3 @@ def discretize(model: LinearModel, ts: float) -> LinearModel:
     e = expm(block * ts)
     return replace(model, A=e[:n, :n], B=e[:n, n:], dt=ts)
 
-
-def numeric_jacobian(x0: np.ndarray, u0: np.ndarray, veh: VehicleParams,
-                     env: EnvParams, eps: float = 1e-6):
-    """Central-difference Jacobians of the nonlinear model at (x0, u0).
-
-    Returns (dF/dx, dF/du) as a (12x12, 12x8) pair. Serves as an
-    independent check of the analytic linearization.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    a = np.zeros((N_STATES, N_STATES))
-    for j in range(N_STATES):
-        dx = np.zeros(N_STATES)
-        dx[j] = eps
-        f_plus = dynamics.state_derivative(x0 + dx, u0, veh, env)
-        f_minus = dynamics.state_derivative(x0 - dx, u0, veh, env)
-        a[:, j] = (f_plus - f_minus) / (2.0 * eps)
-    b = np.zeros((N_STATES, N_ROTORS))
-    for j in range(N_ROTORS):
-        du = np.zeros(N_ROTORS)
-        du[j] = eps
-        f_plus = dynamics.state_derivative(x0, u0 + du, veh, env)
-        f_minus = dynamics.state_derivative(x0, u0 - du, veh, env)
-        b[:, j] = (f_plus - f_minus) / (2.0 * eps)
-    return a, b

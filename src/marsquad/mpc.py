@@ -496,12 +496,12 @@ def mpc_step(x_now: np.ndarray, refs: np.ndarray, ctrl: MpcController) -> np.nda
 class MpcController:
     """Receding-horizon controller bound to a model, config, and sampling time.
 
-    Holds the ``channels`` with their input ``directions`` as rows, the
-    constant Hessian P once, as ``build_cost``'s ``BlockMatrix``
-    ``hessian_op`` (P^-1 is its ``inverse()``), the box-inactive step as
-    ``build_law``'s affine ``law`` and the (8N, 8) ``rate_law`` that maps
-    the last input deviation to its part of the optimum, both from P^-1's
-    blocks, the input box as deviations over the horizon (``lower``,
+    Holds the channels' input ``directions`` as rows, the constant
+    Hessian P once, as ``build_cost``'s ``BlockMatrix`` ``hessian_op``
+    (P^-1 is its ``inverse()``), the box-inactive step as ``build_law``'s
+    affine ``law`` and the (8N, 8) ``rate_law`` that maps the last input
+    deviation to its part of the optimum, both from P^-1's blocks, the
+    input box as deviations over the horizon (``lower``,
     ``upper``), and the per-loop memory: the last applied input
     ``u_prev``, the QP warm start, ``last_qp_iters`` and
     ``last_qp_status``. One instance drives one closed loop. The dense P
@@ -517,37 +517,24 @@ class MpcController:
                  env: EnvParams):
         self.model = model
         self.cfg = cfg
-        self.channels = build_prediction(model, cfg.horizon)
-        self.hessian_op = build_cost(self.channels, cfg)
+        channels = build_prediction(model, cfg.horizon)
+        self.hessian_op = build_cost(channels, cfg)
         basis, inverse_blocks = self.hessian_op.basis, self.hessian_op.inverse().blocks
-        self.directions = basis[:len(self.channels)]
-        self.law = build_law(self.channels, inverse_blocks, cfg, model.dt)
+        self.directions = basis[:len(channels)]
+        self.law = build_law(channels, inverse_blocks, cfg, model.dt)
         # du_prev's part of the optimum, w P^-1 (e_0 kron du_prev): a K_c^-1 e_0 column per row
         outers = (basis[:, :, None] * basis[:, None, :]).reshape(N_ROTORS, -1)
         self.rate_law = (cfg.input_rate_weight * (inverse_blocks[:, :, 0].T @ outers)
                          ).reshape(N_ROTORS * cfg.horizon, N_ROTORS)
         # the law's inputs: each channel's reference column, and its states padded to four
-        self._law_columns = [OUTPUT_STATES.index(c.states[0]) for c in self.channels]
-        self._law_states = np.array([np.resize(c.states, 4) for c in self.channels])
+        self._law_columns = [OUTPUT_STATES.index(c.states[0]) for c in channels]
+        self._law_states = np.array([np.resize(c.states, 4) for c in channels])
         self.lower = np.tile(cfg.u_min - model.u_ref, cfg.horizon)
         self.upper = np.tile(cfg.u_max - model.u_ref, cfg.horizon)
         self.u_prev = model.u_ref.copy()
         self.warm_start = np.zeros(N_ROTORS * cfg.horizon)
         self.last_qp_iters = 0
         self.last_qp_status = None
-
-    def predict(self, dx0: np.ndarray, du: np.ndarray) -> np.ndarray:
-        """The (N, 12) predicted deviations, current step to horizon-1.
-
-        ``du`` is the stacked 8N input deviation, as ``solve_qp`` returns it.
-        """
-        horizon = self.cfg.horizon
-        dx0 = np.asarray(dx0, dtype=float)
-        inputs = np.reshape(du, (horizon, N_ROTORS)) @ self.directions.T
-        out = np.empty((horizon, N_STATES))
-        for ch, v in zip(self.channels, inputs.T):
-            out[:, ch.states] = (ch.G @ dx0[ch.states] + ch.H @ v).reshape(horizon, -1)
-        return out
 
     def linear_terms(self, x_now: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The linear term q of 0.5 U'PU + q'U and the unconstrained optimum -P^-1 q.

@@ -18,8 +18,6 @@ __all__ = [
     "N_ROTORS",
     "speed_of_sound",
     "tip_mach",
-    "mach_from_velocity",
-    "calibrate_thrust_coeff",
     "hover_speed",
     "hover_thrust",
     "check_rotor_feasible",
@@ -136,35 +134,15 @@ def speed_of_sound(env: EnvParams) -> float:
     return math.sqrt(env.gamma * env.gas_constant * env.temperature)
 
 
-def mach_from_velocity(velocity: float, a: float) -> float:
-    """Mach number of a flow speed against the local speed of sound."""
-    if a <= 0:
-        raise ValueError(f"speed of sound must be > 0, got {a}")
-    return velocity / a
-
-
 def tip_mach(omega: float, radius: float, a: float) -> float:
-    """Blade-tip Mach number at rotor speed ``omega`` (rad/s)."""
+    """Blade-tip Mach number at rotor speed ``omega`` (rad/s) against the speed of sound ``a``."""
     if omega < 0:
         raise ValueError(f"rotor speed must be >= 0, got {omega}")
     if radius <= 0:
         raise ValueError(f"rotor radius must be > 0, got {radius}")
-    return mach_from_velocity(omega * radius, a)
-
-
-def calibrate_thrust_coeff(total_force: float, rpm: float, n_rotors: int) -> float:
-    """Thrust coefficient from a measured total force at a fixed rpm.
-
-    Inverts T = n * k * omega^2 for k, with omega the rotor speed in rad/s.
-    """
-    if total_force <= 0:
-        raise ValueError(f"total_force must be > 0, got {total_force}")
-    if rpm <= 0:
-        raise ValueError(f"rpm must be > 0, got {rpm}")
-    if n_rotors < 1:
-        raise ValueError(f"n_rotors must be >= 1, got {n_rotors}")
-    omega = rpm_to_rad_s(rpm)
-    return total_force / (n_rotors * omega * omega)
+    if a <= 0:
+        raise ValueError(f"speed of sound must be > 0, got {a}")
+    return omega * radius / a
 
 
 def hover_thrust(veh: VehicleParams, env: EnvParams) -> float:

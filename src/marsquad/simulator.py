@@ -38,7 +38,6 @@ __all__ = [
     "step_count",
     "run_closed_loop",
     "compute_metrics",
-    "corner_overshoot",
     "write_csv",
     "write_metrics",
     "CSV_COLUMNS",
@@ -232,8 +231,12 @@ def step_count(duration: float, control_dt: float) -> int:
 
     A ratio within 1e-9 relative above a whole number counts as that number,
     so 0.07 s at 0.01 s (a ratio of 7.000000000000001) is 7 steps, not 8.
+    Raises ``ValueError`` unless the ratio is finite.
     """
-    return math.ceil(duration / control_dt * (1.0 - 1e-9))
+    ratio = duration / control_dt
+    if not ratio < math.inf:
+        raise ValueError(f"duration {duration} / control_dt {control_dt} must be a finite ratio")
+    return math.ceil(ratio * (1.0 - 1e-9))
 
 
 def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
@@ -385,18 +388,6 @@ def compute_metrics(log: SimLog, transient_skip: float = 0.0) -> Metrics:
         steady_state_error=sse,
         control_effort=effort,
     )
-
-
-def corner_overshoot(log: SimLog, side: float) -> float:
-    """Worst horizontal excursion (m) outside the square [0, side] x [0, side].
-
-    For the square circuit this is the overshoot at its sharp corners.
-    """
-    x, y = log.states[:, 0], log.states[:, 1]
-    excursion = np.maximum.reduce([
-        np.maximum(0.0, -x), np.maximum(0.0, x - side),
-        np.maximum(0.0, -y), np.maximum(0.0, y - side)])
-    return float(excursion.max())
 
 
 def write_csv(log: SimLog, path) -> None:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 import golden
+import oracles
 from marsquad import dynamics, linmodel, params, simulator as sim
 from marsquad.config import load_config
 from marsquad.mpc import MpcConfig, MpcController, solve_qp
@@ -35,8 +36,7 @@ def test_criterion_01_linearization_matches_finite_differences():
     start = time.monotonic()
     model = linmodel.linearize_hover(cfg.veh, cfg.env)
     u0 = dynamics.hover_command(cfg.veh, cfg.env)
-    a_num, b_num = linmodel.numeric_jacobian(np.zeros(12), u0, cfg.veh, cfg.env,
-                                             eps=1e-6)
+    a_num, b_num = oracles.numeric_jacobian(np.zeros(12), u0, cfg.veh, cfg.env, eps=1e-6)
     elapsed = time.monotonic() - start
     worst_a = np.abs(a_num - model.A).max()
     worst_b = np.abs(b_num - model.B).max()
@@ -75,9 +75,9 @@ def test_criterion_03_hover_equilibrium(shipped_run):
 def test_criterion_04_reported_numbers():
     checks = [
         ("speed of sound (Mars)", params.speed_of_sound(params.MARS), 233.0, 0.5),
-        ("tip Mach at 396 m/s", params.mach_from_velocity(396.0, 244.0), 1.62, 0.01),
+        ("tip Mach at 396 m/s", params.tip_mach(396.0, 1.0, 244.0), 1.62, 0.01),
         ("thrust coeff from 15.67 N at 2800 rpm",
-         params.calibrate_thrust_coeff(15.67, 2800.0, 2), 9.11e-5, 1e-7),
+         15.67 / (2 * params.rpm_to_rad_s(2800.0) ** 2), 9.11e-5, 1e-7),
     ]
     cfg = load_config(scenario_path("hover"))
     checks.append(("hover thrust", params.hover_thrust(cfg.veh, cfg.env), 44.53, 0.01))
@@ -98,7 +98,7 @@ def test_criterion_05_prediction_exactness():
     dx0[0:3] = [0.4, -0.2, 0.3]
     g, _ = ctrl.linear_terms(dx0, np.zeros((n, 4)))
     du, _ = solve_qp(ctrl.hessian_op.dense(), g, ctrl.lower, ctrl.upper, ctrl.cfg)
-    predicted = ctrl.predict(dx0, du)
+    predicted = oracles.predict(ctrl, dx0, du)
     state = dx0.copy()
     worst = 0.0
     for i in range(n):
@@ -174,7 +174,7 @@ def test_criterion_09_square_corner_comparison(shipped_run):
     square_runs = {kind: shipped_run("square_corners", kind) for kind in ("mpc", "pid")}
     cfg = square_runs["mpc"][0]
     side = cfg.traj_params["side"]
-    over = {k: sim.corner_overshoot(run[1], side) for k, run in square_runs.items()}
+    over = {k: oracles.corner_overshoot(run[1], side) for k, run in square_runs.items()}
     effort = {k: run[2].control_effort for k, run in square_runs.items()}
     ok = over["mpc"] < over["pid"] and effort["mpc"] < effort["pid"]
     _report(9, ok, f"square corners: overshoot mpc {over['mpc'] * 100:.2f} cm < "
@@ -208,8 +208,8 @@ def test_criterion_11_integrator_order():
     cmd[[0, 2, 4, 6]] += 60.0
     cmd[[1, 3, 5, 7]] -= 60.0
     wrench = dynamics.wrench_from_rotors(cmd, veh)
-    x0 = dynamics.make_state(vx=0.2, vy=-0.1, vz=0.05, phi=0.05, theta=-0.03,
-                             phi_dot=0.08, theta_dot=-0.06, psi_dot=0.04)
+    x0 = oracles.make_state(vx=0.2, vy=-0.1, vz=0.05, phi=0.05, theta=-0.03,
+                            phi_dot=0.08, theta_dot=-0.06, psi_dot=0.04)
 
     # the equations bound as the closed loop binds them, to an undisturbed plant
     accelerations = dynamics.equations_of_motion(wrench, veh, env,

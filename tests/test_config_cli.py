@@ -437,6 +437,15 @@ class TestCli:
         assert "[sim] seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_config_that_is_not_utf8_rejected(self, tmp_path, capsys, monkeypatch, verb):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "utf16.cfg"
+        path.write_text(MINIMAL, encoding="utf-16")  # starts with the bytes ff fe
+        assert cli.main([verb, "--config", str(path)]) == 2
+        assert f"cannot parse {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_run_missing_config_no_outputs(self, tmp_path, capsys):
         out = tmp_path / "results"
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),

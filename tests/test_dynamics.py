@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from marsquad import dynamics, linmodel, params
 from marsquad.dynamics import (AllocationInfeasible, AllocationSaturated, allocate,
-                               hover_command, make_state, mixer_matrix,
-                               state_derivative, wrap_angle, wrench_from_rotors)
+                               hover_command, mixer_matrix, wrap_angle, wrench_from_rotors)
+from oracles import derivative, make_state
 
 ENV = params.MARS
 VEH = params.VehicleParams()
@@ -176,12 +176,14 @@ class TestAllocate:
 
 
 class TestStateDerivative:
+    """The 12-state derivative from ``equations_of_motion`` under a zero disturbance."""
+
     def test_hover_equilibrium(self):
-        ds = state_derivative(make_state(), hover_command(VEH, ENV), VEH, ENV)
+        ds = derivative(make_state(), hover_command(VEH, ENV), VEH, ENV)
         assert np.allclose(ds, 0.0, atol=1e-12)
 
     def test_free_fall(self):
-        ds = state_derivative(make_state(), np.zeros(8), VEH, ENV)
+        ds = derivative(make_state(), np.zeros(8), VEH, ENV)
         expected = np.zeros(12)
         expected[5] = -ENV.gravity
         assert np.allclose(ds, expected)
@@ -189,13 +191,13 @@ class TestStateDerivative:
 
     def test_small_pitch_matches_linear_approximation(self):
         s = make_state(theta=0.05)
-        ds = state_derivative(s, hover_command(VEH, ENV), VEH, ENV)
+        ds = derivative(s, hover_command(VEH, ENV), VEH, ENV)
         assert abs(ds[3] - ENV.gravity * 0.05) < 1e-4
 
     @given(phi=st.floats(-1.0, 1.0), theta=st.floats(-1.0, 1.0), psi=st.floats(-3.0, 3.0))
     def test_zero_thrust_accel_is_gravity_regardless_of_attitude(self, phi, theta, psi):
         s = make_state(phi=phi, theta=theta, psi=psi)
-        ds = state_derivative(s, np.zeros(8), VEH, ENV)
+        ds = derivative(s, np.zeros(8), VEH, ENV)
         assert ds[3] == 0.0
         assert ds[4] == 0.0
         assert ds[5] == pytest.approx(-ENV.gravity, rel=1e-14)
@@ -209,8 +211,8 @@ class TestStateDerivative:
         cmd = hover_command(VEH, ENV) * 1.1
         s1 = make_state(phi=phi, theta=theta, psi=psi)
         s2 = make_state(phi=phi, theta=theta, psi=psi + heading)
-        a1 = state_derivative(s1, cmd, VEH, ENV)[3:5]
-        a2 = state_derivative(s2, cmd, VEH, ENV)[3:5]
+        a1 = derivative(s1, cmd, VEH, ENV)[3:5]
+        a2 = derivative(s2, cmd, VEH, ENV)[3:5]
         c, sn = math.cos(heading), math.sin(heading)
         rotated = np.array([c * a1[0] - sn * a1[1], sn * a1[0] + c * a1[1]])
         assert np.allclose(a2, rotated, atol=1e-12)
@@ -218,16 +220,10 @@ class TestStateDerivative:
     def test_drag_term_engages_when_configured(self):
         veh = params.VehicleParams(**{**VEH.__dict__, "linear_drag": 0.5})
         s = make_state(vx=2.0, vy=-1.0, vz=0.5)
-        ds0 = state_derivative(s, hover_command(veh, ENV), VEH, ENV)
-        ds1 = state_derivative(s, hover_command(veh, ENV), veh, ENV)
+        ds0 = derivative(s, hover_command(veh, ENV), VEH, ENV)
+        ds1 = derivative(s, hover_command(veh, ENV), veh, ENV)
         assert ds1[3] == pytest.approx(ds0[3] - 0.5 / veh.mass * 2.0)
         assert ds1[4] == pytest.approx(ds0[4] + 0.5 / veh.mass * 1.0)
-
-    def test_rejects_nonfinite_state(self):
-        s = make_state()
-        s[2] = math.nan
-        with pytest.raises(ValueError):
-            state_derivative(s, np.zeros(8), VEH, ENV)
 
 
 class TestWrapAngle:

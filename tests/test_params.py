@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from marsquad import dynamics, params
-from marsquad.params import (EARTH, MARS, EnvParams, VehicleParams, calibrate_thrust_coeff,
-                             check_rotor_feasible, hover_speed, hover_thrust,
-                             mach_from_velocity, rpm_to_rad_s, speed_of_sound, tip_mach)
+from marsquad.params import (EARTH, MARS, EnvParams, VehicleParams, check_rotor_feasible,
+                             hover_speed, hover_thrust, rpm_to_rad_s, speed_of_sound, tip_mach)
 
 
 class TestSpeedOfSound:
@@ -33,18 +32,19 @@ class TestSpeedOfSound:
 
 
 class TestMach:
+    # tip speeds in m/s, as rad/s on a 1 m radius
     def test_single_rotor_tip_is_supersonic(self):
-        assert mach_from_velocity(396.0, 244.0) == pytest.approx(1.62, abs=0.01)
+        assert tip_mach(396.0, 1.0, 244.0) == pytest.approx(1.62, abs=0.01)
 
     def test_coaxial_flow_stays_subsonic(self):
-        assert mach_from_velocity(202.4, 244.0) == pytest.approx(0.83, abs=0.01)
+        assert tip_mach(202.4, 1.0, 244.0) == pytest.approx(0.83, abs=0.01)
 
     def test_zero_speed(self):
         assert tip_mach(0.0, 0.56, 233.0) == 0.0
 
     def test_rejects_bad_sound_speed(self):
         with pytest.raises(ValueError):
-            mach_from_velocity(100.0, 0.0)
+            tip_mach(100.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             tip_mach(100.0, 0.5, -1.0)
 
@@ -57,34 +57,14 @@ class TestMach:
 
 class TestThrustCalibration:
     def test_coaxial_pair_at_2800_rpm(self):
-        # 15.67 N over two rotors at 2800 rpm; hand value 9.1131e-5
-        k = calibrate_thrust_coeff(15.67, 2800.0, 2)
+        # 15.67 N over the two rotors of a coaxial pair at 2800 rpm; hand value 9.1131e-5
+        k = 15.67 / (2 * rpm_to_rad_s(2800.0) ** 2)
         assert k == pytest.approx(9.11e-5, abs=1e-7)
         assert k == pytest.approx(9.113090898647259e-05, rel=1e-12)
 
-    def test_single_rotor_at_3200_rpm(self):
-        k = calibrate_thrust_coeff(11.5, 3200.0, 1)
-        assert k == pytest.approx(1.024e-4, abs=1e-6)
-        assert k == pytest.approx(1.0240959479474568e-04, rel=1e-12)
-
     def test_unit_normalization(self):
         # rpm chosen so the rotor speed is 1 rad/s
-        assert calibrate_thrust_coeff(1.0, 60.0 / (2 * math.pi), 1) == pytest.approx(1.0, abs=1e-12)
-
-    @given(force=st.floats(0.1, 100.0), rpm=st.floats(100.0, 5000.0),
-           n=st.integers(1, 8))
-    def test_round_trip_reproduces_force(self, force, rpm, n):
-        k = calibrate_thrust_coeff(force, rpm, n)
-        omega = rpm_to_rad_s(rpm)
-        assert n * k * omega**2 == pytest.approx(force, rel=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            calibrate_thrust_coeff(0.0, 2800.0, 2)
-        with pytest.raises(ValueError):
-            calibrate_thrust_coeff(10.0, -5.0, 2)
-        with pytest.raises(ValueError):
-            calibrate_thrust_coeff(10.0, 2800.0, 0)
+        assert rpm_to_rad_s(60.0 / (2 * math.pi)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHover:

@@ -14,6 +14,7 @@ from marsquad.simulator import (CSV_COLUMNS, Disturbance, Metrics, NumericalDive
                                 Pulse, SimLog, compute_metrics, rk4_step,
                                 run_closed_loop, step_count, write_csv)
 from marsquad.trajectories import constant_ref, helix_ref, ref_window, square_ref
+from oracles import derivative, make_state
 
 ENV = params.MARS
 VEH = params.VehicleParams()
@@ -83,7 +84,7 @@ def array_rk4(state, cmd, dt, veh, dist=Disturbance(), t=0.0, rng=None):
 
 def in_envelope_states():
     return st.builds(
-        dynamics.make_state,
+        make_state,
         *[st.floats(-100.0, 100.0)] * 3,
         *[st.floats(-10.0, 10.0)] * 3,
         st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(-4.0, 4.0),
@@ -130,7 +131,7 @@ class TestRk4:
         cmd[[6, 7]] += 120.0
         cmd[[2, 3]] -= 120.0
         wrench = dynamics.wrench_from_rotors(cmd, VEH)
-        x0 = dynamics.make_state(vx=0.2, vz=0.05, phi=0.05, theta=-0.03,
+        x0 = make_state(vx=0.2, vz=0.05, phi=0.05, theta=-0.03,
                                  phi_dot=0.08, theta_dot=-0.06, psi_dot=0.04)
 
         def integrate(dt, total=5.0):
@@ -145,7 +146,7 @@ class TestRk4:
         assert 12.0 < e1 / e2 < 20.0
 
     def test_divergence_near_gimbal_lock(self):
-        s = dynamics.make_state(theta=1.50, theta_dot=3.0)
+        s = make_state(theta=1.50, theta_dot=3.0)
         with pytest.raises(NumericalDivergence):
             for _ in range(100):
                 s = bound_rk4_step(s, W_OFF, 0.01, VEH, ENV)
@@ -207,7 +208,7 @@ class TestRk4:
                                   inertia_zz=izz, rotor_inertia=jr)
         cmd = np.array(frac) * veh.max_rotor_speed ** 2
         wrench = dynamics.wrench_from_rotors(cmd, veh)
-        assert (dynamics.state_derivative(state, cmd, veh, ENV).tobytes()
+        assert (derivative(state, cmd, veh, ENV).tobytes()
                 == array_derivative(state, wrench, veh, np.zeros(3), np.zeros(3)).tobytes())
         ref = array_rk4(state, cmd, dt, veh, dist, t, np.random.default_rng(seed))
         assume(np.abs(ref).max() <= 1e6 and abs(ref[7]) < PITCH_LIMIT)
@@ -226,7 +227,7 @@ class TestRk4:
             bound_rk4_step(s, W_HOVER, 0.01, VEH, ENV)
 
     def test_pitch_past_the_limit_raises(self):
-        s = dynamics.make_state(theta=PITCH_LIMIT + 1e-3)
+        s = make_state(theta=PITCH_LIMIT + 1e-3)
         with pytest.raises(NumericalDivergence,
                            match=r"^pitch approached gimbal lock at t=1\.260$"):
             bound_rk4_step(s, W_HOVER, 0.01, VEH, ENV, t=1.25)
@@ -448,8 +449,14 @@ class TestClosedLoop:
             run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                             substeps=1, veh=VEH, env=ENV, **kwargs)
 
+    def test_rejects_a_step_count_that_overflows(self):
+        # each time is finite, but 1e10 / 1e-300 is not
+        with pytest.raises(ValueError, match="must be a finite ratio"):
+            run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
+                            duration=1e10, control_dt=1e-300, substeps=1, veh=VEH, env=ENV)
+
     @pytest.mark.parametrize("x0", [
-        np.full(12, math.nan), dynamics.make_state(psi=math.inf), np.zeros(5),
+        np.full(12, math.nan), make_state(psi=math.inf), np.zeros(5),
         np.zeros((12, 1))])
     def test_rejects_bad_start_state(self, x0):
         with pytest.raises(ValueError, match="x0 must be a finite 12-vector"):
@@ -463,11 +470,11 @@ class TestClosedLoop:
                                    duration=0.2, control_dt=0.02, substeps=2,
                                    veh=VEH, env=ENV, x0=x0)
 
-        log = run(dynamics.make_state(phi=-math.pi, theta=0.3, psi=4.0))
+        log = run(make_state(phi=-math.pi, theta=0.3, psi=4.0))
         # an angle outside (-pi, pi] is wrapped into it, one inside is logged as given
         assert log.states[0, 6:9].tolist() == [math.pi, 0.3, dynamics.wrap_angle(4.0)]
         assert np.all((-math.pi < log.states[:, 6:9]) & (log.states[:, 6:9] <= math.pi))
-        wrapped = run(dynamics.make_state(phi=math.pi, theta=0.3, psi=dynamics.wrap_angle(4.0)))
+        wrapped = run(make_state(phi=math.pi, theta=0.3, psi=dynamics.wrap_angle(4.0)))
         assert log.states.tobytes() == wrapped.states.tobytes()
 
     @pytest.mark.parametrize("name, value", [("substeps", 2.5), ("substeps", True),
