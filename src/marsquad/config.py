@@ -60,19 +60,16 @@ class SimSettings:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be in {list(CONTROLLERS)}, got {self.controller!r}")
-        for name in ("substeps", "seed"):
-            par.require_int(name, getattr(self, name))
-        if not (0.0 < self.duration < math.inf and 0.0 < self.control_dt < math.inf):
-            raise ValueError("duration and control_dt must be finite and > 0")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+        par.require_number("duration", self.duration, gt=0)
+        par.require_number("control_dt", self.control_dt, gt=0)
+        par.require_int("substeps", self.substeps, ge=1)
+        par.require_int("seed", self.seed, ge=0)
+        par.require_number("transient_skip", self.transient_skip, ge=0)
         # the last logged sample, on the grid run_closed_loop steps
         last = (step_count(self.duration, self.control_dt) - 1) * self.control_dt
-        if not 0.0 <= self.transient_skip <= last:
-            raise ValueError("transient_skip must be finite, >= 0 and at most the last sample "
-                             f"time {last}, got {self.transient_skip}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if self.transient_skip > last:
+            raise ValueError(f"transient_skip must be at most the last sample time {last}, "
+                             f"got {self.transient_skip}")
 
 
 @dataclass(frozen=True)
@@ -248,12 +245,12 @@ class _Reader:
                     values[key] = value
         return values
 
-    def build(self, section, make, prefix=True):
+    def build(self, section, make):
         """``make`` applied to the section's values; None if it raises ValueError."""
         try:
             return make(self.read(section, _TABLES[section]))
         except ValueError as err:
-            self.problems.append(f"[{section}] {err}" if prefix else str(err))
+            self.problems.append(f"[{section}] {err}")
             return None
 
 
@@ -277,11 +274,11 @@ def load_config(path, overrides=()) -> ScenarioConfig:
     env = mpc_cfg = None
     profile = r.choice("environment", "profile", "mars")
     if profile in _PROFILES:
-        env = r.build("environment", lambda v: replace(_PROFILES[profile], **v), prefix=False)
+        env = r.build("environment", lambda v: replace(_PROFILES[profile], **v))
     else:
         r.problems.append(f"environment.profile must be one of {sorted(_PROFILES)}, "
                           f"got {profile!r}")
-    veh = r.build("vehicle", lambda v: par.VehicleParams(**v), prefix=False)
+    veh = r.build("vehicle", lambda v: par.VehicleParams(**v))
     if veh is not None:
         mpc_cfg = r.build("mpc", lambda v: MpcConfig.default(veh, **v))
     pid_gains = r.build("pid", lambda v: PidGains(**v))

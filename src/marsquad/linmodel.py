@@ -14,14 +14,13 @@ state sets and B's rows in a set are multiples of one mixer row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import dynamics
-from .params import N_ROTORS, EnvParams, VehicleParams
+from .params import N_ROTORS, EnvParams, VehicleParams, require_number
 
 __all__ = ["CHANNELS", "LinearModel", "linearize_hover", "discretize"]
 
@@ -49,8 +48,7 @@ class LinearModel:
     def __post_init__(self):
         if self.A.shape != (N_STATES, N_STATES) or self.B.shape != (N_STATES, N_ROTORS):
             raise ValueError("A must be 12x12 and B 12x8")
-        if not 0.0 <= self.dt < math.inf:
-            raise ValueError(f"dt must be finite and >= 0, got {self.dt}")
+        require_number("dt", self.dt, ge=0)
 
     @property
     def continuous(self) -> bool:
@@ -92,8 +90,7 @@ def discretize(model: LinearModel, ts: float) -> LinearModel:
     Both maps come from one exponential of the augmented block:
         expm([[A, B], [0, 0]] ts) = [[Ad, Bd], [0, I]]
     """
-    if not 0.0 < ts < math.inf:
-        raise ValueError(f"sampling time must be finite and > 0, got {ts}")
+    require_number("ts", ts, gt=0)
     if not model.continuous:
         raise ValueError("model is already discrete")
     n = N_STATES

@@ -45,7 +45,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,7 +53,7 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .dynamics import wrap_angle
 from .linmodel import CHANNELS, N_OUTPUTS, N_STATES, LinearModel
-from .params import N_ROTORS, EnvParams, VehicleParams, require_int
+from .params import N_ROTORS, EnvParams, VehicleParams, require_int, require_number
 from .trajectories import ref_window
 
 __all__ = ["MpcConfig", "Channel", "QpMaxIterations", "BlockMatrix", "build_prediction",
@@ -84,44 +83,33 @@ class MpcConfig:
     its three states (``state_weight``); ``input_weight`` and
     ``input_rate_weight`` set every rotor's entry of the input and
     input-rate diagonals. The input box ``[u_min, u_max]`` bounds every
-    rotor's absolute squared speed. The weights, ``qp_tol`` and the box
-    bounds must be finite numbers, ``horizon`` and ``qp_max_iter`` integers.
+    rotor's absolute squared speed.
     """
 
     horizon: int = 60
-    position_weight: float = 10.0    # >= 0
-    velocity_weight: float = 5.0     # >= 0
-    angle_weight: float = 5.0        # >= 0
-    rate_weight: float = 2.0         # >= 0
-    input_weight: float = 2e-9       # > 0
-    input_rate_weight: float = 2e-8  # >= 0
+    position_weight: float = 10.0
+    velocity_weight: float = 5.0
+    angle_weight: float = 5.0
+    rate_weight: float = 2.0
+    input_weight: float = 2e-9
+    input_rate_weight: float = 2e-8
     qp_max_iter: int = 100
     qp_tol: float = 1e-9
     u_min: float                     # rad^2/s^2
     u_max: float                     # rad^2/s^2
 
     def __post_init__(self):
-        for name in ("horizon", "qp_max_iter"):
-            require_int(name, getattr(self, name))
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
-                     "input_weight", "input_rate_weight", "qp_tol", "u_min", "u_max"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        require_int("horizon", self.horizon, ge=1)
+        require_int("qp_max_iter", self.qp_max_iter, ge=1)
         for name in ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
                      "input_rate_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.input_weight <= 0:
-            raise ValueError(f"input_weight must be > 0, got {self.input_weight}")
+            require_number(name, getattr(self, name), ge=0)
+        require_number("input_weight", self.input_weight, gt=0)
+        require_number("qp_tol", self.qp_tol, gt=0)
+        require_number("u_min", self.u_min)
+        require_number("u_max", self.u_max)
         if self.u_min >= self.u_max:
             raise ValueError(f"u_min must be below u_max, got {self.u_min} and {self.u_max}")
-        if self.qp_max_iter < 1:
-            raise ValueError("qp_max_iter must be >= 1")
-        if self.qp_tol <= 0:
-            raise ValueError("qp_tol must be > 0")
 
     @cached_property
     def state_weight(self) -> np.ndarray:

@@ -7,7 +7,8 @@ speeds are rad/s internally; helpers convert to and from rpm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 from numbers import Integral
 
 __all__ = [
@@ -23,12 +24,14 @@ __all__ = [
     "check_rotor_feasible",
     "rpm_to_rad_s",
     "rad_s_to_rpm",
+    "require_number",
     "require_int",
 ]
 
 N_ROTORS = 8
 
 _TWO_PI = 2.0 * math.pi
+_FLOAT_MAX = sys.float_info.max
 
 
 def rpm_to_rad_s(rpm: float) -> float:
@@ -39,22 +42,24 @@ def rad_s_to_rpm(omega: float) -> float:
     return omega * 60.0 / _TWO_PI
 
 
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer; a bool is not one."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def require_number(name: str, value, *, ge=None, gt=None, finite=True) -> None:
+    """Raise ValueError unless ``value`` is an int or float, not a bool, that is
+    finite (or, with ``finite=False``, not NaN), ``>= ge`` and ``> gt`` where given.
+    """
+    if not ((isinstance(value, float) or isinstance(value, int) and not isinstance(value, bool))
+            and (-_FLOAT_MAX <= value <= _FLOAT_MAX if finite else value == value)
+            and (ge is None or value >= ge) and (gt is None or value > gt)):
+        bound = "" if ge is None and gt is None else f" >= {ge}" if gt is None else f" > {gt}"
+        raise ValueError(f"{name} must be a {'finite ' if finite else ''}number{bound}, "
+                         f"got {value!r}")
 
 
-def _require_positive(obj, allow_zero=()):
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be a finite number, got {v!r}")
-        if f.name in allow_zero:
-            if v < 0:
-                raise ValueError(f"{type(obj).__name__}.{f.name} must be >= 0, got {v}")
-        elif v <= 0:
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be > 0, got {v}")
+def require_int(name: str, value, *, ge=None) -> None:
+    """Raise ValueError unless ``value`` is an integer, ``>= ge`` where given; a bool is not one."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool)
+            and (ge is None or value >= ge)):
+        bound = "" if ge is None else f" >= {ge}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,10 @@ class EnvParams:
     gravity: float            # m/s^2
 
     def __post_init__(self):
-        _require_positive(self)
+        for name, value in vars(self).items():
+            require_number(name, value, gt=0)
         if not 1.0 < self.gamma < 2.0:
-            raise ValueError(f"EnvParams.gamma must lie in (1, 2), got {self.gamma}")
+            raise ValueError(f"gamma must lie in (1, 2), got {self.gamma}")
 
 
 MARS = EnvParams(
@@ -126,7 +132,11 @@ class VehicleParams:
     max_rotor_speed: float = rpm_to_rad_s(2800.0)  # rad/s, per-rotor ceiling
 
     def __post_init__(self):
-        _require_positive(self, allow_zero=("linear_drag",))
+        for name, value in vars(self).items():
+            if name == "linear_drag":
+                require_number(name, value, ge=0)
+            else:
+                require_number(name, value, gt=0)
 
 
 def speed_of_sound(env: EnvParams) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import dynamics
-from .params import EnvParams, VehicleParams
+from .params import EnvParams, VehicleParams, require_number
 from .trajectories import RefGenerator, ref_window
 
 __all__ = ["PidGains", "pid_step", "PidController"]
@@ -54,14 +54,16 @@ class PidGains:
     max_tilt: float = 0.35          # rad, ceiling on commanded roll/pitch
 
     def __post_init__(self):
-        for f in fields(self)[:-2]:  # the gains, before the two clamps
-            g = getattr(self, f.name)
-            if not (g >= 0 and math.isfinite(g)):
-                raise ValueError(f"{f.name} must be finite and >= 0, got {g}")
-        if not 0.0 < self.integrator_limit < math.inf:
-            raise ValueError(f"integrator_limit must lie in (0, inf), got {self.integrator_limit}")
-        if not 0.0 < self.max_tilt <= math.pi / 4:
-            raise ValueError("max_tilt must lie in (0, pi/4]")
+        for name in _GAINS:
+            require_number(name, getattr(self, name), ge=0)
+        require_number("integrator_limit", self.integrator_limit, gt=0)
+        require_number("max_tilt", self.max_tilt, gt=0)
+        if self.max_tilt > math.pi / 4:
+            raise ValueError(f"max_tilt must be at most pi/4, got {self.max_tilt}")
+
+
+# the gains, before the two clamps
+_GAINS = tuple(f.name for f in fields(PidGains))[:-2]
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -133,8 +135,7 @@ class PidController:
     """
 
     def __init__(self, gains: PidGains, veh: VehicleParams, env: EnvParams, dt: float):
-        if not 0.0 < dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {dt}")
+        require_number("dt", dt, gt=0)
         self.gains = gains
         self.veh = veh
         self.env = env

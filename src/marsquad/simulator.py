@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import dynamics
-from .params import EnvParams, VehicleParams, require_int
+from .params import EnvParams, VehicleParams, require_int, require_number
 from .trajectories import RefGenerator, ref_window
 
 __all__ = [
@@ -68,12 +68,16 @@ class Pulse:
     torque: tuple = (0.0, 0.0, 0.0)  # N m
 
     def __post_init__(self):
+        require_number("t_start", self.t_start, finite=False)
+        require_number("t_end", self.t_end, finite=False)
         if not self.t_start < self.t_end:
             raise ValueError(f"pulse needs t_start < t_end, got [{self.t_start}, {self.t_end}]")
-        if len(self.force) != 3 or len(self.torque) != 3:
-            raise ValueError("force and torque must be 3-vectors")
-        if not all(math.isfinite(v) for v in (*self.force, *self.torque)):
-            raise ValueError("pulse magnitudes must be finite")
+        for name in ("force", "torque"):
+            vector = getattr(self, name)
+            if not (hasattr(vector, "__len__") and len(vector) == 3):
+                raise ValueError(f"{name} must be a 3-sequence, got {vector!r}")
+            for i, value in enumerate(vector):
+                require_number(f"{name}[{i}]", value)
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,8 @@ class Disturbance:
     noise_torque: float = 0.0  # N m std per axis over one control step, body frame
 
     def __post_init__(self):
-        if not (0.0 <= self.noise_force < math.inf and 0.0 <= self.noise_torque < math.inf):
-            raise ValueError("noise amplitudes must be finite and >= 0, got "
-                             f"{self.noise_force}, {self.noise_torque}")
+        require_number("noise_force", self.noise_force, ge=0)
+        require_number("noise_torque", self.noise_torque, ge=0)
 
     @property
     def has_noise(self) -> bool:
@@ -259,14 +262,10 @@ def run_closed_loop(controller, traj: RefGenerator, dist: Disturbance,
     step's index, the state logged at its start and its held command added
     to the message, and with the log up to that step.
     """
-    if not 0.0 < duration < math.inf:
-        raise ValueError(f"duration must be finite and > 0, got {duration}")
-    if not 0.0 < control_dt < math.inf:
-        raise ValueError(f"control_dt must be finite and > 0, got {control_dt}")
-    require_int("substeps", substeps)
-    require_int("seed", seed)
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    require_number("duration", duration, gt=0)
+    require_number("control_dt", control_dt, gt=0)
+    require_int("substeps", substeps, ge=1)
+    require_int("seed", seed, ge=0)
 
     n_steps = step_count(duration, control_dt)
     rng = np.random.default_rng(seed)

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .params import require_number
+
 __all__ = ["RefGenerator", "constant_ref", "helix_ref", "square_ref", "TRAJECTORIES",
            "ref_window"]
 
@@ -22,18 +24,11 @@ __all__ = ["RefGenerator", "constant_ref", "helix_ref", "square_ref", "TRAJECTOR
 RefGenerator = Callable[[np.ndarray], np.ndarray]
 
 
-def _require_finite(positive=(), **values):
-    """Reject, by name, a value that is not finite or, if named in ``positive``, not > 0."""
-    for name, v in values.items():
-        if not (math.isfinite(v) and (v > 0 or name not in positive)):
-            rule = "finite and > 0" if name in positive else "finite"
-            raise ValueError(f"{name} must be {rule}, got {v}")
-
-
 def constant_ref(x: float = 0.0, y: float = 0.0, z: float = 0.0,
                  psi: float = 0.0) -> RefGenerator:
     """Hold a fixed position and heading forever."""
-    _require_finite(x=x, y=y, z=z, psi=psi)
+    for name, value in (("x", x), ("y", y), ("z", z), ("psi", psi)):
+        require_number(name, value)
     point = np.array([x, y, z, psi])
 
     def gen(t: np.ndarray) -> np.ndarray:
@@ -48,8 +43,9 @@ def helix_ref(radius: float = 1.0, angular_rate: float = 0.02 * math.pi,
 
     x = r cos(w t), y = r sin(w t), z = c t, heading held at zero.
     """
-    _require_finite(("radius",), radius=radius, angular_rate=angular_rate,
-                    climb_rate=climb_rate)
+    require_number("radius", radius, gt=0)
+    require_number("angular_rate", angular_rate)
+    require_number("climb_rate", climb_rate)
 
     def gen(t: np.ndarray) -> np.ndarray:
         ang = angular_rate * t
@@ -70,8 +66,9 @@ def square_ref(side: float = 2.0, edge_duration: float = 10.0,
     side/edge_duration, period 4*edge_duration. Position is continuous at
     the corners; the velocity direction rotates instantaneously.
     """
-    _require_finite(("side", "edge_duration"), side=side, edge_duration=edge_duration,
-                    altitude=altitude)
+    require_number("side", side, gt=0)
+    require_number("edge_duration", edge_duration, gt=0)
+    require_number("altitude", altitude)
     # start corner and travel direction of edges 0..3
     corner = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
     direction = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,7 +193,7 @@ class TestLoading:
                                             ("duration", math.nan), ("control_dt", math.inf)])
     def test_sim_settings_reject_nonfinite_times(self, key, value):
         # a NaN transient_skip used to make compute_metrics average the whole run
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
             SimSettings(**{key: value})
 
     @pytest.mark.parametrize("duration, skip", [(1.0, 5.0), (1.0, 1.0), (1.0, 0.99),
@@ -202,13 +201,13 @@ class TestLoading:
     def test_sim_settings_reject_skip_past_the_run(self, duration, skip):
         # the last sample of a 1 s run at 0.02 s is at 0.98 s; a 0.14 s run has 7 steps,
         # the last at 0.12 s, although 0.14 / 0.02 rounds to just above 7
-        with pytest.raises(ValueError, match="transient_skip must be .* at most the last sample"):
+        with pytest.raises(ValueError, match="transient_skip must be at most the last sample"):
             SimSettings(duration=duration, transient_skip=skip)
 
     @pytest.mark.parametrize("key, value", [("substeps", 2.5), ("substeps", True),
                                             ("seed", 1.5), ("seed", True)])
     def test_sim_settings_reject_a_non_integer_count(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= [01], got {value!r}"):
             SimSettings(**{key: value})
 
     def test_sim_settings_reject_a_step_count_that_overflows(self):
@@ -226,9 +225,9 @@ class TestLoading:
             load_config(scenario_path("helix"), ["sim.duration=6"])
 
     @pytest.mark.parametrize("key, raw, problem", [
-        ("mpc.position_weight", "-1", "position_weight must be >= 0, got -1.0"),
-        ("mpc.input_weight", "0", "input_weight must be > 0, got 0.0"),
-        ("pid.yaw_kd", "-0.5", "yaw_kd must be finite and >= 0, got -0.5"),
+        ("mpc.position_weight", "-1", "position_weight must be a finite number >= 0, got -1.0"),
+        ("mpc.input_weight", "0", "input_weight must be a finite number > 0, got 0.0"),
+        ("pid.yaw_kd", "-0.5", "yaw_kd must be a finite number >= 0, got -0.5"),
     ])
     def test_bad_weight_or_gain_names_its_key(self, bare_cfg, key, raw, problem):
         section = key.split(".")[0]
@@ -434,7 +433,7 @@ class TestCli:
         argv = {"validate": ["validate", "--config", str(minimal_cfg), "--set", "sim.seed=-1"],
                 "run": ["run", "--config", str(minimal_cfg), "--set", "sim.seed=-1"]}[verb]
         assert cli.main(argv) == 2
-        assert "[sim] seed must be >= 0" in capsys.readouterr().err
+        assert "[sim] seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
@@ -539,13 +538,12 @@ class TestCli:
         snap = (out / "minimal" / "mpc" / "config.ini").read_text()
         assert "seed = 123" in snap
 
-    # a sweep is one run over several scenario files
-    def test_sweep_runs_multiple(self, tmp_path, capsys):
+    def test_run_takes_several_configs(self, tmp_path, capsys):
         a = tmp_path / "a.cfg"
         b = tmp_path / "b.cfg"
         a.write_text(MINIMAL)
         b.write_text(MINIMAL.replace("x = 0.0", "x = 0.2"))
-        out = tmp_path / "sweep_out"
+        out = tmp_path / "out"
         rc = cli.main(["run", "--config", str(a), str(b), "--out", str(out),
                        "--set", "sim.duration=0.5", "--jobs", "2"])
         assert rc == 0
@@ -558,8 +556,8 @@ class TestCli:
             assert_table_shows("scenario " + chunk, out / name, ["mpc"])
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_sweep_rejects_jobs_below_one(self, tmp_path, minimal_cfg, capsys, monkeypatch,
-                                          jobs):
+    def test_run_rejects_jobs_below_one(self, tmp_path, minimal_cfg, capsys, monkeypatch,
+                                        jobs):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # no pool may be made
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--config", str(minimal_cfg), "--jobs", jobs, "--out", str(tmp_path)])
@@ -568,7 +566,7 @@ class TestCli:
         assert err.startswith("usage: marsquad run")
         assert f"argument --jobs: must be >= 1, got {jobs}" in err
 
-    def test_sweep_rejects_two_configs_with_one_name(self, tmp_path, capsys, monkeypatch):
+    def test_run_rejects_two_configs_with_one_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # no pool may be made
         first, second = tmp_path / "a" / "x.cfg", tmp_path / "b" / "x.cfg"
         for path in (first, second):
@@ -582,7 +580,7 @@ class TestCli:
         assert str(first) in err and str(second) in err
         assert not out.exists()
 
-    def test_sweep_rejects_invalid_config(self, tmp_path, minimal_cfg, capsys):
+    def test_run_rejects_an_invalid_config_in_the_list(self, tmp_path, minimal_cfg, capsys):
         # a bad file anywhere in the list stops the run before anything is written
         bad = tmp_path / "bad.cfg"
         bad.write_text(MINIMAL + "\n[vehicle]\nmass = -1\n")
@@ -593,8 +591,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_sweep_runs_on_past_a_diverging_scenario(self, tmp_path, minimal_cfg, capsys,
-                                                     jobs):
+    def test_run_runs_on_past_a_diverging_scenario(self, tmp_path, minimal_cfg, capsys,
+                                                   jobs):
         # a 1e9 N push drives the state past 1e6 within the first control step
         diverging = tmp_path / "pushed.cfg"
         diverging.write_text(MINIMAL + "\n[disturbance]\npulses = 0 inf 1e9 0 0 0 0 0\n")
@@ -610,7 +608,7 @@ class TestCli:
         assert sorted(p.name for p in (out / "minimal").iterdir()) == ["mpc", "pid"]
         assert_table_shows(captured.out, out / "minimal", ["mpc", "pid"])
 
-    def test_sweep_exits_with_the_first_failed_files_code(self, tmp_path, monkeypatch):
+    def test_run_exits_with_the_first_failed_files_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # --jobs 1 runs in-process
         diverging = tmp_path / "pushed.cfg"
         diverging.write_text(MINIMAL + "\n[disturbance]\npulses = 0 inf 1e9 0 0 0 0 0\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from marsquad import dynamics, linmodel, params
+from marsquad import linmodel, params
 from marsquad.dynamics import (AllocationInfeasible, AllocationSaturated, allocate,
                                hover_command, mixer_matrix, wrap_angle, wrench_from_rotors)
 from oracles import derivative, make_state

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from marsquad import dynamics, linmodel, params
+from marsquad import dynamics, params
 from marsquad.linmodel import discretize, linearize_hover
 from oracles import numeric_jacobian
 
@@ -98,12 +98,12 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("ts", [math.nan, math.inf])
     def test_rejects_nonfinite_sampling_time(self, cont_model, ts):
-        with pytest.raises(ValueError, match=f"^sampling time must be finite and > 0, got {ts}$"):
+        with pytest.raises(ValueError, match=f"^ts must be a finite number > 0, got {ts}$"):
             discretize(cont_model, ts)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -0.02])
     def test_model_rejects_bad_dt(self, cont_model, dt):
-        with pytest.raises(ValueError, match=f"^dt must be finite and >= 0, got {dt}$"):
+        with pytest.raises(ValueError, match=f"^dt must be a finite number >= 0, got {dt}$"):
             dataclasses.replace(cont_model, dt=dt)
 
 

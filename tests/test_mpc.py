@@ -1022,20 +1022,20 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["horizon", "qp_max_iter"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     def test_rejects_a_non_integer_count(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 1, got {value!r}"):
             MpcConfig.default(VEH, **{key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("qp_tol", math.nan), ("input_weight", math.nan), ("position_weight", math.inf),
-        ("rate_weight", -math.inf), ("u_min", (math.nan,) + (0.0,) * 7),
-        ("u_max", (1e5,) * 7 + (math.inf,)), ("u_min", math.nan), ("u_max", math.inf),
+        ("rate_weight", -math.inf), ("u_min", math.nan), ("u_max", math.inf),
     ])
     def test_rejects_nonfinite_values(self, key, value):
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(MpcConfig.default(VEH), **{key: value})
 
     @pytest.mark.parametrize("key", ["u_min", "u_max"])
-    @pytest.mark.parametrize("value", [np.zeros(8), (0.0,) * 8])
+    @pytest.mark.parametrize("value", [np.zeros(8), (0.0,) * 8, (math.nan,) + (0.0,) * 7,
+                                       (1e5,) * 7 + (math.inf,)])
     def test_rejects_a_non_scalar_bound(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be a finite number"):
             dataclasses.replace(MpcConfig.default(VEH), **{key: value})

@@ -1,12 +1,21 @@
 import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from marsquad import dynamics, params
+from marsquad.config import SimSettings
+from marsquad.linmodel import discretize, linearize_hover
+from marsquad.mpc import MpcConfig
 from marsquad.params import (EARTH, MARS, EnvParams, VehicleParams, check_rotor_feasible,
-                             hover_speed, hover_thrust, rpm_to_rad_s, speed_of_sound, tip_mach)
+                             hover_speed, hover_thrust, require_int, require_number,
+                             rpm_to_rad_s, speed_of_sound, tip_mach)
+from marsquad.pid import PidController, PidGains
+from marsquad.simulator import Disturbance, Pulse, run_closed_loop
+from marsquad.trajectories import constant_ref, helix_ref, square_ref
 
 
 class TestSpeedOfSound:
@@ -145,3 +154,83 @@ class TestInvariants:
 
     def test_hover_thrust_value(self, veh, env):
         assert hover_thrust(veh, env) == pytest.approx(44.53, abs=0.01)
+
+
+class TestNumberRule:
+    def test_one_message(self):
+        with pytest.raises(ValueError, match=r"^mass must be a finite number > 0, got -1\.0$"):
+            require_number("mass", -1.0, gt=0)
+        with pytest.raises(ValueError, match=r"^drag must be a finite number >= 0, got nan$"):
+            require_number("drag", math.nan, ge=0)
+        with pytest.raises(ValueError, match=r"^x must be a finite number, got 10{400}$"):
+            require_number("x", 10 ** 400)
+        with pytest.raises(ValueError, match=r"^t_end must be a number, got True$"):
+            require_number("t_end", True, finite=False)
+        with pytest.raises(ValueError, match=r"^horizon must be an integer >= 1, got 0$"):
+            require_int("horizon", 0, ge=1)
+        require_number("x", np.float64(-2.5))
+        require_number("t_end", math.inf, finite=False)
+
+
+# a field's (value below its minimum, rejected; boundary value, accepted), None if none
+POS, NONNEG, COUNT, ANY = (0, None), (-1, 0), (0, 1), (None, None)
+_BAD = (math.nan, math.inf, -math.inf, True, "1", None)
+_CONTINUOUS = linearize_hover(VehicleParams(), MARS)
+
+
+def _run(**args):
+    veh = VehicleParams()
+    return run_closed_loop(PidController(PidGains(), veh, MARS, 0.02), constant_ref(),
+                           Disturbance(), veh=veh, env=MARS,
+                           **{"duration": 0.02, "control_dt": 0.02, "substeps": 1, **args})
+
+
+# every number a record, trajectory factory or once-per-run function checks, as
+# builder -> {field: (low, edge)}; a pulse's numbers have their own test below
+_CHECKED = {
+    "EnvParams": (lambda **kw: dataclasses.replace(MARS, **kw), dict.fromkeys(vars(MARS), POS)),
+    "VehicleParams": (VehicleParams, {**dict.fromkeys(vars(VehicleParams()), POS),
+                                      "linear_drag": NONNEG}),
+    "MpcConfig": (lambda **kw: dataclasses.replace(MpcConfig.default(VehicleParams()), **kw),
+                  {"horizon": COUNT, "qp_max_iter": COUNT, "input_weight": POS, "qp_tol": POS,
+                   "u_min": ANY, "u_max": ANY, **dict.fromkeys(
+                       ("position_weight", "velocity_weight", "angle_weight", "rate_weight",
+                        "input_rate_weight"), NONNEG)}),
+    "PidGains": (PidGains, {**dict.fromkeys(vars(PidGains()), NONNEG),
+                            "integrator_limit": POS, "max_tilt": (0, math.pi / 4)}),
+    "SimSettings": (SimSettings, {"duration": POS, "control_dt": POS, "substeps": COUNT,
+                                  "seed": NONNEG, "transient_skip": NONNEG}),
+    "Disturbance": (Disturbance, {"noise_force": NONNEG, "noise_torque": NONNEG}),
+    "constant_ref": (constant_ref, dict.fromkeys(("x", "y", "z", "psi"), ANY)),
+    "helix_ref": (helix_ref, {"radius": POS, "angular_rate": ANY, "climb_rate": ANY}),
+    "square_ref": (square_ref, {"side": POS, "edge_duration": POS, "altitude": ANY}),
+    "PidController": (lambda dt: PidController(PidGains(), VehicleParams(), MARS, dt),
+                      {"dt": POS}),
+    "LinearModel": (lambda dt: dataclasses.replace(_CONTINUOUS, dt=dt), {"dt": NONNEG}),
+    "discretize": (lambda ts: discretize(_CONTINUOUS, ts), {"ts": POS}),
+    "run_closed_loop": (_run, {"duration": POS, "control_dt": POS, "substeps": COUNT,
+                               "seed": NONNEG}),
+}
+
+
+@pytest.mark.parametrize("make, name, low, edge", [
+    pytest.param(make, name, *spec, id=f"{kind}.{name}")
+    for kind, (make, specs) in _CHECKED.items() for name, spec in specs.items()])
+def test_every_number_field_takes_the_one_rule(make, name, low, edge):
+    for value in _BAD if low is None else (*_BAD, low):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make(**{name: value})
+    if edge is not None:
+        make(**{name: edge})
+
+
+def test_pulse_ends_may_be_infinite_and_its_vectors_are_three_numbers():
+    assert Pulse(-math.inf, math.inf, force=np.zeros(3)).t_end == math.inf
+    for name, value in itertools.product(("t_start", "t_end"), (math.nan, True, "1", None)):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            Pulse(**{"t_start": 0.0, "t_end": 1.0, name: value})
+    for name, value in itertools.product(("force", "torque"), _BAD):
+        with pytest.raises(ValueError, match=rf"^{name}\[1\] must be a finite number, got "):
+            Pulse(0.0, 1.0, **{name: (0.0, value, 0.0)})
+        with pytest.raises(ValueError, match=f"^{name} must be a 3-sequence, got "):
+            Pulse(0.0, 1.0, **{name: value})

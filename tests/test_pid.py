@@ -111,7 +111,7 @@ class TestGainValidation:
             dataclasses.replace(ZERO_GAINS, x_kp=-1.0)
 
     def test_rejects_bad_tilt_limit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_tilt must be at most pi/4, got 1.0$"):
             dataclasses.replace(ZERO_GAINS, max_tilt=1.0)
 
     def test_rejects_nonpositive_integrator_limit(self):
@@ -139,5 +139,5 @@ class TestControllerSurface:
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_rejects_nonfinite_dt(self, dt):
-        with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt}$"):
+        with pytest.raises(ValueError, match=f"^dt must be a finite number > 0, got {dt}$"):
             PidController(PidGains(), VEH, ENV, dt)

@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from marsquad import dynamics, params
 from marsquad.mpc import MpcConfig, MpcController
 from marsquad.linmodel import discretize, linearize_hover
-from marsquad.pid import PidController, PidGains
-from marsquad.simulator import (CSV_COLUMNS, Disturbance, Metrics, NumericalDivergence,
-                                Pulse, SimLog, compute_metrics, rk4_step,
-                                run_closed_loop, step_count, write_csv)
+from marsquad.simulator import (CSV_COLUMNS, Disturbance, NumericalDivergence, Pulse, SimLog,
+                                compute_metrics, rk4_step, run_closed_loop, step_count,
+                                write_csv)
 from marsquad.trajectories import constant_ref, helix_ref, ref_window, square_ref
 from oracles import derivative, make_state
 
@@ -167,7 +166,7 @@ class TestRk4:
                                             ("noise_torque", math.inf)])
     def test_disturbance_rejects_nonfinite_or_negative_noise(self, key, value):
         # nan > 0 is False, so a NaN amplitude used to read as no noise
-        with pytest.raises(ValueError, match="noise amplitudes must be finite and >= 0"):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number >= 0"):
             Disturbance(**{key: value})
 
     def test_noise_reproducible_for_same_seed(self):
@@ -445,7 +444,7 @@ class TestClosedLoop:
     def test_rejects_nonfinite_times(self, name, value):
         # infinity used to raise OverflowError and NaN "cannot convert float NaN"
         kwargs = {"duration": 1.0, "control_dt": 0.02, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0"):
             run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                             substeps=1, veh=VEH, env=ENV, **kwargs)
 
@@ -481,7 +480,7 @@ class TestClosedLoop:
                                              ("seed", 1.5), ("seed", False)])
     def test_rejects_a_non_integer_count(self, name, value):
         kwargs = {"substeps": 1, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= [01], got {value!r}"):
             run_closed_loop(_HoverController(), constant_ref(0, 0, 0, 0), Disturbance(),
                             duration=0.1, control_dt=0.02, veh=VEH, env=ENV, **kwargs)
 

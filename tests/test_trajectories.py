@@ -43,7 +43,7 @@ class TestConstant:
     (square_ref, "altitude", math.nan),
 ])
 def test_nonfinite_parameter_rejected_by_name(factory, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
         factory(**{name: value})
 
 
